@@ -11,12 +11,7 @@ from .diffpoly import (
     DiffPoly,
     FieldVar,
     NotATotalDerivative,
-    dp_arith,
-    dp_derive,
-    dp_scale,
-    dp_substitute,
     equal_mod_total_derivative,
-    euler_derivative,
     formal_integrate,
     parse_poly,
 )
@@ -70,12 +65,7 @@ __all__ = [
     "DiffPoly",
     "FieldVar",
     "NotATotalDerivative",
-    "dp_arith",
-    "dp_derive",
-    "dp_scale",
-    "dp_substitute",
     "equal_mod_total_derivative",
-    "euler_derivative",
     "formal_integrate",
     "parse_poly",
     "DepthExhausted",

@@ -237,8 +237,8 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_hamiltonian(args) -> int:
-    depth = args.depth if args.depth is not None else args.k + args.n + 2
-    table = build_psi(args.k, max(depth, args.k))
+    # The density reads only the table rows 0..k.
+    table = build_psi(args.k, args.k)
     density = hamiltonian_density(table, args.n)
     if args.format == "json":
         text = json.dumps(
@@ -351,14 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_derive.set_defaults(func=_cmd_derive)
 
     p_ham = sub.add_parser("hamiltonian", help="emit the density generating the t_n flow")
-    _add_common(p_ham, n_flag=True)
+    _add_common(p_ham, n_flag=True, depth_flag=False)
     p_ham.set_defaults(func=_cmd_hamiltonian)
 
     p_verify = sub.add_parser("verify", help="run a verification and exit 0/1")
     verify_sub = p_verify.add_subparsers(dest="what", required=True)
     for what, needs_n in (("sklyanin", False), ("duality", True), ("flow", True)):
         p = verify_sub.add_parser(what)
-        _add_common(p, n_flag=needs_n, default_format="json")
+        _add_common(p, n_flag=needs_n, depth_flag=needs_n, default_format="json")
         p.set_defaults(func=_cmd_verify, what=what)
     return parser
 

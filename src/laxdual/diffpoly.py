@@ -2,16 +2,21 @@
 
 Elements are polynomials over Q in the generators b_1, c_1, b_2, c_2, ... and
 their derivatives of arbitrary order with respect to one distinguished
-variable.  The representation is sparse and canonical:
+variable.  The public forms are
 
-  FieldVar  = (kind, index, dorder)        one generator, e.g. b_1'' = ('b', 1, 2)
-  Monomial  = tuple of (FieldVar, exp)     sorted, exponents >= 1
-  DiffPoly  = {Monomial: Fraction}         no zero coefficients stored
+  FieldVar  = (kind, index, dorder)       one generator, e.g. b_1'' = ('b', 1, 2)
+  Monomial  = tuple of (FieldVar, exp)    sorted by FieldVar, exponents >= 1
 
-Two polynomials are equal iff their term tables are identical, so equality,
-hashing of monomials and deterministic printing all come for free.  All
-coefficients are fractions.Fraction; nothing in this module ever touches a
-float.
+Inside, each FieldVar is interned to a small int id (a process-wide table that
+also caches the id of its derivative), a monomial is the sorted tuple of its
+ids with exponents written out (b1^2*c1 -> (i_b1, i_b1, i_c1)), and a DiffPoly
+is `num: {id monomial: int}` over one `den: int`.  The form is canonical:
+den >= 1, no zero numerators and gcd(den, *num) == 1, so two polynomials are
+equal iff their (num, den) are.  Ids follow first use and never show: the
+`terms` view, text and JSON sort by the public FieldVar order.  Arithmetic and
+calculus run on ints; fractions.Fraction appears only at the boundaries
+(constructors, `scale`, `constant_term`, `terms`, text/JSON I/O, parsing).
+Nothing in this module ever touches a float.
 
 Besides ring arithmetic the module provides the distinguished derivation
 (Leibniz rule, raising dorder), substitution of dorder-0 generators (extended
@@ -28,11 +33,17 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from itertools import count
+from math import gcd, lcm
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 
 class NotATotalDerivative(Exception):
     """Raised by formal_integrate when the argument has no antiderivative."""
+
+
+class PolyParseError(ValueError):
+    pass
 
 
 class FieldVar(NamedTuple):
@@ -58,54 +69,55 @@ class FieldVar(NamedTuple):
 
 Monomial = Tuple[Tuple[FieldVar, int], ...]
 Terms = Dict[Monomial, Fraction]
+IdMono = Tuple[int, ...]
 
-_ONE: Monomial = ()
-_FRAC_ZERO = Fraction(0)
+# Interned generators: one table per process, growing with the number of
+# distinct generators ever named, not with the size of any polynomial.
+
+_VARS: Dict[int, FieldVar] = {}
+_VAR_ID: Dict[FieldVar, int] = {}
+_DERIV: Dict[int, int] = {}  # derivative's id, -1 for constant symbols
+_NEXT_ID = count()
 
 
-def _is_sorted(mono: Monomial) -> bool:
-    return all(mono[i][0] < mono[i + 1][0] for i in range(len(mono) - 1))
+def _vid(v: FieldVar) -> int:
+    i = _VAR_ID.get(v)
+    if i is None:
+        i = next(_NEXT_ID)
+        _VARS[i] = FieldVar(*v)
+        # Atomic, so threads interning v at once agree on one id.
+        i = _VAR_ID.setdefault(v, i)
+    return i
 
 
-def _normalize_mono(mono: Monomial) -> Monomial:
-    acc: Dict[FieldVar, int] = {}
+def _to_ids(mono: Monomial) -> IdMono:
+    ids: List[int] = []
     for v, e in mono:
-        acc[v] = acc.get(v, 0) + e
-    return tuple(sorted(acc.items()))
+        if e < 1:
+            raise ValueError("monomial exponents must be >= 1")
+        ids += [_vid(v)] * e
+    ids.sort()
+    return tuple(ids)
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    acc: Dict[FieldVar, int] = dict(m1)
-    for v, e in m2:
-        acc[v] = acc.get(v, 0) + e
-    return tuple(sorted(acc.items()))
+def _to_public(m: IdMono) -> Monomial:
+    return tuple(sorted((_VARS[i], m.count(i)) for i in set(m)))
 
 
 class DiffPoly:
-    """Immutable sparse differential polynomial with Fraction coefficients."""
+    """Immutable sparse differential polynomial: integer numerators over one
+    common denominator, in the canonical form described in the module doc."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("num", "den")
 
     def __init__(self, terms: Optional[Mapping[Monomial, Fraction]] = None):
-        tab: Terms = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-                if not c:
-                    continue
-                if any(e < 1 for _, e in mono):
-                    raise ValueError("monomial exponents must be >= 1")
-                key = mono if _is_sorted(mono) else _normalize_mono(mono)
-                acc = tab.get(key, _FRAC_ZERO) + c
-                if acc:
-                    tab[key] = acc
-                else:
-                    tab.pop(key, None)
-        self.terms = tab
+        fracs: Dict[IdMono, Fraction] = {}
+        for mono, coeff in (terms or {}).items():
+            key = _to_ids(mono)
+            fracs[key] = fracs.get(key, 0) + Fraction(coeff)
+        den = lcm(*(c.denominator for c in fracs.values()))
+        self.num = {m: c.numerator * (den // c.denominator) for m, c in fracs.items() if c}
+        self.den = den
 
     # -- constructors ------------------------------------------------------
 
@@ -116,101 +128,104 @@ class DiffPoly:
     @staticmethod
     def const(value) -> "DiffPoly":
         c = Fraction(value)
-        return DiffPoly({_ONE: c}) if c else _ZERO
+        return _wrap({(): c.numerator}, c.denominator) if c else _ZERO
 
     @staticmethod
     def var(kind: str, index: int, dorder: int = 0) -> "DiffPoly":
-        return DiffPoly({((FieldVar(kind, index, dorder), 1),): Fraction(1)})
+        return DiffPoly.from_var(FieldVar(kind, index, dorder))
 
     @staticmethod
     def from_var(v: FieldVar) -> "DiffPoly":
-        return DiffPoly({((v, 1),): Fraction(1)})
+        return _wrap({(_vid(v),): 1}, 1)
 
     # -- basic queries -----------------------------------------------------
 
+    @property
+    def terms(self) -> Terms:
+        """A fresh {Monomial: Fraction} table in the public (FieldVar, exp) form."""
+        den = self.den
+        return {_to_public(m): Fraction(c, den) for m, c in self.num.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(_ONE, Fraction(0))
+        return Fraction(self.num.get((), 0), self.den)
+
+    def _ids(self):
+        return {i for m in self.num for i in m}
 
     def variables(self) -> List[FieldVar]:
         """All generators occurring, sorted by the canonical ordering."""
-        seen = {v for mono in self.terms for v, _ in mono}
-        return sorted(seen)
+        return sorted(_VARS[i] for i in self._ids())
 
     def generators(self) -> List[FieldVar]:
         """Distinct (kind, index) pairs occurring, as dorder-0 FieldVars."""
-        seen = {v.base() for mono in self.terms for v, _ in mono}
-        return sorted(seen)
+        return sorted({_VARS[i].base() for i in self._ids()})
 
     def max_dorder(self) -> int:
-        return max((v.dorder for mono in self.terms for v, _ in mono), default=0)
+        return max((_VARS[i].dorder for i in self._ids()), default=0)
 
     def total_degree(self) -> int:
-        return max((sum(e for _, e in mono) for mono in self.terms), default=0)
+        return max(map(len, self.num), default=0)
 
     # -- ring arithmetic ----------------------------------------------------
 
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
-        if not other.terms:
+        if not other.num:
             return self
-        if not self.terms:
+        if not self.num:
             return other
-        tab = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = tab.get(mono)
+        da, db = self.den, other.den
+        if da == db:
+            tab, fb = dict(self.num), 1
+        else:
+            den = lcm(da, db)
+            fa, fb = den // da, den // db
+            tab, da = {m: c * fa for m, c in self.num.items()}, den
+        get = tab.get
+        for m, c in other.num.items():
+            s = get(m)
             if s is None:
-                tab[mono] = c
+                tab[m] = c * fb
             else:
-                s = s + c
+                s += c * fb
                 if s:
-                    tab[mono] = s
+                    tab[m] = s
                 else:
-                    del tab[mono]
-        out = DiffPoly.__new__(DiffPoly)
-        out.terms = tab
-        return out
+                    del tab[m]
+        return _reduced(tab, da)
 
     def __neg__(self) -> "DiffPoly":
-        out = DiffPoly.__new__(DiffPoly)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return _wrap({m: -c for m, c in self.num.items()}, self.den)
 
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
         return self + (-other)
 
     def __mul__(self, other: "DiffPoly") -> "DiffPoly":
-        if not self.terms or not other.terms:
+        if not self.num or not other.num:
             return _ZERO
-        tab: Terms = {}
-        items2 = list(other.terms.items())
-        for m1, c1 in self.terms.items():
+        tab: Dict[IdMono, int] = {}
+        get = tab.get
+        items2 = list(other.num.items())
+        for m1, c1 in self.num.items():
             for m2, c2 in items2:
-                mono = _mono_mul(m1, m2)
-                c = tab.get(mono)
-                c = c1 * c2 if c is None else c + c1 * c2
-                if c:
-                    tab[mono] = c
-                elif mono in tab:
-                    del tab[mono]
-        out = DiffPoly.__new__(DiffPoly)
-        out.terms = tab
-        return out
+                m = tuple(sorted(m1 + m2))
+                tab[m] = get(m, 0) + c1 * c2
+        return _reduced(_nonzero(tab), self.den * other.den)
 
     def scale(self, s) -> "DiffPoly":
         s = Fraction(s)
-        if not s:
+        if not s or not self.num:
             return _ZERO
-        out = DiffPoly.__new__(DiffPoly)
-        out.terms = {m: c * s for m, c in self.terms.items()}
-        return out
+        n = s.numerator
+        return _reduced({m: c * n for m, c in self.num.items()}, self.den * s.denominator)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, DiffPoly) and self.terms == other.terms
+        return isinstance(other, DiffPoly) and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.num.items()), self.den))
 
     def __repr__(self) -> str:
         return f"DiffPoly({self.to_text()})"
@@ -224,49 +239,37 @@ class DiffPoly:
         """Distinguished derivation, applied `times` times (Leibniz rule)."""
         p = self
         for _ in range(times):
-            tab: Terms = {}
-            for mono, coeff in p.terms.items():
-                for v, e in mono:
-                    if v.is_constant_symbol():
+            tab: Dict[IdMono, int] = {}
+            get = tab.get
+            for m, c in p.num.items():
+                prev = -1
+                for k, i in enumerate(m):
+                    if i == prev:
+                        continue
+                    prev = i
+                    d = _DERIV.get(i)
+                    if d is None:
+                        v = _VARS[i]
+                        d = _DERIV[i] = -1 if v.is_constant_symbol() else _vid(v.derived())
+                    if d < 0:
                         continue
                     # d(v^e * rest) -> e * v^(e-1) * v' * rest
-                    factors = dict(mono)
-                    if e == 1:
-                        del factors[v]
-                    else:
-                        factors[v] = e - 1
-                    dv = v.derived()
-                    factors[dv] = factors.get(dv, 0) + 1
-                    m2 = tuple(sorted(factors.items()))
-                    c = tab.get(m2, Fraction(0)) + coeff * e
-                    if c:
-                        tab[m2] = c
-                    elif m2 in tab:
-                        del tab[m2]
-            q = DiffPoly.__new__(DiffPoly)
-            q.terms = tab
-            p = q
+                    key = tuple(sorted(m[:k] + m[k + 1:] + (d,)))
+                    tab[key] = get(key, 0) + c * m.count(i)
+            p = _reduced(_nonzero(tab), p.den)
         return p
 
     def partial(self, v: FieldVar) -> "DiffPoly":
         """Plain partial derivative with respect to one generator v."""
-        tab: Terms = {}
-        for mono, coeff in self.terms.items():
-            for w, e in mono:
-                if w == v:
-                    factors = dict(mono)
-                    if e == 1:
-                        del factors[w]
-                    else:
-                        factors[w] = e - 1
-                    m2 = tuple(sorted(factors.items()))
-                    c = tab.get(m2, Fraction(0)) + coeff * e
-                    if c:
-                        tab[m2] = c
-                    elif m2 in tab:
-                        del tab[m2]
-                    break
-        return DiffPoly(tab)
+        i = _VAR_ID.get(v)
+        tab: Dict[IdMono, int] = {}
+        for m, c in self.num.items():
+            if i in m:
+                # Dropping one factor i maps distinct sorted monomials to
+                # distinct sorted monomials, so nothing collides.
+                k = m.index(i)
+                tab[m[:k] + m[k + 1:]] = c * m.count(i)
+        return _reduced(tab, self.den)
 
     def substitute(self, rules: Mapping[FieldVar, "DiffPoly"]) -> "DiffPoly":
         """Replace dorder-0 generators by polynomials.
@@ -282,81 +285,58 @@ class DiffPoly:
             base_rules[(v.kind, v.index)] = rhs
         if not base_rules:
             return self
-        deriv_cache: Dict[Tuple[str, int, int], DiffPoly] = {}
+        rule_of: Dict[int, Optional[DiffPoly]] = {}
 
-        def rule_at(kind: str, index: int, dorder: int) -> DiffPoly:
-            key = (kind, index, dorder)
-            hit = deriv_cache.get(key)
-            if hit is None:
-                if dorder == 0:
-                    hit = base_rules[(kind, index)]
-                else:
-                    hit = rule_at(kind, index, dorder - 1).derive()
-                deriv_cache[key] = hit
-            return hit
+        def rule_at(i: int) -> Optional[DiffPoly]:
+            if i not in rule_of:
+                v = _VARS[i]
+                rhs = base_rules.get((v.kind, v.index))
+                rule_of[i] = rhs if rhs is None or not v.dorder else rule_at(_vid(v.derived(-1))).derive()
+            return rule_of[i]
 
         result = _ZERO
-        for mono, coeff in self.terms.items():
-            plain: List[Tuple[FieldVar, int]] = []
-            replaced: List[Tuple[DiffPoly, int]] = []
-            for v, e in mono:
-                if (v.kind, v.index) in base_rules:
-                    replaced.append((rule_at(v.kind, v.index, v.dorder), e))
-                else:
-                    plain.append((v, e))
-            term = DiffPoly({tuple(plain): coeff})
-            for rhs, e in replaced:
-                for _ in range(e):
-                    term = term * rhs
+        for m, c in self.num.items():
+            term = _wrap({tuple(i for i in m if rule_at(i) is None): c}, 1)
+            for i in m:
+                if rule_at(i) is not None:
+                    term = term * rule_at(i)
             result = result + term
-        return result
+        return _reduced(result.num, result.den * self.den)
 
     def euler(self, target: FieldVar) -> "DiffPoly":
         """Variational derivative: sum_l (-d)^l of d(self)/d(target^(l))."""
         if target.dorder != 0:
             raise ValueError("euler target must be a dorder-0 generator")
         out = _ZERO
-        sign = 1
         for order in range(self.max_dorder() + 1):
             part = self.partial(FieldVar(target.kind, target.index, order))
             if not part.is_zero():
-                out = out + part.derive(order).scale(sign)
-            sign = -sign
+                part = part.derive(order)
+                out = out - part if order % 2 else out + part
         return out
 
     # -- output --------------------------------------------------------------
 
     def sorted_terms(self) -> List[Tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda it: it[0])
+        return sorted(self.terms.items())
 
     def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces: List[str] = []
-        for mono, coeff in self.sorted_terms():
-            body = _mono_text(mono)
-            mag = abs(coeff)
-            if body:
-                frag = body if mag == 1 else f"{mag}*{body}"
-            else:
-                frag = str(mag)
-            if not pieces:
-                pieces.append(frag if coeff > 0 else f"-{frag}")
-            else:
-                pieces.append(("+ " if coeff > 0 else "- ") + frag)
-        return " ".join(pieces)
+        return self._render(_mono_text, str, "*")
 
     def to_latex(self) -> str:
-        if not self.terms:
+        return self._render(_mono_latex, _frac_latex, " ")
+
+    def _render(self, body_of, mag_of, sep: str) -> str:
+        if not self.num:
             return "0"
         pieces: List[str] = []
         for mono, coeff in self.sorted_terms():
-            body = " ".join(_var_latex(v, e) for v, e in mono)
+            body = body_of(mono)
             mag = abs(coeff)
             if body:
-                frag = body if mag == 1 else f"{_frac_latex(mag)} {body}"
+                frag = body if mag == 1 else f"{mag_of(mag)}{sep}{body}"
             else:
-                frag = _frac_latex(mag)
+                frag = mag_of(mag)
             if not pieces:
                 pieces.append(frag if coeff > 0 else f"-{frag}")
             else:
@@ -377,24 +357,57 @@ class DiffPoly:
 
     @staticmethod
     def from_json(data: Iterable[dict]) -> "DiffPoly":
+        """Inverse of to_json; raises PolyParseError on any malformed payload."""
         tab: Terms = {}
-        for term in data:
-            mono = tuple(
-                sorted(
-                    (FieldVar(v["kind"], v["index"], v["dorder"]), v["exp"])
+        try:
+            for term in data:
+                mono = tuple(
+                    (_checked_var(v["kind"], v["index"], v["dorder"]), _checked_exp(v["exp"]))
                     for v in term["vars"]
                 )
-            )
-            tab[mono] = tab.get(mono, Fraction(0)) + Fraction(term["coeff"])
+                coeff = term["coeff"]
+                if type(coeff) not in (str, int):
+                    raise PolyParseError(f"coefficient must be a string or an integer, got {coeff!r}")
+                tab[mono] = tab.get(mono, 0) + Fraction(coeff)
+        except PolyParseError:
+            raise
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise PolyParseError(f"malformed polynomial JSON: {type(exc).__name__}: {exc}") from exc
         return DiffPoly(tab)
 
 
-_ZERO = DiffPoly.__new__(DiffPoly)
-_ZERO.terms = {}
+def _wrap(num: Dict[IdMono, int], den: int) -> DiffPoly:
+    """A DiffPoly over a table already in canonical form."""
+    p = object.__new__(DiffPoly)
+    p.num = num
+    p.den = den
+    return p
+
+
+def _reduced(num: Dict[IdMono, int], den: int) -> DiffPoly:
+    """A DiffPoly over a table with no zero numerators, brought to lowest terms."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {m: c // g for m, c in num.items()}
+    return _wrap(num, den)
+
+
+def _nonzero(tab: Dict[IdMono, int]) -> Dict[IdMono, int]:
+    # Cancellation is rare: scanning for a zero is cheaper than rebuilding.
+    return {m: c for m, c in tab.items() if c} if 0 in tab.values() else tab
+
+
+_ZERO = _wrap({}, 1)
 
 
 def _mono_text(mono: Monomial) -> str:
     return "*".join(str(v) if e == 1 else f"{v}^{e}" for v, e in mono)
+
+
+def _mono_latex(mono: Monomial) -> str:
+    return " ".join(_var_latex(v, e) for v, e in mono)
 
 
 def _var_latex(v: FieldVar, e: int) -> str:
@@ -410,34 +423,6 @@ def _frac_latex(q: Fraction) -> str:
         return str(q.numerator)
     sign = "-" if q < 0 else ""
     return rf"{sign}\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
-
-
-# -- functional aliases -------------------------------------------------------
-
-
-def dp_arith(lhs: DiffPoly, rhs: DiffPoly, op: str) -> DiffPoly:
-    """Ring operation dispatch: op is 'add' or 'mul'."""
-    if op == "add":
-        return lhs + rhs
-    if op == "mul":
-        return lhs * rhs
-    raise ValueError(f"unknown op {op!r}")
-
-
-def dp_scale(p: DiffPoly, s) -> DiffPoly:
-    return p.scale(s)
-
-
-def dp_derive(p: DiffPoly, times: int = 1) -> DiffPoly:
-    return p.derive(times)
-
-
-def dp_substitute(p: DiffPoly, rules: Mapping[FieldVar, DiffPoly]) -> DiffPoly:
-    return p.substitute(rules)
-
-
-def euler_derivative(p: DiffPoly, target: FieldVar) -> DiffPoly:
-    return p.euler(target)
 
 
 def equal_mod_total_derivative(p: DiffPoly, q: DiffPoly) -> bool:
@@ -460,33 +445,32 @@ def formal_integrate(p: DiffPoly) -> DiffPoly:
     rem = p
     result = _ZERO
     while not rem.is_zero():
-        mono, coeff = max(rem.terms.items(), key=lambda it: _peel_key(it[0]))
+        mono = max(rem.num, key=_peel_key)
         if not mono:
             raise NotATotalDerivative("nonzero constant term has no antiderivative")
-        top = max((v for v, _ in mono), key=lambda v: (v.dorder, v.kind, v.index))
-        if top.dorder == 0 or top.is_constant_symbol():
-            raise NotATotalDerivative(f"term {_mono_text(mono) or '1'} cannot be integrated")
-        factors = dict(mono)
-        if factors[top] != 1:
-            raise NotATotalDerivative(f"leading derivative {top} occurs nonlinearly")
-        del factors[top]
-        low = top.derived(-1)
-        mult = factors.get(low, 0) + 1
-        factors[low] = mult
-        piece = DiffPoly({tuple(sorted(factors.items())): coeff / mult})
+        top = max(mono, key=_order_key)
+        if _VARS[top].dorder == 0 or _VARS[top].is_constant_symbol():
+            raise NotATotalDerivative(f"term {_mono_text(_to_public(mono))} cannot be integrated")
+        if mono.count(top) != 1:
+            raise NotATotalDerivative(f"leading derivative {_VARS[top]} occurs nonlinearly")
+        low = _vid(_VARS[top].derived(-1))
+        k = mono.index(top)
+        key = tuple(sorted(mono[:k] + mono[k + 1:] + (low,)))
+        piece = _reduced({key: rem.num[mono]}, rem.den * key.count(low))
         result = result + piece
         rem = rem - piece.derive()
     return result
 
 
-def _peel_key(mono: Monomial):
+def _order_key(i: int):
+    v = _VARS[i]
+    return (v.dorder, v.kind, v.index)
+
+
+def _peel_key(mono: IdMono):
     # Sorted-descending sequence of generator keys, exponent-expanded: the
     # derivation maps the maximal monomial of q to the maximal monomial of dq.
-    seq = []
-    for v, e in mono:
-        seq.extend([(v.dorder, v.kind, v.index)] * e)
-    seq.sort(reverse=True)
-    return seq
+    return sorted(map(_order_key, mono), reverse=True)
 
 
 # -- text grammar --------------------------------------------------------------
@@ -498,30 +482,45 @@ def _peel_key(mono: Monomial):
 #   poly     := ['-'] term {('+'|'-') term}
 #
 # Extra symbols (CLI substitution files) follow the fieldvar syntax with a
-# general identifier in place of ('b'|'c') index.
+# general identifier in place of ('b'|'c') index.  Factors must be joined by
+# '*': juxtaposition such as "2 3 b1" or "b1 c1" is an error.
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[A-Za-z][A-Za-z0-9]*'*)|(?P<op>[-+*^()]))")
 _STDVAR = re.compile(r"^([bc])([1-9][0-9]*)('*)$")
 _EXTVAR = re.compile(r"^([A-Za-z][A-Za-z0-9]*?)('*)$")
 
 
-class PolyParseError(ValueError):
-    pass
+def _checked_var(kind, index, dorder) -> FieldVar:
+    """The generator (kind, index, dorder) if some text names it, else PolyParseError."""
+    if not (isinstance(kind, str) and kind.isascii() and kind.isalnum() and kind[:1].isalpha()):
+        raise PolyParseError(f"bad field kind {kind!r}")
+    for name, value in (("index", index), ("dorder", dorder)):
+        if type(value) is not int or value < 0:
+            raise PolyParseError(f"{name} must be an integer >= 0, got {value!r}")
+    standard = kind in ("b", "c")
+    if (standard and index < 1) or (kind[0] in "bc" and kind[1:].isdigit()):
+        raise PolyParseError(f"standard field {kind!r} needs an index >= 1")
+    if index and not standard:
+        raise PolyParseError(f"extension kind {kind!r} takes no index, got {index}")
+    v = FieldVar(kind, index, dorder)
+    if v.is_constant_symbol() and v.dorder:
+        raise PolyParseError(f"constant symbol {kind!r} cannot carry derivatives")
+    return v
+
+
+def _checked_exp(exp) -> int:
+    if type(exp) is not int or exp < 1:
+        raise PolyParseError(f"exponent must be an integer >= 1, got {exp!r}")
+    return exp
 
 
 def parse_fieldvar(token: str) -> FieldVar:
     m = _STDVAR.match(token)
     if m:
-        return FieldVar(m.group(1), int(m.group(2)), len(m.group(3)))
+        return _checked_var(m.group(1), int(m.group(2)), len(m.group(3)))
     m = _EXTVAR.match(token)
     if m:
-        name, primes = m.group(1), m.group(2)
-        if name in ("b", "c") or (name[0] in ("b", "c") and name[1:].isdigit()):
-            raise PolyParseError(f"standard field {name!r} needs an index >= 1")
-        v = FieldVar(name, 0, len(primes))
-        if v.is_constant_symbol() and v.dorder:
-            raise PolyParseError(f"constant symbol {name!r} cannot carry derivatives")
-        return v
+        return _checked_var(m.group(1), 0, len(m.group(2)))
     raise PolyParseError(f"bad field variable {token!r}")
 
 
@@ -579,6 +578,8 @@ def _parse_term(tokens, pos):
         kind, value = tokens[pos]
         if kind == "op" and value in "+-" and not expect_factor:
             break
+        if kind in ("num", "var") and not expect_factor:
+            raise PolyParseError(f"missing '*' before {value!r}")
         if kind == "num":
             coeff *= Fraction(value)
             pos += 1
@@ -589,9 +590,7 @@ def _parse_term(tokens, pos):
             if pos + 1 < len(tokens) and tokens[pos] == ("op", "^"):
                 if tokens[pos + 1][0] != "num" or "/" in tokens[pos + 1][1]:
                     raise PolyParseError("exponent must be an integer")
-                exp = int(tokens[pos + 1][1])
-                if exp < 1:
-                    raise PolyParseError("exponent must be >= 1")
+                exp = _checked_exp(int(tokens[pos + 1][1]))
                 pos += 2
             factors[v] = factors.get(v, 0) + exp
         elif kind == "op" and value == "*":
@@ -605,4 +604,4 @@ def _parse_term(tokens, pos):
         expect_factor = False
     if expect_factor:
         raise PolyParseError("dangling '*'")
-    return DiffPoly({tuple(sorted(factors.items())): coeff}), pos
+    return DiffPoly({tuple(factors.items()): coeff}), pos

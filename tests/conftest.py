@@ -25,13 +25,20 @@ _POOL = [
 ]
 
 
-def random_poly(rng: random.Random, max_terms: int = 4, max_factors: int = 3) -> DiffPoly:
+# The standard pool plus a constant symbol and a placeholder field, as in the
+# CLI's substitution files.
+EXT_POOL = _POOL + [fv("e", 0), fv("b1s", 0), fv("b1s", 0, 1)]
+
+
+def random_poly(
+    rng: random.Random, max_terms: int = 4, max_factors: int = 3, pool=_POOL, max_den: int = 4
+) -> DiffPoly:
     out = DiffPoly.zero()
     for _ in range(rng.randint(0, max_terms)):
-        coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        coeff = Fraction(rng.randint(-6, 6), rng.randint(1, max_den))
         term = DiffPoly.const(coeff)
         for _ in range(rng.randint(0, max_factors)):
-            term = term * DiffPoly.from_var(rng.choice(_POOL))
+            term = term * DiffPoly.from_var(rng.choice(pool))
         out = out + term
     return out
 

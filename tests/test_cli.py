@@ -52,6 +52,13 @@ class TestDerive:
         assert "d2(b1) = -b1^2*b1s*e + 1/2*b1''" in out
         assert "d2(b1s*e) = " in out
 
+    def test_substitution_needs_explicit_star(self, tmp_path):
+        sub = tmp_path / "implicit.sub"
+        sub.write_text("b1 = 2 3 c1\n", encoding="utf-8")
+        code, out, err = run_cli("derive", "--k", "1", "--n", "2", "--sub", str(sub))
+        assert code == 2 and out == ""
+        assert f"{sub}:1:" in err
+
     def test_usage_error_on_bad_k(self):
         code, _, err = run_cli("derive", "--k", "0", "--n", "2")
         assert code == 2
@@ -107,6 +114,11 @@ class TestHamiltonian:
         payload = json.loads(out)
         assert DiffPoly.from_json(payload["density"]) == hamiltonian_density(build_psi(2, 5), 1)
 
+    def test_rejects_depth(self):
+        code, _, err = run_cli("hamiltonian", "--k", "1", "--n", "2", "--depth", "5")
+        assert code == 2
+        assert "--depth" in err
+
 
 class TestVerify:
     def test_sklyanin_pass(self):
@@ -115,6 +127,11 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["passed"] is True
         assert len(payload["items"]) == 16
+
+    def test_sklyanin_rejects_depth(self):
+        code, _, err = run_cli("verify", "sklyanin", "--k", "2", "--depth", "5")
+        assert code == 2
+        assert "--depth" in err
 
     def test_duality_pass(self):
         code, out, _ = run_cli("verify", "duality", "--n", "1", "--k", "2")

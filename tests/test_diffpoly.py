@@ -1,7 +1,10 @@
 """Differential polynomial ring: arithmetic, calculus, canonical form."""
 
 import json
+import sys
+import threading
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -9,30 +12,25 @@ from laxdual.diffpoly import (
     DiffPoly,
     NotATotalDerivative,
     PolyParseError,
-    dp_arith,
-    dp_derive,
-    dp_scale,
-    dp_substitute,
     equal_mod_total_derivative,
-    euler_derivative,
     formal_integrate,
     parse_poly,
 )
 
-from conftest import P, fv, random_poly
+from conftest import EXT_POOL, P, fv, random_poly
 
 
 class TestArithmetic:
     def test_difference_of_squares(self):
-        assert dp_arith(P("b1 + c1"), P("b1 - c1"), "mul") == P("b1^2 - c1^2")
+        assert P("b1 + c1") * P("b1 - c1") == P("b1^2 - c1^2")
 
     def test_additive_identity(self, rng):
         for _ in range(20):
             p = random_poly(rng)
-            assert dp_arith(p, DiffPoly.zero(), "add") == p
+            assert p + DiffPoly.zero() == p
 
     def test_scalar_associativity(self):
-        p = dp_scale(P("b1*c1"), Fraction(1, 2)) * dp_scale(P("b1*c1"), 2)
+        p = P("b1*c1").scale(Fraction(1, 2)) * P("b1*c1").scale(2)
         assert p == P("b1^2*c1^2")
 
     def test_ring_axioms_randomized(self, rng):
@@ -47,7 +45,7 @@ class TestArithmetic:
     def test_scale_distributes(self, rng):
         for _ in range(10):
             p = random_poly(rng)
-            assert dp_scale(p, Fraction(3, 7)) + dp_scale(p, Fraction(4, 7)) == p
+            assert p.scale(Fraction(3, 7)) + p.scale(Fraction(4, 7)) == p
 
     def test_zero_is_empty_table(self):
         assert (P("b1") - P("b1")).terms == {}
@@ -56,65 +54,65 @@ class TestArithmetic:
 
 class TestDerive:
     def test_leibniz_on_product(self):
-        assert dp_derive(P("b1*c1")) == P("b1'*c1 + b1*c1'")
+        assert P("b1*c1").derive() == P("b1'*c1 + b1*c1'")
 
     def test_kills_constants(self):
-        assert dp_derive(DiffPoly.const(5)).is_zero()
+        assert DiffPoly.const(5).derive().is_zero()
 
     def test_dorder_bookkeeping(self):
-        assert dp_derive(P("b1"), 2) == P("b1''")
+        assert P("b1").derive(2) == P("b1''")
 
     def test_leibniz_randomized(self, rng):
         for _ in range(20):
             p, q = random_poly(rng), random_poly(rng)
-            assert dp_derive(p * q) == dp_derive(p) * q + p * dp_derive(q)
+            assert (p * q).derive() == p.derive() * q + p * q.derive()
 
 
 class TestSubstitute:
     def test_rule_applies_to_derivatives(self):
         # b2 -> (1/2) d(b1) inside b2*c1
         rules = {fv("b", 2): P("1/2*b1'")}
-        assert dp_substitute(P("b2*c1"), rules) == P("1/2*b1'*c1")
+        assert P("b2*c1").substitute(rules) == P("1/2*b1'*c1")
 
     def test_absent_variable_is_noop(self, rng):
         rules = {fv("b", 9): P("c1^2")}
         for _ in range(10):
             p = random_poly(rng)
-            assert dp_substitute(p, rules) == p
+            assert p.substitute(rules) == p
 
     def test_identity_rule_is_noop(self, rng):
         rules = {fv("b", 1): P("b1")}
         for _ in range(10):
             p = random_poly(rng)
-            assert dp_substitute(p, rules) == p
+            assert p.substitute(rules) == p
 
     def test_commutes_with_derivation(self, rng):
         rules = {fv("b", 1): P("c1^2 - 2*b2"), fv("c", 2): P("b1*c1'")}
         for _ in range(15):
             p = random_poly(rng)
-            assert dp_substitute(p, rules).derive() == dp_substitute(p.derive(), rules)
+            assert p.substitute(rules).derive() == p.derive().substitute(rules)
 
     def test_rejects_derived_targets(self):
         with pytest.raises(ValueError):
-            dp_substitute(P("b1"), {fv("b", 1, 1): P("c1")})
+            P("b1").substitute({fv("b", 1, 1): P("c1")})
 
 
 class TestEuler:
     def test_two_integrations_by_parts(self):
-        assert euler_derivative(P("b1*c1''"), fv("c", 1)) == P("b1''")
+        assert P("b1*c1''").euler(fv("c", 1)) == P("b1''")
 
     def test_annihilates_total_derivatives(self, rng):
         for _ in range(20):
             p = random_poly(rng)
-            d = dp_derive(p)
+            d = p.derive()
             for u in d.generators():
-                assert euler_derivative(d, u).is_zero()
+                assert d.euler(u).is_zero()
 
     def test_nls_density_variation(self):
         # cross-checked against the t_2 flow of b1 after multiplying by the
         # bracket coefficient 4
         density = P("1/16*b1*c1'' + 1/16*c1*b1'' - 1/8*b1^2*c1^2")
-        assert euler_derivative(density, fv("c", 1)) == P("1/8*b1'' - 1/4*b1^2*c1")
+        assert density.euler(fv("c", 1)) == P("1/8*b1'' - 1/4*b1^2*c1")
 
 
 class TestFormalIntegrate:
@@ -136,17 +134,17 @@ class TestFormalIntegrate:
         for _ in range(25):
             p = random_poly(rng)
             p = p - DiffPoly.const(p.constant_term())
-            assert formal_integrate(dp_derive(p)) == p
+            assert formal_integrate(p.derive()) == p
 
     def test_high_order_mixed_terms(self):
         p = P("b1''*c1' + 3*b1*b1'^2 - c2'*c2'")
-        assert formal_integrate(dp_derive(p)) == p
+        assert formal_integrate(p.derive()) == p
 
 
 class TestEqualModTotalDerivative:
     def test_shift_by_total_derivative(self):
         p = P("b1^2*c1^2")
-        assert equal_mod_total_derivative(p, p + dp_derive(P("b1*c1")))
+        assert equal_mod_total_derivative(p, p + P("b1*c1").derive())
 
     def test_integration_by_parts_twice(self):
         assert equal_mod_total_derivative(P("b1*c1''"), P("c1*b1''"))
@@ -188,6 +186,11 @@ class TestParser:
             with pytest.raises(PolyParseError):
                 parse_poly(text)
 
+    def test_rejects_implicit_multiplication(self):
+        for text in ("2 3 b1", "b1 c1", "2 b1", "b1^2 c1'", "1/2*b1 c1 + c2"):
+            with pytest.raises(PolyParseError, match="missing"):
+                parse_poly(text)
+
     def test_extra_symbols(self):
         # letters-only tokens are constants, digit-bearing ones are fields
         p = P("e*b1s")
@@ -197,3 +200,178 @@ class TestParser:
 
     def test_latex_smoke(self):
         assert P("-1/2*b1''*c1^2").to_latex() == r"-\frac{1}{2} b_{1}'' {c_{1}}^{2}"
+
+
+# -- the integer-numerator representation ----------------------------------------
+
+
+def assert_canonical(p):
+    assert p.den >= 1
+    assert all(p.num.values())
+    assert gcd(p.den, *p.num.values()) == 1
+    terms = p.terms
+    assert sorted(terms.values()) == sorted(Fraction(c, p.den) for c in p.num.values())
+    for mono, coeff in terms.items():
+        assert coeff and isinstance(coeff, Fraction)
+        assert list(mono) == sorted(mono) and all(e >= 1 for _, e in mono)
+    return p
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            acc = dict(m1)
+            for v, e in m2:
+                acc[v] = acc.get(v, 0) + e
+            m = tuple(sorted(acc.items()))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_derive(a):
+    out = {}
+    for mono, c in a.items():
+        for v, e in mono:
+            if v.is_constant_symbol():
+                continue
+            acc = dict(mono)
+            acc[v] -= 1
+            if not acc[v]:
+                del acc[v]
+            acc[v.derived()] = acc.get(v.derived(), 0) + 1
+            m = tuple(sorted(acc.items()))
+            out[m] = out.get(m, 0) + c * e
+    return {m: c for m, c in out.items() if c}
+
+
+def ext_poly(rng):
+    return random_poly(rng, pool=EXT_POOL, max_den=9)
+
+
+class TestRepresentation:
+    def test_canonical_after_every_operation(self, rng):
+        rules = {fv("b", 1): P("3/5*c1 - 1/7*e*b1s"), fv("c", 2): P("5/9*b1'")}
+        for _ in range(30):
+            p, q = ext_poly(rng), ext_poly(rng)
+            for r in (p, q, p + q, p - q, -p, p * q, p.scale(Fraction(6, 35)), p.scale(-9),
+                      p.derive(), (p * q).derive(2), p.partial(fv("b", 1)),
+                      p.partial(fv("b1s", 0, 1)), p.substitute(rules), p.euler(fv("c", 1)),
+                      p.euler(fv("b1s", 0)), parse_poly(p.to_text()),
+                      DiffPoly.from_json(p.to_json()), DiffPoly(p.terms)):
+                assert_canonical(r)
+            exact = (p - DiffPoly.const(p.constant_term())).derive()
+            assert_canonical(formal_integrate(exact))
+
+    def test_equality_and_hash_across_construction_paths(self):
+        text = "1/2*b1*c1 - 3/7*b1s'*e + 5/9"
+        parsed = P(text)
+        paths = [
+            parsed,
+            DiffPoly.from_json(json.loads(json.dumps(parsed.to_json()))),
+            P("1/2*b1") * P("c1") - P("3/7*e") * P("b1s'") + DiffPoly.const(Fraction(5, 9)),
+            parsed.scale(Fraction(3, 7)).scale(Fraction(7, 3)),
+            DiffPoly(parsed.terms),
+            (P("b1*c1") + P("-6/7*e*b1s' + 10/9")).scale(Fraction(1, 2)),
+        ]
+        for p in paths:
+            assert p == parsed and hash(p) == hash(parsed)
+            assert p.to_text() == parsed.to_text()
+        assert len(set(paths)) == 1
+        assert parsed.terms[((fv("b1s", 0, 1), 1), (fv("e", 0), 1))] == Fraction(-3, 7)
+
+    def test_differential_oracle(self, rng):
+        for _ in range(60):
+            p, q = ext_poly(rng), ext_poly(rng)
+            a, b = p.terms, q.terms
+            assert (p + q).terms == ref_add(a, b)
+            assert (p * q).terms == ref_mul(a, b)
+            assert p.derive().terms == ref_derive(a)
+            assert (p * q).derive().terms == ref_derive(ref_mul(a, b))
+            assert p.scale(Fraction(-5, 3)).terms == {m: c * Fraction(-5, 3) for m, c in a.items()}
+
+
+class TestInternTable:
+    def test_concurrent_interning_agrees(self):
+        # Generators no other test names, so the threads race to intern them.
+        names = [f"race{n}s" for n in range(300)]
+        results = []
+
+        def work(order):
+            acc = DiffPoly.zero()
+            for name in order:
+                v = DiffPoly.var(name, 0)
+                acc = acc + (v * v).derive()
+            results.append(acc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(names[:: (-1) ** k],)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        expected = P(" + ".join(f"2*{name}*{name}'" for name in names))
+        assert len(results) == 8 and all(r == expected for r in results)
+
+
+def _term(**var):
+    v = {"kind": "b", "index": 1, "dorder": 0, "exp": 1}
+    v.update(var)
+    return [{"coeff": "1/2", "vars": [v]}]
+
+
+class TestFromJsonValidation:
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            _term(dorder=-2),
+            _term(dorder="1"),
+            _term(dorder=True),
+            _term(index=-1),
+            _term(index=1.0),
+            _term(index=True),
+            _term(exp=0),
+            _term(exp=-1),
+            _term(exp=2.0),
+            _term(exp=True),
+            _term(index=0),
+            _term(kind="c", index=0),
+            _term(kind="e", index=2),
+            _term(kind="b1s", index=1),
+            _term(kind="b1", index=0),
+            _term(kind="b-1"),
+            _term(kind=""),
+            _term(kind=7),
+            _term(kind="e", index=0, dorder=1),
+            [{"coeff": 0.5, "vars": []}],
+            [{"coeff": "1/0", "vars": []}],
+            [{"vars": []}],
+            [{"coeff": "1", "vars": [{"kind": "b", "index": 1, "exp": 1}]}],
+        ],
+        ids=[
+            "negative-dorder", "str-dorder", "bool-dorder", "negative-index", "float-index",
+            "bool-index", "zero-exp", "negative-exp", "float-exp", "bool-exp", "b-index-0",
+            "c-index-0", "indexed-constant", "indexed-placeholder", "std-like-kind",
+            "malformed-kind", "empty-kind", "int-kind", "derived-constant", "float-coeff",
+            "zero-denominator", "missing-coeff", "missing-dorder",
+        ],
+    )
+    def test_rejects(self, payload):
+        with pytest.raises(PolyParseError):
+            DiffPoly.from_json(payload)
+
+    def test_accepts_extension_kinds(self):
+        p = P("2/3*e*b1s''")
+        assert DiffPoly.from_json(p.to_json()) == p
