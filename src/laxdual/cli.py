@@ -363,17 +363,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(argv: List[str], config: Dict[str, str]) -> List[str]:
-    """Config values act as defaults: prepend them as flags unless given."""
+def _subcommands(parser: argparse.ArgumentParser) -> Dict[str, argparse.ArgumentParser]:
+    for action in parser._actions:
+        if isinstance(action.choices, dict):
+            return action.choices
+    return {}
+
+
+def _flags(parser: argparse.ArgumentParser) -> set:
+    return {flag for action in parser._actions if action.dest != "help" for flag in action.option_strings}
+
+
+def _all_flags(parser: argparse.ArgumentParser) -> set:
+    """Flags of the parser and of every subcommand below it."""
+    return _flags(parser).union(*map(_all_flags, _subcommands(parser).values()))
+
+
+def _merge_config(
+    parser: argparse.ArgumentParser, argv: List[str], config: Dict[str, str], path: Optional[str]
+) -> List[str]:
+    """Config values act as defaults: append them as flags unless given.
+
+    A key is passed on only if the chosen subcommand defines its flag, so one
+    file can serve every subcommand; a key no subcommand defines is an error.
+    """
     if not config:
         return argv
+    chosen = parser
+    for token in argv:
+        choices = _subcommands(chosen)
+        if token not in choices:
+            break
+        chosen = choices[token]
+    known, accepted = _all_flags(parser), _flags(chosen)
     present = {token.split("=", 1)[0] for token in argv if token.startswith("--")}
     extra: List[str] = []
     for key, value in sorted(config.items()):
         flag = f"--{key}"
-        if flag not in present:
+        if flag not in known:
+            raise CliError(f"{path}: unknown config key {key!r}")
+        if flag in accepted and flag not in present:
             extra += [flag, value]
-    # insert after the subcommand tokens so argparse attaches them correctly
+    # appended after the subcommand tokens so argparse attaches them correctly
     return argv + extra
 
 
@@ -393,7 +424,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         try:
-            args = parser.parse_args(_merge_config(argv, _read_config(config_path)))
+            args = parser.parse_args(_merge_config(parser, argv, _read_config(config_path), config_path))
         except SystemExit as exc:  # argparse reports usage errors via exit(2)
             return int(exc.code or 0)
         return args.func(args)

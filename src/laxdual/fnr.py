@@ -13,13 +13,21 @@ c_1..c_k.  A PsiTable holds those rows up to a chosen depth:
 
 The diagonal component of the flow is NOT used in the construction; it is the
 independent consistency check diag_consistency.
+
+Rows are prefix-stable (row j reads only rows below it), so each k has one
+process-wide store of rows that build_psi extends lazily and hands out
+prefixes of.  The store also keeps memos for results read off a prefix of its
+rows (zero-curvature systems, the Riccati expansion); `_memo_owner` serves
+them only to tables whose rows are the store's own row objects.  Nothing is
+evicted, and every shared result must be treated as read-only.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .diffpoly import DiffPoly
 from .loopalg import DepthExhausted, LaurentMatrix, Sl2Poly
@@ -99,21 +107,60 @@ def extend_offdiagonal(table_or_rows, p: int, k: int = None) -> Tuple[DiffPoly, 
     return b_new, c_new
 
 
+class _Hierarchy:
+    """The rows of the t_k table computed so far, plus memos keyed by callers."""
+
+    def __init__(self, k: int):
+        self.k = k
+        self.rows: List[Sl2Poly] = [Sl2Poly.sigma3()]
+        self.memo: Dict = {}
+        # Guards appends to rows and the growth of mutable memo entries.
+        self.lock = threading.Lock()
+
+    def extend(self, depth: int) -> None:
+        with self.lock:
+            rows, k = self.rows, self.k
+            for j in range(len(rows), depth + 1):
+                if j <= k:
+                    bj, cj = DiffPoly.var("b", j), DiffPoly.var("c", j)
+                else:
+                    bj, cj = extend_offdiagonal(rows, j - k, k)
+                # The closure at order j only reads rows 0..j-1.
+                rows.append(Sl2Poly(a=casimir_closure_a(rows, j), bp=bj, cm=cj))
+
+
+_HIERARCHIES: Dict[int, _Hierarchy] = {}
+
+
+def _memo_owner(table: PsiTable, upto: int) -> Optional[_Hierarchy]:
+    """The store of table.k if rows 0..upto of the table are its very row
+    objects, else None: a table built or perturbed by hand never reuses a memo."""
+    found = _HIERARCHIES.get(table.k)
+    if found is None or len(found.rows) <= upto or len(table.rows) <= upto:
+        return None
+    rows = found.rows
+    return found if all(table.rows[j] is rows[j] for j in range(upto + 1)) else None
+
+
+def _memoized(table: PsiTable, upto: int, key, compute):
+    """compute(), shared across calls for tables that own rows 0..upto."""
+    owner = _memo_owner(table, upto)
+    if owner is None:
+        return compute()
+    hit = owner.memo.get(key)
+    return hit if hit is not None else owner.memo.setdefault(key, compute())
+
+
 def build_psi(k: int, depth: int) -> PsiTable:
     """Construct the table for t_k down to lambda^{-depth}."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if depth < k:
         raise ValueError(f"depth must be >= k (got depth={depth}, k={k})")
-    rows: List[Sl2Poly] = [Sl2Poly.sigma3()]
-    for j in range(1, depth + 1):
-        if j <= k:
-            bj, cj = DiffPoly.var("b", j), DiffPoly.var("c", j)
-        else:
-            bj, cj = extend_offdiagonal(rows, j - k, k)
-        # The closure at order j only reads rows 0..j-1.
-        rows.append(Sl2Poly(a=casimir_closure_a(rows, j), bp=bj, cm=cj))
-    return PsiTable(k=k, depth=depth, rows=tuple(rows))
+    store = _HIERARCHIES.get(k) or _HIERARCHIES.setdefault(k, _Hierarchy(k))
+    if len(store.rows) <= depth:
+        store.extend(depth)
+    return PsiTable(k=k, depth=depth, rows=tuple(store.rows[: depth + 1]))
 
 
 def lax_matrix(table: PsiTable, n: int) -> LaurentMatrix:

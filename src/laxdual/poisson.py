@@ -30,8 +30,8 @@ from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
 from .diffpoly import DiffPoly, FieldVar, equal_mod_total_derivative
-from .fnr import PsiTable, lax_matrix
-from .loopalg import DepthExhausted
+from .fnr import PsiTable, _memo_owner, lax_matrix
+from .loopalg import DepthExhausted, entry_polynomials
 from .report import CheckReport
 from .zerocurv import PdeSystem, zero_curvature
 
@@ -164,20 +164,6 @@ def _mat_mul(x, y):
     ]
 
 
-def _entries_2x2(table: PsiTable) -> List[List[Dict[int, DiffPoly]]]:
-    """V_k^(k) entries as lambda-exponent tables: ((A, B), (C, -A))."""
-    v = lax_matrix(table, table.k)
-    for m in v.coeffs.values():
-        for p in (m.a, m.bp, m.cm):
-            if p.max_dorder() != 0:
-                raise ValueError("Lax matrix entries must be derivative-free")
-    a = {e: m.a for e, m in v.coeffs.items() if not m.a.is_zero()}
-    b = {e: m.bp for e, m in v.coeffs.items() if not m.bp.is_zero()}
-    c = {e: m.cm for e, m in v.coeffs.items() if not m.cm.is_zero()}
-    neg_a = {e: -p for e, p in a.items()}
-    return [[a, b], [c, neg_a]]
-
-
 def sklyanin_check(table: PsiTable) -> CheckReport:
     """Entrywise check of (lambda-mu) {V_1, V_2} = [-2 Pi, V_1 + V_2].
 
@@ -186,7 +172,10 @@ def sklyanin_check(table: PsiTable) -> CheckReport:
     the permutation operator.  Both sides are exact bivariate polynomials.
     """
     brackets = field_bracket_table(table)
-    entry = _entries_2x2(table)
+    a, b, c = entry_polynomials(lax_matrix(table, table.k))
+    if any(p.max_dorder() for part in (a, b, c) for p in part.values()):
+        raise ValueError("Lax matrix entries must be derivative-free")
+    entry = [[a, b], [c, {e: -p for e, p in a.items()}]]
 
     lhs_pole_cleared: List[List[BiPoly]] = [[{} for _ in range(4)] for _ in range(4)]
     lam_minus_mu: BiPoly = {(1, 0): DiffPoly.const(1), (0, 1): DiffPoly.const(-1)}
@@ -274,50 +263,67 @@ def wz_expand(table: PsiTable, depth: int) -> WZExpansion:
                       + sum_{i1+m+i2=j} w_{i1} O_m w_{i2} + d(w_{j-k}),
 
     and ad(sigma3) is inverted on off-diagonal matrices (eigenvalues +-2).
-    Only rows 0..k of the table enter; integration constants are zero.
+    Only rows 0..k of the table enter; integration constants are zero.  The
+    recursion is prefix-stable, so for a table whose rows 0..k are the shared
+    ones of build_psi one growing expansion per k serves every depth.
     """
     if depth < 1:
         raise DepthExhausted("wz_expand needs depth >= 1")
     k = table.k
     if table.depth < k:
         raise DepthExhausted("wz_expand needs the table rows 0..k")
-    jmax = depth + k - 1
-    a = [table.rows[m].a if m <= k else DiffPoly.zero() for m in range(jmax + 1)]
-    ob = [table.rows[m].bp if m <= k else DiffPoly.zero() for m in range(jmax + 1)]
-    oc = [table.rows[m].cm if m <= k else DiffPoly.zero() for m in range(jmax + 1)]
-    betas: List[DiffPoly] = [DiffPoly.zero()]  # index 0 unused
-    gammas: List[DiffPoly] = [DiffPoly.zero()]
-    for j in range(1, jmax + 1):
-        rhs_b = -ob[j]
-        rhs_c = -oc[j]
-        for m in range(1, min(k, j - 1) + 1):
-            if not a[m].is_zero():
-                rhs_b = rhs_b - a[m] * betas[j - m].scale(2)
-                rhs_c = rhs_c + a[m] * gammas[j - m].scale(2)
-        for m in range(1, min(k, j - 2) + 1):
-            om_b, om_c = ob[m], oc[m]
-            for i1 in range(1, j - m):
-                i2 = j - m - i1
-                rhs_b = rhs_b + betas[i1] * om_c * betas[i2]
-                rhs_c = rhs_c + gammas[i1] * om_b * gammas[i2]
-        if j > k:
-            rhs_b = rhs_b + betas[j - k].derive()
-            rhs_c = rhs_c + gammas[j - k].derive()
-        betas.append(rhs_b.scale(_HALF))
-        gammas.append(rhs_c.scale(-_HALF))
-    densities: List[DiffPoly] = []
-    for n in range(1, depth + 1):
-        acc = DiffPoly.zero()
-        for m in range(1, k + 1):
-            i = n + k - m
-            acc = acc + ob[m] * gammas[i] - oc[m] * betas[i]
-        densities.append(acc.scale(_HALF))
-    return WZExpansion(
-        k=k,
-        depth=depth,
-        w=tuple((betas[j], gammas[j]) for j in range(1, depth + 1)),
-        zdot_densities=tuple(densities),
-    )
+    owner = _memo_owner(table, k)
+    if owner is None:
+        return _Riccati(table).expansion(depth)
+    riccati = owner.memo.get("riccati") or owner.memo.setdefault("riccati", _Riccati(table))
+    with owner.lock:
+        return riccati.expansion(depth)
+
+
+class _Riccati:
+    """The w_j and densities of wz_expand computed so far, resumable."""
+
+    def __init__(self, table: PsiTable):
+        self.k = table.k
+        self.rows = table.rows[: table.k + 1]
+        self.betas: List[DiffPoly] = [DiffPoly.zero()]  # index 0 unused
+        self.gammas: List[DiffPoly] = [DiffPoly.zero()]
+        self.densities: List[DiffPoly] = []
+
+    def expansion(self, depth: int) -> WZExpansion:
+        k, rows, betas, gammas = self.k, self.rows, self.betas, self.gammas
+        for j in range(len(betas), depth + k):
+            if j <= k:
+                rhs_b, rhs_c = -rows[j].bp, -rows[j].cm
+            else:
+                rhs_b = rhs_c = DiffPoly.zero()
+            for m in range(1, min(k, j - 1) + 1):
+                if not rows[m].a.is_zero():
+                    rhs_b = rhs_b - rows[m].a * betas[j - m].scale(2)
+                    rhs_c = rhs_c + rows[m].a * gammas[j - m].scale(2)
+            for m in range(1, min(k, j - 2) + 1):
+                om_b, om_c = rows[m].bp, rows[m].cm
+                for i1 in range(1, j - m):
+                    i2 = j - m - i1
+                    rhs_b = rhs_b + betas[i1] * om_c * betas[i2]
+                    rhs_c = rhs_c + gammas[i1] * om_b * gammas[i2]
+            if j > k:
+                rhs_b = rhs_b + betas[j - k].derive()
+                rhs_c = rhs_c + gammas[j - k].derive()
+            betas.append(rhs_b.scale(_HALF))
+            gammas.append(rhs_c.scale(-_HALF))
+        for n in range(len(self.densities) + 1, depth + 1):
+            acc = DiffPoly.zero()
+            for m in range(1, k + 1):
+                i = n + k - m
+                acc = acc + rows[m].bp * gammas[i] - rows[m].cm * betas[i]
+            self.densities.append(acc.scale(_HALF))
+        return WZExpansion(
+            k=k,
+            depth=depth,
+            w=tuple(zip(betas[1 : depth + 1], gammas[1 : depth + 1])),
+            zdot_densities=tuple(self.densities[:depth]),
+        )
 
 
 def hamiltonian_density(table: PsiTable, n: int) -> DiffPoly:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .diffpoly import DiffPoly, FieldVar
-from .fnr import PsiTable, build_psi, lax_matrix
+from .fnr import PsiTable, _memoized, build_psi, lax_matrix
 from .loopalg import LaurentMatrix, Sl2Poly, lm_commutator
 from .report import CheckReport
 
@@ -85,12 +85,20 @@ def _flow_rhs_matrix(table: PsiTable, commutator: LaurentMatrix, n: int, q: int)
 
 
 def zero_curvature(table: PsiTable, n: int) -> PdeSystem:
-    """Derive the t_n evolution of all 2k free fields and check residuals."""
-    k = table.k
+    """Derive the t_n evolution of all 2k free fields and check residuals.
+
+    The system reads rows 0..max(k, n) only; for a table whose rows are the
+    shared ones of build_psi it is computed once per (k, n) and shared."""
     if n < 1:
         raise ValueError("partner time n must be >= 1")
-    if table.depth < max(n, k):
-        raise ValueError(f"need depth >= max(n, k) = {max(n, k)}, table has {table.depth}")
+    upto = max(n, table.k)
+    if table.depth < upto:
+        raise ValueError(f"need depth >= max(n, k) = {upto}, table has {table.depth}")
+    return _memoized(table, upto, ("zero_curvature", n), lambda: _derive_system(table, n))
+
+
+def _derive_system(table: PsiTable, n: int) -> PdeSystem:
+    k = table.k
     commutator = lm_commutator(lax_matrix(table, k), lax_matrix(table, n))
 
     evolution: Dict[FieldVar, DiffPoly] = {}

@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from laxdual import fnr
 from laxdual.diffpoly import DiffPoly, FieldVar, parse_poly
+from laxdual.fnr import PsiTable, casimir_closure_a, extend_offdiagonal
+from laxdual.loopalg import Sl2Poly
 
 
 def P(text: str) -> DiffPoly:
@@ -46,3 +49,28 @@ def random_poly(
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20411)
+
+
+def reference_rows(k: int, depth: int):
+    """Rows 0..depth of the t_k table rebuilt from the two recursions on a
+    private row list, never touching the shared store of build_psi."""
+    rows = [Sl2Poly(a=DiffPoly.const(1))]
+    for j in range(1, depth + 1):
+        if j <= k:
+            bj, cj = DiffPoly.var("b", j), DiffPoly.var("c", j)
+        else:
+            bj, cj = extend_offdiagonal(rows, j - k, k)
+        rows.append(Sl2Poly(a=casimir_closure_a(rows, j), bp=bj, cm=cj))
+    return rows
+
+
+def unowned(table: PsiTable) -> PsiTable:
+    """An equal table whose rows are fresh objects, so no memo serves it."""
+    return PsiTable(table.k, table.depth, tuple(Sl2Poly(r.a, r.bp, r.cm) for r in table.rows))
+
+
+@pytest.fixture
+def fresh_store(monkeypatch):
+    """An empty process-wide row store for the duration of one test."""
+    monkeypatch.setattr(fnr, "_HIERARCHIES", {})
+    return fnr._HIERARCHIES

@@ -155,6 +155,27 @@ class TestPlumbing:
         assert code == 0
         assert "d3(b1)" in out
 
+    @pytest.mark.parametrize(
+        "text, argv",
+        [
+            ("n=3\n", ("psi", "--k", "2")),
+            ("depth=7\n", ("hamiltonian", "--k", "1", "--n", "2")),
+            ("depth=7\n", ("verify", "sklyanin", "--k", "2")),
+        ],
+    )
+    def test_config_keys_of_other_subcommands_are_ignored(self, tmp_path, text, argv):
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        assert run_cli("--config", str(cfg), *argv) == run_cli(*argv)
+        assert run_cli(*argv)[0] == 0
+
+    def test_config_key_no_subcommand_defines(self, tmp_path):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("k=1\ndepht=7\n", encoding="utf-8")
+        code, out, err = run_cli("--config", str(cfg), "psi")
+        assert code == 2 and out == ""
+        assert str(cfg) in err and "'depht'" in err
+
     def test_out_file(self, tmp_path):
         target = tmp_path / "out.txt"
         code, out, _ = run_cli("derive", "--k", "1", "--n", "2", "--out", str(target))
