@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .diffpoly import DiffPoly
 from .loopalg import DepthExhausted, LaurentMatrix, Sl2Poly
@@ -67,13 +67,12 @@ class PsiTable:
         return LaurentMatrix({-j: self.rows[j] for j in range(self.depth + 1)}, floor=-self.depth)
 
 
-def casimir_closure_a(table_or_rows, m: int) -> DiffPoly:
+def casimir_closure_a(rows: Sequence[Sl2Poly], m: int) -> DiffPoly:
     """a_m forced by the vanishing of the lambda^{-m} coefficient of Tr L^2 - 2.
 
     With a_0 = 1, b_0 = c_0 = 0 the coefficient reads
     4 a_m + sum_{i=1}^{m-1} (2 a_i a_{m-i} + b_i c_{m-i} + b_{m-i} c_i) = 0.
     """
-    rows = table_or_rows.rows if isinstance(table_or_rows, PsiTable) else table_or_rows
     if m < 1:
         raise ValueError("casimir_closure_a needs m >= 1")
     acc = DiffPoly.zero()
@@ -83,19 +82,13 @@ def casimir_closure_a(table_or_rows, m: int) -> DiffPoly:
     return acc.scale(-_QUARTER)
 
 
-def extend_offdiagonal(table_or_rows, p: int, k: int = None) -> Tuple[DiffPoly, DiffPoly]:
+def extend_offdiagonal(rows: Sequence[Sl2Poly], p: int, k: int) -> Tuple[DiffPoly, DiffPoly]:
     """(b_{p+k}, c_{p+k}) solved from the sigma+- components of the flow
     d/dt_k l_p = sum_{j=0}^{k} [l_j, l_{p+k-j}]:
 
       b_{p+k} =  (1/2) d(b_p) - sum_{j=1}^{k} (a_j b_{p+k-j} - a_{p+k-j} b_j)
       c_{p+k} = -(1/2) d(c_p) - sum_{j=1}^{k} (a_j c_{p+k-j} - a_{p+k-j} c_j)
     """
-    if isinstance(table_or_rows, PsiTable):
-        rows, k = table_or_rows.rows, table_or_rows.k
-    else:
-        rows = table_or_rows
-        if k is None:
-            raise ValueError("extend_offdiagonal needs k when given raw rows")
     if p < 1:
         raise ValueError("extend_offdiagonal needs p >= 1")
     b_new = rows[p].bp.derive().scale(_HALF)

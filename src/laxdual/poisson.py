@@ -11,25 +11,32 @@ k.  With it, the Lax matrix satisfies the linear r-matrix algebra
 
     (lambda - mu) {V_1(lambda), V_2(mu)} = [-2 Pi, V_1(lambda) + V_2(mu)],
 
-Pi the permutation on C^2 x C^2; sklyanin_check verifies this entrywise as an
-exact bivariate polynomial identity (the pole is cleared, never represented).
+Pi the permutation on C^2 x C^2.  Pi only permutes indices, so the right
+side is -2 (1 x D - D x 1) Pi with D = V(lambda) - V(mu); sklyanin_check
+compares it entrywise, as an exact bivariate polynomial identity (the pole is
+cleared, never represented), with the nine entry brackets {X(lambda), Y(mu)},
+X, Y in {A, B, C}, of V = ((A, B), (C, -A)).
 
 The monodromy side: the transition matrix factorizes as
 (1+W) e^Z (1+W)^{-1} with W off-diagonal, and W solves the Riccati recursion
 dW = O + DW - WD - WOW order by order in 1/lambda.  The diagonal part gives
 dZ = D + OW whose coefficients are the commuting Hamiltonian densities; the
-flow they generate through the bracket must reproduce the zero-curvature PDEs,
-and (1+W) sigma3 (1+W)^{-1} must rebuild the constrained series.
+flow they generate through the bracket must reproduce the zero-curvature PDEs.
+Writing W = beta sigma+ + gamma sigma-, W^2 = s 1 with s = beta gamma, so
+
+    (1+W) sigma3 (1+W)^{-1} = ((1+s) sigma3 - 2 beta sigma+ + 2 gamma sigma-) / (1-s),
+
+three scalar series that resolvent_check matches against the constrained series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from itertools import combinations, product
+from typing import Dict, List, Tuple
 
-from .diffpoly import DiffPoly, FieldVar, equal_mod_total_derivative
+from .diffpoly import DiffPoly, FieldVar
 from .fnr import PsiTable, _memo_owner, lax_matrix
 from .loopalg import DepthExhausted, entry_polynomials
 from .report import CheckReport
@@ -114,114 +121,57 @@ def field_bracket_table(table: PsiTable) -> BracketTable:
 
 # -- Sklyanin relation ---------------------------------------------------------
 #
-# Bivariate polynomials in (lambda, mu) with DiffPoly coefficients, and 4x4
-# matrices of them; only what the entrywise comparison needs.
-
-BiPoly = Dict[Tuple[int, int], DiffPoly]
+# Both sides are bivariate polynomials in (lambda, mu) with DiffPoly
+# coefficients, held as {(e_lambda, e_mu): DiffPoly} dicts without zero values.
 
 
-def _bp_add(x: BiPoly, y: BiPoly) -> BiPoly:
-    out = dict(x)
-    for key, val in y.items():
-        acc = out.get(key)
-        acc = val if acc is None else acc + val
-        if acc.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = acc
-    return out
-
-
-def _bp_scale(x: BiPoly, s) -> BiPoly:
-    return {key: val.scale(s) for key, val in x.items()}
-
-
-def _bp_mul(x: BiPoly, y: BiPoly) -> BiPoly:
-    out: BiPoly = {}
-    for (dl1, dm1), v1 in x.items():
-        for (dl2, dm2), v2 in y.items():
-            key = (dl1 + dl2, dm1 + dm2)
-            prod = v1 * v2
-            acc = out.get(key)
-            acc = prod if acc is None else acc + prod
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
-    return out
-
-
-def _mat_mul(x, y):
-    return [
-        [
-            _bp_add(
-                _bp_add(_bp_mul(x[i][0], y[0][j]), _bp_mul(x[i][1], y[1][j])),
-                _bp_add(_bp_mul(x[i][2], y[2][j]), _bp_mul(x[i][3], y[3][j])),
-            )
-            for j in range(4)
-        ]
-        for i in range(4)
-    ]
+def _accumulate(out: Dict[Tuple[int, int], DiffPoly], key: Tuple[int, int], val: DiffPoly) -> None:
+    hit = out.get(key)
+    total = val if hit is None else hit + val
+    if total.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = total
 
 
 def sklyanin_check(table: PsiTable) -> CheckReport:
     """Entrywise check of (lambda-mu) {V_1, V_2} = [-2 Pi, V_1 + V_2].
 
-    The left side is the bilinear extension of the field bracket over the
-    matrix entries; the right side is an honest 4x4 matrix commutator with Pi
-    the permutation operator.  Both sides are exact bivariate polynomials.
+    The left side takes each of the nine entry brackets once.  Entry
+    (2 i1 + i2, 2 j1 + j2) of the right side -2 (1 x D - D x 1) Pi is
+    -2 (delta_{i1 j2} D_{i2 j1} - delta_{i2 j1} D_{i1 j2}), D = V(lambda) - V(mu).
     """
     brackets = field_bracket_table(table)
-    a, b, c = entry_polynomials(lax_matrix(table, table.k))
-    if any(p.max_dorder() for part in (a, b, c) for p in part.values()):
+    parts = entry_polynomials(lax_matrix(table, table.k))
+    if any(p.max_dorder() for part in parts for p in part.values()):
         raise ValueError("Lax matrix entries must be derivative-free")
-    entry = [[a, b], [c, {e: -p for e, p in a.items()}]]
+    pair_brackets = {}
+    for x, part_x in enumerate(parts):
+        for y, part_y in enumerate(parts):
+            acc = pair_brackets[x, y] = {}
+            for dl, p in part_x.items():
+                for dm, q in part_y.items():
+                    _accumulate(acc, (dl, dm), brackets.bracket(p, q))
+    # (index into parts, sign) of each entry of V
+    slot = (((0, 1), (1, 1)), ((2, 1), (0, -1)))
 
-    lhs_pole_cleared: List[List[BiPoly]] = [[{} for _ in range(4)] for _ in range(4)]
-    lam_minus_mu: BiPoly = {(1, 0): DiffPoly.const(1), (0, 1): DiffPoly.const(-1)}
-    for i1 in range(2):
-        for i2 in range(2):
-            for j1 in range(2):
-                for j2 in range(2):
-                    acc: BiPoly = {}
-                    for dl, p in entry[i1][j1].items():
-                        for dm, q in entry[i2][j2].items():
-                            val = brackets.bracket(p, q)
-                            if not val.is_zero():
-                                acc = _bp_add(acc, {(dl, dm): val})
-                    lhs_pole_cleared[2 * i1 + i2][2 * j1 + j2] = _bp_mul(lam_minus_mu, acc)
-
-    zero: BiPoly = {}
-    msum: List[List[BiPoly]] = [[dict() for _ in range(4)] for _ in range(4)]
-    for i1 in range(2):
-        for i2 in range(2):
-            for j1 in range(2):
-                for j2 in range(2):
-                    acc: BiPoly = {}
-                    if i2 == j2:
-                        acc = _bp_add(acc, {(e, 0): p for e, p in entry[i1][j1].items()})
-                    if i1 == j1:
-                        acc = _bp_add(acc, {(0, e): p for e, p in entry[i2][j2].items()})
-                    msum[2 * i1 + i2][2 * j1 + j2] = acc
-    one: BiPoly = {(0, 0): DiffPoly.const(1)}
-    perm = [[zero for _ in range(4)] for _ in range(4)]
-    for i1 in range(2):
-        for i2 in range(2):
-            perm[2 * i1 + i2][2 * i2 + i1] = one
-    rhs = _mat_mul(perm, msum)
-    lhs_rhs = _mat_mul(msum, perm)
     report = CheckReport(f"sklyanin(k={table.k})")
-    for r in range(4):
-        for col in range(4):
-            commutator = _bp_add(rhs[r][col], _bp_scale(lhs_rhs[r][col], -1))
-            residual = _bp_add(lhs_pole_cleared[r][col], _bp_scale(commutator, 2))
-            ok = not residual
-            detail = None
-            if not ok:
-                detail = "; ".join(
-                    f"l^{dl} m^{dm}: {p}" for (dl, dm), p in sorted(residual.items())
-                )
-            report.add(f"entry({r},{col})", ok, detail)
+    for i1, i2, j1, j2 in product(range(2), repeat=4):
+        (x, sx), (y, sy) = slot[i1][j1], slot[i2][j2]
+        residual: Dict[Tuple[int, int], DiffPoly] = {}
+        for (dl, dm), p in pair_brackets[x, y].items():
+            p = p.scale(sx * sy)
+            _accumulate(residual, (dl + 1, dm), p)
+            _accumulate(residual, (dl, dm + 1), -p)
+        for hit, (i, j), sign in ((i1 == j2, (i2, j1), 2), (i2 == j1, (i1, j2), -2)):
+            if hit:
+                z, sz = slot[i][j]
+                for e, p in parts[z].items():
+                    p = p.scale(sign * sz)
+                    _accumulate(residual, (e, 0), p)
+                    _accumulate(residual, (0, e), -p)
+        detail = "; ".join(f"l^{dl} m^{dm}: {p}" for (dl, dm), p in sorted(residual.items()))
+        report.add(f"entry({2 * i1 + i2},{2 * j1 + j2})", not residual, detail)
     return report
 
 
@@ -243,11 +193,6 @@ class WZExpansion:
 
     def gamma(self, j: int) -> DiffPoly:
         return self.w[j - 1][1]
-
-    def sl2(self, j: int):
-        from .loopalg import Sl2Poly
-
-        return Sl2Poly(bp=self.w[j - 1][0], cm=self.w[j - 1][1])
 
     def density(self, n: int) -> DiffPoly:
         """Coefficient of lambda^{-n}, n >= 1."""
@@ -379,41 +324,12 @@ def hamiltonians_commute(table: PsiTable, n1: int, n2: int) -> DiffPoly:
 
 # -- resolvent ---------------------------------------------------------------------
 #
-# (1 + W) sigma3 (1 + W)^{-1} needs honest 2x2 products, so gl(2) components
-# (e, a, bp, cm) for e*1 + a*sigma3 + bp*sigma+ + cm*sigma- appear here and
-# only here, as series in 1/lambda truncated at the working depth.
-
-Gl2 = Tuple[DiffPoly, DiffPoly, DiffPoly, DiffPoly]
-GSeries = Dict[int, Gl2]  # order j stands for the lambda^{-j} coefficient
-
-
-def _gl2_mul(x: Gl2, y: Gl2) -> Gl2:
-    e1, a1, b1, c1 = x
-    e2, a2, b2, c2 = y
-    cross_plus = (b1 * c2 + c1 * b2).scale(_HALF)
-    cross_minus = (b1 * c2 - c1 * b2).scale(_HALF)
-    return (
-        e1 * e2 + a1 * a2 + cross_plus,
-        e1 * a2 + a1 * e2 + cross_minus,
-        e1 * b2 + b1 * e2 + a1 * b2 - b1 * a2,
-        e1 * c2 + c1 * e2 - a1 * c2 + c1 * a2,
-    )
-
-
-def _gs_mul(x: GSeries, y: GSeries, depth: int) -> GSeries:
-    out: GSeries = {}
-    for j1, m1 in x.items():
-        for j2, m2 in y.items():
-            j = j1 + j2
-            if j > depth:
-                continue
-            prod = _gl2_mul(m1, m2)
-            if j in out:
-                acc = out[j]
-                out[j] = tuple(p + q for p, q in zip(acc, prod))  # type: ignore[assignment]
-            else:
-                out[j] = prod
-    return out
+# W = beta sigma+ + gamma sigma- squares to s * 1 with s = beta gamma, and
+# anticommutes with sigma3, so (1+W)^{-1} = (1-W) g with g = 1/(1-s) and
+#
+#   (1+W) sigma3 (1+W)^{-1} = ((1+s) sigma3 - 2 beta sigma+ + 2 gamma sigma-) g.
+#
+# g = 1 + s g order by order, so (1+s) g = 2 g - 1 and the identity part is 0.
 
 
 def resolvent_check(table: PsiTable, depth: int) -> CheckReport:
@@ -422,38 +338,23 @@ def resolvent_check(table: PsiTable, depth: int) -> CheckReport:
         raise DepthExhausted(f"resolvent_check needs table depth >= {depth}")
     wz = wz_expand(table, depth)
     zero = DiffPoly.zero()
-    one = DiffPoly.const(1)
-    w_only: GSeries = {
-        j: (zero, zero, wz.beta(j), wz.gamma(j)) for j in range(1, depth + 1)
-    }
-    one_plus_w: GSeries = dict(w_only)
-    one_plus_w[0] = (one, zero, zero, zero)
-    # Geometric series for (1+W)^{-1}: W has no order-0 part.
-    inverse: GSeries = {0: (one, zero, zero, zero)}
-    power: GSeries = {0: (one, zero, zero, zero)}
-    neg_w = {j: (zero, zero, -b, -g) for j, (_, _, b, g) in w_only.items()}
-    for _ in range(depth):
-        power = _gs_mul(power, neg_w, depth)
-        if not power:
-            break
-        for j, m in power.items():
-            if j in inverse:
-                acc = inverse[j]
-                inverse[j] = tuple(p + q for p, q in zip(acc, m))  # type: ignore[assignment]
-            else:
-                inverse[j] = m
-    sigma3: GSeries = {0: (zero, one, zero, zero)}
-    resolvent = _gs_mul(_gs_mul(one_plus_w, sigma3, depth), inverse, depth)
+    beta = [zero] + [b for b, _ in wz.w]
+    gamma = [zero] + [c for _, c in wz.w]
+    s, g = [zero], [DiffPoly.const(1)]  # coefficients of lambda^{-j}
     report = CheckReport(f"resolvent(k={table.k})")
     for j in range(0, depth + 1):
-        e, a, bp, cm = resolvent.get(j, (zero, zero, zero, zero))
+        if j:
+            s.append(sum((beta[i] * gamma[j - i] for i in range(1, j)), zero))
+            g.append(sum((s[i] * g[j - i] for i in range(1, j + 1)), zero))
+        a = g[j].scale(2) if j else g[0]  # 2 g_j - delta_{j0}
+        bp = sum((beta[i] * g[j - i] for i in range(1, j + 1)), zero).scale(-2)
+        cm = sum((gamma[i] * g[j - i] for i in range(1, j + 1)), zero).scale(2)
         row = table.rows[j]
-        residual_parts = (e, a - row.a, bp - row.bp, cm - row.cm)
-        ok = all(p.is_zero() for p in residual_parts)
+        residual_parts = (a - row.a, bp - row.bp, cm - row.cm)
         report.add(
             f"order lambda^-{j}",
-            ok,
-            f"(1: {residual_parts[0]}; s3: {residual_parts[1]}; "
-            f"s+: {residual_parts[2]}; s-: {residual_parts[3]})",
+            all(p.is_zero() for p in residual_parts),
+            f"(1: {zero}; s3: {residual_parts[0]}; "
+            f"s+: {residual_parts[1]}; s-: {residual_parts[2]})",
         )
     return report

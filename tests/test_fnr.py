@@ -19,32 +19,32 @@ from conftest import P
 
 class TestCasimirClosure:
     def test_a1_empty_sum(self):
-        assert casimir_closure_a(build_psi(1, 2), 1).is_zero()
+        assert casimir_closure_a(build_psi(1, 2).rows, 1).is_zero()
 
     def test_a2(self):
-        assert casimir_closure_a(build_psi(1, 2), 2) == P("-1/2*b1*c1")
+        assert casimir_closure_a(build_psi(1, 2).rows, 2) == P("-1/2*b1*c1")
 
     def test_k2_a3(self):
-        assert casimir_closure_a(build_psi(2, 3), 3) == P("-1/2*b2*c1 - 1/2*b1*c2")
+        assert casimir_closure_a(build_psi(2, 3).rows, 3) == P("-1/2*b2*c1 - 1/2*b1*c2")
 
     def test_k2_a4(self):
         expected = P("1/4*b1*c1' - 1/4*b1'*c1 - 1/2*b2*c2 - 1/8*b1^2*c1^2")
-        assert casimir_closure_a(build_psi(2, 4), 4) == expected
+        assert casimir_closure_a(build_psi(2, 4).rows, 4) == expected
 
 
 class TestExtendOffdiagonal:
     def test_k1_first_step(self):
-        b2, c2 = extend_offdiagonal(build_psi(1, 2), 1)
+        b2, c2 = extend_offdiagonal(build_psi(1, 2).rows, 1, 1)
         assert b2 == P("1/2*b1'")
         assert c2 == P("-1/2*c1'")
 
     def test_k2_first_step(self):
-        b3, c3 = extend_offdiagonal(build_psi(2, 3), 1)
+        b3, c3 = extend_offdiagonal(build_psi(2, 3).rows, 1, 2)
         assert b3 == P("1/2*b1'")
         assert c3 == P("-1/2*c1'")
 
     def test_k2_second_step(self):
-        b4, c4 = extend_offdiagonal(build_psi(2, 4), 2)
+        b4, c4 = extend_offdiagonal(build_psi(2, 4).rows, 2, 2)
         assert b4 == P("1/2*b2' - 1/2*c2*b1^2 - 1/2*b2*c1*b1")
         assert c4 == P("-1/2*c2' - 1/2*b2*c1^2 - 1/2*b1*c1*c2")
 

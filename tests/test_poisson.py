@@ -1,10 +1,13 @@
 """Bracket tables, Sklyanin relation, W-Z expansion, Hamiltonian flows."""
 
+import hashlib
+import json
+
 import pytest
 
 from laxdual.diffpoly import DiffPoly, FieldVar, equal_mod_total_derivative
-from laxdual.fnr import build_psi
-from laxdual.loopalg import DepthExhausted
+from laxdual.fnr import PsiTable, build_psi
+from laxdual.loopalg import DepthExhausted, Sl2Poly
 from laxdual.poisson import (
     field_bracket_table,
     flow_from_hamiltonian,
@@ -94,6 +97,47 @@ class TestSklyanin:
     def test_reports_all_sixteen_entries(self):
         report = sklyanin_check(build_psi(1, 1))
         assert len(report.items) == 16
+
+
+# SHA-256 of json.dumps(report.to_json(), sort_keys=True) for the perturbed
+# tables below, recorded from the earlier implementation that built the 4x4
+# matrices of the Sklyanin relation and inverted 1+W as a gl(2) series.
+FAILING_REPORT_DIGESTS = {
+    1: (
+        "cd0ff61d62eff5b062420f3a3f5a672d22d33c058790b868f2665ea69fb3ff57",
+        "8b93ab3555918eb252f2735425d9533b941fd0f260dc84c73848e36f8b8cb30b",
+    ),
+    2: (
+        "7a5474a78700f4a99dfd195497debb14c370ac2289e0aefc43a3384a6e562441",
+        "e969a5af2d696e7fd3fbb9d7ddb24030a5eef283cddae652d94eb158bde3690e",
+    ),
+    3: (
+        "890eeb06cdab9241710222f74d052414dd7a0813ab85fef341cd3e893465b15e",
+        "feda2eac803c1fcf6c7e44e8c72170759706028af6523b0a97dd7d26b1ed6098",
+    ),
+}
+
+
+def perturbed(k):
+    """build_psi(k, 5) with b1*c1 added to a_k, c1 to b_1 and 3/5*b1^2 to c_1."""
+    rows = list(build_psi(k, 5).rows)
+    for j, attr, delta in ((k, "a", P("b1*c1")), (1, "bp", P("c1")), (1, "cm", P("3/5*b1^2"))):
+        parts = {"a": rows[j].a, "bp": rows[j].bp, "cm": rows[j].cm}
+        parts[attr] = parts[attr] + delta
+        rows[j] = Sl2Poly(**parts)
+    return PsiTable(k=k, depth=5, rows=tuple(rows))
+
+
+def digest(report):
+    return hashlib.sha256(json.dumps(report.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_failing_reports_are_byte_identical(k):
+    table = perturbed(k)
+    sklyanin, resolvent = sklyanin_check(table), resolvent_check(table, 5)
+    assert not sklyanin.passed and not resolvent.passed
+    assert (digest(sklyanin), digest(resolvent)) == FAILING_REPORT_DIGESTS[k]
 
 
 class TestWZExpansion:
@@ -244,6 +288,10 @@ class TestResolvent:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_depth_six(self, k):
         assert resolvent_check(build_psi(k, 6), 6).passed
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_depth_seven(self, k):
+        assert resolvent_check(build_psi(k, 7), 7).passed
 
     def test_depth_guard(self):
         with pytest.raises(DepthExhausted):
