@@ -142,17 +142,17 @@ def _render_psi(table: PsiTable, fmt: str) -> str:
 
 
 def _cmd_psi(args) -> int:
-    depth = args.depth if args.depth is not None else args.k + 2
-    table = build_psi(args.k, depth)
     if args.lax is not None:
-        matrix = lax_matrix(table, args.lax)
+        # V_k^(N) reads rows 0..N; the table must reach row k as well.
+        matrix = lax_matrix(build_psi(args.k, max(args.k, args.lax)), args.lax)
         rendered = {
             "text": matrix_to_text,
             "latex": matrix_to_latex,
             "json": lambda m: json.dumps(matrix_to_json(m), indent=2),
         }[args.format](matrix)
     else:
-        rendered = _render_psi(table, args.format)
+        depth = args.depth if args.depth is not None else args.k + 2
+        rendered = _render_psi(build_psi(args.k, depth), args.format)
     _emit(rendered, args.out)
     return 0
 
@@ -223,11 +223,7 @@ def _lhs_text(u: FieldVar, subs: Dict[FieldVar, DiffPoly]) -> str:
 
 
 def _cmd_derive(args) -> int:
-    depth = args.depth if args.depth is not None else args.k + args.n + 2
-    if depth < max(args.k, args.n):
-        raise CliError("depth must be >= max(k, n)")
-    table = build_psi(args.k, depth)
-    system = zero_curvature(table, args.n)
+    system = zero_curvature(build_psi(args.k, max(args.k, args.n)), args.n)
     subs = _read_substitutions(args.sub) if args.sub else {}
     _emit(_render_system(system, args.format, subs, args.style), args.out)
     return 0
@@ -274,13 +270,11 @@ def _cmd_verify(args) -> int:
         payload = report.to_json()
         payload["k"] = args.k
     elif args.what == "duality":
-        result = dual_equivalence(args.n, args.k, args.depth)
+        result = dual_equivalence(args.n, args.k)
         payload = result.report.to_json()
         payload["n"], payload["k"] = args.n, args.k
     elif args.what == "flow":
-        depth = args.depth if args.depth is not None else args.k + args.n + 2
-        table = build_psi(args.k, max(depth, args.k))
-        report = flow_matches_zc(table, args.n)
+        report = flow_matches_zc(build_psi(args.k, max(args.k, args.n)), args.n)
         payload = report.to_json()
         payload["k"], payload["n"] = args.k, args.n
     else:  # pragma: no cover - argparse restricts choices
@@ -306,17 +300,11 @@ def _positive(name: str):
 
 
 def _add_common(
-    parser: argparse.ArgumentParser,
-    *,
-    n_flag: bool,
-    depth_flag: bool = True,
-    default_format: str = "text",
+    parser: argparse.ArgumentParser, *, n_flag: bool, default_format: str = "text"
 ) -> None:
     parser.add_argument("--k", type=_positive("k"), required=True, help="distinguished time index")
     if n_flag:
         parser.add_argument("--n", type=_positive("n"), required=True, help="partner time index")
-    if depth_flag:
-        parser.add_argument("--depth", type=_positive("depth"), default=None, help="series depth")
     parser.add_argument(
         "--format", choices=("text", "latex", "json"), default=default_format, help="output format"
     )
@@ -335,6 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_psi = sub.add_parser("psi", help="emit the constraint-map table for t_k")
     _add_common(p_psi, n_flag=False)
     p_psi.add_argument(
+        "--depth", type=_positive("depth"), default=None, help="last table row (default k + 2)"
+    )
+    p_psi.add_argument(
         "--lax", type=int, default=None, metavar="N", help="emit the Lax matrix V_k^(N) instead"
     )
     p_psi.set_defaults(func=_cmd_psi)
@@ -351,14 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_derive.set_defaults(func=_cmd_derive)
 
     p_ham = sub.add_parser("hamiltonian", help="emit the density generating the t_n flow")
-    _add_common(p_ham, n_flag=True, depth_flag=False)
+    _add_common(p_ham, n_flag=True)
     p_ham.set_defaults(func=_cmd_hamiltonian)
 
     p_verify = sub.add_parser("verify", help="run a verification and exit 0/1")
     verify_sub = p_verify.add_subparsers(dest="what", required=True)
     for what, needs_n in (("sklyanin", False), ("duality", True), ("flow", True)):
         p = verify_sub.add_parser(what)
-        _add_common(p, n_flag=needs_n, depth_flag=needs_n, default_format="json")
+        _add_common(p, n_flag=needs_n, default_format="json")
         p.set_defaults(func=_cmd_verify, what=what)
     return parser
 

@@ -485,7 +485,7 @@ def _peel_key(mono: IdMono):
 # general identifier in place of ('b'|'c') index.  Factors must be joined by
 # '*': juxtaposition such as "2 3 b1" or "b1 c1" is an error.
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[A-Za-z][A-Za-z0-9]*'*)|(?P<op>[-+*^()]))")
+_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[A-Za-z][A-Za-z0-9]*'*)|(?P<op>[-+*^]))")
 _STDVAR = re.compile(r"^([bc])([1-9][0-9]*)('*)$")
 _EXTVAR = re.compile(r"^([A-Za-z][A-Za-z0-9]*?)('*)$")
 

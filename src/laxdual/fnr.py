@@ -45,16 +45,9 @@ class PsiTable:
     depth: int
     rows: Tuple[Sl2Poly, ...]
 
-    def row(self, j: int) -> Sl2Poly:
-        if j < 0 or j > self.depth:
-            raise DepthExhausted(f"row {j} beyond table depth {self.depth}")
-        return self.rows[j]
-
-    def a(self, j: int) -> DiffPoly:
-        """a_j with the closure conventions a_0 = 1, a_j = 0 for j < 0."""
-        if j < 0:
-            return DiffPoly.zero()
-        return self.row(j).a
+    def __post_init__(self):
+        if len(self.rows) != self.depth + 1:
+            raise ValueError(f"depth {self.depth} needs {self.depth + 1} rows, got {len(self.rows)}")
 
     def free_fields(self):
         """The 2k free generators, b first, in index order."""

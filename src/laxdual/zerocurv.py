@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .diffpoly import DiffPoly, FieldVar
 from .fnr import PsiTable, _memoized, build_psi, lax_matrix
@@ -30,7 +30,7 @@ class ResidualNonZero(Exception):
 
 
 class EliminationFailure(Exception):
-    """Auxiliary-field elimination cannot proceed (insufficient depth or shape)."""
+    """Auxiliary-field elimination cannot proceed (a rule is not linear in its target)."""
 
 
 @dataclass
@@ -186,7 +186,7 @@ class DualityResult:
         return self.report.passed
 
 
-def dual_equivalence(n: int, k: int, depth: Optional[int] = None) -> DualityResult:
+def dual_equivalence(n: int, k: int) -> DualityResult:
     """Certify that the routes through t_n and t_k give the same PDEs.
 
     Route A fixes t_n and derives the d_k evolution of b_1..c_n.  Route B
@@ -194,16 +194,13 @@ def dual_equivalence(n: int, k: int, depth: Optional[int] = None) -> DualityResu
     are linear in the fields b_j, c_j (j = n+1..k) and are solved ascending to
     express those fields in the t_n world.  The elimination must reproduce the
     t_n table rows, and the remaining rules, rewritten through it, must
-    reproduce route A term by term.
+    reproduce route A term by term.  Both routes and the elimination read
+    rows 0..k of the two tables, so both are built to depth k.
     """
     if not 1 <= n < k:
         raise ValueError("dual_equivalence needs 1 <= n < k")
-    if depth is None:
-        depth = k + n + 2
-    if depth < k:
-        raise EliminationFailure(f"depth {depth} < k = {k}: cannot eliminate within depth")
-    table_n = build_psi(n, depth)
-    table_k = build_psi(k, depth)
+    table_n = build_psi(n, k)
+    table_k = build_psi(k, k)
     route_a = zero_curvature(table_n, k)
     route_b = zero_curvature(table_k, n)
     report = CheckReport(f"dual_equivalence(n={n}, k={k})")

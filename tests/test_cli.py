@@ -59,6 +59,13 @@ class TestDerive:
         assert code == 2 and out == ""
         assert f"{sub}:1:" in err
 
+    def test_substitution_rejects_parentheses(self, tmp_path):
+        sub = tmp_path / "paren.sub"
+        sub.write_text("# grouping is not part of the grammar\nc1 = 2*(b1)\n", encoding="utf-8")
+        code, out, err = run_cli("derive", "--k", "1", "--n", "2", "--sub", str(sub))
+        assert code == 2 and out == ""
+        assert f"{sub}:2:" in err
+
     def test_usage_error_on_bad_k(self):
         code, _, err = run_cli("derive", "--k", "0", "--n", "2")
         assert code == 2
@@ -66,11 +73,6 @@ class TestDerive:
     def test_missing_required_flag(self):
         code, _, _ = run_cli("derive", "--k", "1")
         assert code == 2
-
-    def test_depth_too_small(self):
-        code, _, err = run_cli("derive", "--k", "2", "--n", "4", "--depth", "3")
-        assert code == 2
-        assert "depth" in err
 
 
 class TestPsi:
@@ -101,6 +103,12 @@ class TestPsi:
         code, out, _ = run_cli("psi", "--k", "2")
         assert code == 0
         assert "depth=4" in out.splitlines()[0]
+
+    def test_lax_ignores_depth(self):
+        # V_1^(6) needs rows 0..6, beyond the default depth k + 2
+        plain = run_cli("psi", "--k", "1", "--lax", "6")
+        assert plain[0] == 0
+        assert plain == run_cli("psi", "--k", "1", "--lax", "6", "--depth", "8")
 
 
 class TestHamiltonian:
@@ -161,6 +169,9 @@ class TestPlumbing:
             ("n=3\n", ("psi", "--k", "2")),
             ("depth=7\n", ("hamiltonian", "--k", "1", "--n", "2")),
             ("depth=7\n", ("verify", "sklyanin", "--k", "2")),
+            ("depth=7\n", ("derive", "--k", "2", "--n", "4")),
+            ("depth=7\n", ("verify", "duality", "--n", "1", "--k", "3")),
+            ("depth=7\n", ("verify", "flow", "--k", "1", "--n", "3")),
         ],
     )
     def test_config_keys_of_other_subcommands_are_ignored(self, tmp_path, text, argv):
@@ -168,6 +179,26 @@ class TestPlumbing:
         cfg.write_text(text, encoding="utf-8")
         assert run_cli("--config", str(cfg), *argv) == run_cli(*argv)
         assert run_cli(*argv)[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("derive", "--k", "2", "--n", "4"),
+            ("verify", "duality", "--n", "1", "--k", "3"),
+            ("verify", "flow", "--k", "1", "--n", "3"),
+        ],
+        ids=["derive", "duality", "flow"],
+    )
+    def test_only_psi_takes_depth(self, argv):
+        code, out, err = run_cli(*argv, "--depth", "5")
+        assert code == 2 and out == ""
+        assert "--depth" in err
+
+    def test_tables_end_at_the_rows_read(self, fresh_store):
+        # both read rows 0..max(k, n) = 4 of each table they build
+        assert run_cli("derive", "--k", "2", "--n", "4")[0] == 0
+        assert run_cli("verify", "duality", "--n", "2", "--k", "4")[0] == 0
+        assert {k: len(store.rows) for k, store in fresh_store.items()} == {2: 5, 4: 5}
 
     def test_config_key_no_subcommand_defines(self, tmp_path):
         cfg = tmp_path / "typo.cfg"

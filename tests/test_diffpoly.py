@@ -191,6 +191,11 @@ class TestParser:
             with pytest.raises(PolyParseError, match="missing"):
                 parse_poly(text)
 
+    def test_rejects_parentheses(self):
+        for text in ("(b1)", "2*(b1+c1)", "b1)"):
+            with pytest.raises(PolyParseError, match="tokenize"):
+                parse_poly(text)
+
     def test_extra_symbols(self):
         # letters-only tokens are constants, digit-bearing ones are fields
         p = P("e*b1s")

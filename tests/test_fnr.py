@@ -93,6 +93,13 @@ class TestBuildPsi:
         with pytest.raises(ValueError):
             build_psi(3, 2)
 
+    @pytest.mark.parametrize("depth", [9, 2])
+    def test_rows_must_match_depth(self, depth):
+        # too few rows used to fail with IndexError deep in the checks; too
+        # many made diag_consistency check nothing
+        with pytest.raises(ValueError, match="needs"):
+            PsiTable(k=2, depth=depth, rows=build_psi(2, 4).rows)
+
 
 class TestLaxMatrix:
     def test_v11(self):
