@@ -20,7 +20,7 @@ from .loopalg import (
     LaurentMatrix,
     Sl2Poly,
     lm_commutator,
-    project,
+    project_plus,
     shift,
     sl2_commutator,
     trace_pair,
@@ -41,7 +41,6 @@ from .zerocurv import (
     ResidualNonZero,
     commuting_flows_check,
     dual_equivalence,
-    generating_recurrence_check,
     strong_zc_check,
     zero_curvature,
 )
@@ -72,7 +71,7 @@ __all__ = [
     "LaurentMatrix",
     "Sl2Poly",
     "lm_commutator",
-    "project",
+    "project_plus",
     "shift",
     "sl2_commutator",
     "trace_pair",
@@ -89,7 +88,6 @@ __all__ = [
     "ResidualNonZero",
     "commuting_flows_check",
     "dual_equivalence",
-    "generating_recurrence_check",
     "strong_zc_check",
     "zero_curvature",
     "BracketTable",

@@ -286,14 +286,14 @@ def _cmd_verify(args) -> int:
 # -- argument plumbing ------------------------------------------------------------------
 
 
-def _positive(name: str):
+def _at_least(name: str, low: int):
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"{name} must be an integer") from exc
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{name} must be >= 1")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {low}")
         return value
 
     return parse
@@ -302,9 +302,9 @@ def _positive(name: str):
 def _add_common(
     parser: argparse.ArgumentParser, *, n_flag: bool, default_format: str = "text"
 ) -> None:
-    parser.add_argument("--k", type=_positive("k"), required=True, help="distinguished time index")
+    parser.add_argument("--k", type=_at_least("k", 1), required=True, help="distinguished time index")
     if n_flag:
-        parser.add_argument("--n", type=_positive("n"), required=True, help="partner time index")
+        parser.add_argument("--n", type=_at_least("n", 1), required=True, help="partner time index")
     parser.add_argument(
         "--format", choices=("text", "latex", "json"), default=default_format, help="output format"
     )
@@ -323,10 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_psi = sub.add_parser("psi", help="emit the constraint-map table for t_k")
     _add_common(p_psi, n_flag=False)
     p_psi.add_argument(
-        "--depth", type=_positive("depth"), default=None, help="last table row (default k + 2)"
+        "--depth", type=_at_least("depth", 1), default=None, help="last table row (default k + 2)"
     )
     p_psi.add_argument(
-        "--lax", type=int, default=None, metavar="N", help="emit the Lax matrix V_k^(N) instead"
+        "--lax",
+        type=_at_least("lax", 0),
+        default=None,
+        metavar="N",
+        help="emit the Lax matrix V_k^(N) instead",
     )
     p_psi.set_defaults(func=_cmd_psi)
 

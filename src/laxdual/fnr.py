@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .diffpoly import DiffPoly
-from .loopalg import DepthExhausted, LaurentMatrix, Sl2Poly
+from .loopalg import LaurentMatrix, Sl2Poly, lm_commutator, project_plus, shift, trace_pair
 from .report import CheckReport
 
 _HALF = Fraction(1, 2)
@@ -150,25 +150,19 @@ def build_psi(k: int, depth: int) -> PsiTable:
 
 
 def lax_matrix(table: PsiTable, n: int) -> LaurentMatrix:
-    """V_k^(n): the degree-n polynomial sum_{m=0}^{n} l_m lambda^{n-m}."""
+    """V_k^(n) = P_+(lambda^n L): the degree-n polynomial sum_{m=0}^{n} l_m lambda^{n-m}."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > table.depth:
-        raise DepthExhausted(f"lax_matrix needs depth >= {n}, table has {table.depth}")
-    return LaurentMatrix({n - m: table.rows[m] for m in range(n + 1)}, None)
+    return project_plus(shift(table.psi_series(), n))
 
 
 def diag_consistency(table: PsiTable) -> CheckReport:
-    """Check the sigma3 component of the flow on every available row:
-    d(a_p) = sum_{j=0}^{k} (b_j c_{p+k-j} - c_j b_{p+k-j})."""
+    """Check the sigma3 component of the flow d_k L = [V_k^(k), L] on every
+    row the table determines: d(a_p) = a-part of its lambda^{-p} coefficient."""
     report = CheckReport(f"diag_consistency(k={table.k})")
-    k = table.k
-    for p in range(1, table.depth - k + 1):
-        rhs = DiffPoly.zero()
-        for j in range(0, k + 1):
-            lj, lo = table.rows[j], table.rows[p + k - j]
-            rhs = rhs + lj.bp * lo.cm - lj.cm * lo.bp
-        residual = table.rows[p].a.derive() - rhs
+    flow = lm_commutator(lax_matrix(table, table.k), table.psi_series())
+    for p in range(1, -flow.floor + 1):
+        residual = table.rows[p].a.derive() - flow.coeff(-p).a
         report.add(f"p={p}", residual.is_zero(), residual.to_text())
     return report
 
@@ -176,9 +170,8 @@ def diag_consistency(table: PsiTable) -> CheckReport:
 def trace_square_check(table: PsiTable) -> CheckReport:
     """Tr(Psi_k(L)(lambda)^2) = 2 order by order up to the table depth."""
     report = CheckReport(f"trace_square(k={table.k})")
+    series = table.psi_series()
     for m in range(1, table.depth + 1):
-        acc = DiffPoly.zero()
-        for i in range(0, m + 1):
-            acc = acc + table.rows[i].trace_with(table.rows[m - i])
+        acc = trace_pair(series, series, m - 1)
         report.add(f"lambda^-{m}", acc.is_zero(), acc.to_text())
     return report

@@ -15,7 +15,6 @@ DepthExhausted -- silent truncation is the main correctness hazard here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .diffpoly import DiffPoly
@@ -24,7 +23,7 @@ _DP_ZERO = DiffPoly.zero()
 _DP_TWO = DiffPoly.const(2)
 
 
-class DepthExhausted(Exception):
+class DepthExhausted(ValueError):
     """A requested coefficient lies below the known truncation depth."""
 
 
@@ -103,9 +102,6 @@ class LaurentMatrix:
     def top_degree(self) -> Optional[int]:
         return max(self.coeffs) if self.coeffs else None
 
-    def exponents(self) -> List[int]:
-        return sorted(self.coeffs, reverse=True)
-
     def coeff(self, e: int) -> Sl2Poly:
         if self.floor is not None and e < self.floor:
             raise DepthExhausted(f"coefficient at lambda^{e} is below the known floor {self.floor}")
@@ -165,23 +161,23 @@ def lm_commutator(x: LaurentMatrix, y: LaurentMatrix) -> LaurentMatrix:
     """Convolution commutator: coefficient at k is sum over i+j=k of [x_i, y_j].
 
     The result floor accounts for unknown coefficients of either factor meeting
-    possibly-nonzero coefficients of the other.
+    possibly-nonzero coefficients of the other; products below it are skipped.
     """
-    tab: Dict[int, Sl2Poly] = {}
-    for e1, m1 in x.coeffs.items():
-        for e2, m2 in y.coeffs.items():
-            c = sl2_commutator(m1, m2)
-            if not c.is_zero():
-                e = e1 + e2
-                tab[e] = tab[e] + c if e in tab else c
     floor = None
     pt_x, pt_y = _possible_top(x), _possible_top(y)
     if x.floor is not None and pt_y is not None:
         floor = x.floor + pt_y
     if y.floor is not None and pt_x is not None:
         floor = _max_floor(floor, y.floor + pt_x)
-    if floor is not None:
-        tab = {e: m for e, m in tab.items() if e >= floor}
+    tab: Dict[int, Sl2Poly] = {}
+    for e1, m1 in x.coeffs.items():
+        for e2, m2 in y.coeffs.items():
+            e = e1 + e2
+            if floor is not None and e < floor:
+                continue
+            c = sl2_commutator(m1, m2)
+            if not c.is_zero():
+                tab[e] = tab[e] + c if e in tab else c
     return LaurentMatrix(tab, floor)
 
 
@@ -193,17 +189,11 @@ def shift(x: LaurentMatrix, k: int) -> LaurentMatrix:
     )
 
 
-def project(x: LaurentMatrix, which: str) -> LaurentMatrix:
-    """P_+ (exponents >= 0), P_- (exponents < 0) or R = P_+ - P_-."""
-    if which == "plus":
-        if x.floor is not None and x.floor > 0:
-            raise DepthExhausted("P_+ needs all nonnegative exponents to be known")
-        return LaurentMatrix({e: m for e, m in x.coeffs.items() if e >= 0}, None)
-    if which == "minus":
-        return LaurentMatrix({e: m for e, m in x.coeffs.items() if e < 0}, x.floor)
-    if which == "R":
-        return project(x, "plus") + project(x, "minus").scale(-1)
-    raise ValueError(f"unknown projection {which!r}")
+def project_plus(x: LaurentMatrix) -> LaurentMatrix:
+    """P_+: the exact Laurent polynomial of the exponents >= 0."""
+    if x.floor is not None and x.floor > 0:
+        raise DepthExhausted(f"P_+ needs the coefficient at lambda^0; the known floor is {x.floor}")
+    return LaurentMatrix({e: m for e, m in x.coeffs.items() if e >= 0}, None)
 
 
 def trace_pair(x: LaurentMatrix, y: LaurentMatrix, j: int = 0) -> DiffPoly:

@@ -21,7 +21,7 @@ from typing import Dict, List
 
 from .diffpoly import DiffPoly, FieldVar
 from .fnr import PsiTable, _memoized, build_psi, lax_matrix
-from .loopalg import LaurentMatrix, Sl2Poly, lm_commutator
+from .loopalg import lm_commutator
 from .report import CheckReport
 
 
@@ -74,55 +74,42 @@ class PdeSystem:
         return sorted(self.evolution)
 
 
-def _flow_rhs_matrix(table: PsiTable, commutator: LaurentMatrix, n: int, q: int) -> Sl2Poly:
-    """RHS of d_n l_q from the lambda^(k-q) coefficient:
-    d_n l_q = d_k l_{n+q-k} - C_{n+q}."""
-    rhs = commutator.coeff(table.k - q).scale(-1)
-    lower = n + q - table.k
-    if lower >= 1:
-        rhs = rhs + table.rows[lower].map(lambda p: p.derive())
-    return rhs
-
-
 def zero_curvature(table: PsiTable, n: int) -> PdeSystem:
     """Derive the t_n evolution of all 2k free fields and check residuals.
 
-    The system reads rows 0..max(k, n) only; for a table whose rows are the
-    shared ones of build_psi it is computed once per (k, n) and shared."""
+    The system reads rows 0..max(k, n) only, and a shallower table raises
+    DepthExhausted; for a table whose rows are the shared ones of build_psi
+    it is computed once per (k, n) and shared."""
     if n < 1:
         raise ValueError("partner time n must be >= 1")
     upto = max(n, table.k)
-    if table.depth < upto:
-        raise ValueError(f"need depth >= max(n, k) = {upto}, table has {table.depth}")
     return _memoized(table, upto, ("zero_curvature", n), lambda: _derive_system(table, n))
 
 
 def _derive_system(table: PsiTable, n: int) -> PdeSystem:
     k = table.k
-    commutator = lm_commutator(lax_matrix(table, k), lax_matrix(table, n))
+    v_n = lax_matrix(table, n)
+    # d_n V^(k) = d_k V^(n) + [V^(n), V^(k)]; d_n V^(k) is sum_q (d_n l_q) lambda^(k-q).
+    flow = v_n.map(DiffPoly.derive) + lm_commutator(v_n, lax_matrix(table, k))
 
     evolution: Dict[FieldVar, DiffPoly] = {}
-    rhs_rows: Dict[int, Sl2Poly] = {}
     for q in range(1, k + 1):
-        rhs = _flow_rhs_matrix(table, commutator, n, q)
-        rhs_rows[q] = rhs
-        evolution[FieldVar("b", q)] = rhs.bp
-        evolution[FieldVar("c", q)] = rhs.cm
+        evolution[FieldVar("b", q)] = flow.coeff(k - q).bp
+        evolution[FieldVar("c", q)] = flow.coeff(k - q).cm
     system = PdeSystem(k=k, n=n, evolution=evolution)
 
     bad: List[str] = []
-    # Coefficients lambda^(k+n-s), s = 0..n, carry no d_n of a free field and
-    # must vanish outright (for k <= s they restate the t_k flow equation).
-    for s in range(0, n + 1):
-        residual = commutator.coeff(k + n - s)
-        if s - k >= 1:
-            residual = residual - table.rows[s - k].map(lambda p: p.derive())
+    # Coefficients lambda^e, e = k+n..k, carry no d_n of a free field, so the
+    # zero-curvature form leaves -flow there, which must vanish outright (for
+    # e <= n it restates the t_k flow equation).
+    for e in range(k + n, k - 1, -1):
+        residual = -flow.coeff(e)
         if not residual.is_zero():
-            bad.append(f"lambda^{k + n - s}: ({residual.a}; {residual.bp}; {residual.cm})")
+            bad.append(f"lambda^{e}: ({residual.a}; {residual.bp}; {residual.cm})")
     # Diagonal components of the evolution rows must agree with the chain rule
     # applied to the closure polynomials a_q.
     for q in range(1, k + 1):
-        residual = system.derivative(table.rows[q].a) - rhs_rows[q].a
+        residual = system.derivative(table.rows[q].a) - flow.coeff(k - q).a
         if not residual.is_zero():
             bad.append(f"sigma3 at lambda^{k - q}: {residual}")
     if bad:
@@ -147,20 +134,6 @@ def strong_zc_check(table: PsiTable, n: int, m: int) -> CheckReport:
     for e in sorted(total.coeffs, reverse=True):
         c = total.coeffs[e]
         report.add(f"lambda^{e}", c.is_zero(), f"({c.a}; {c.bp}; {c.cm})")
-    return report
-
-
-def generating_recurrence_check(table: PsiTable, nmax: int) -> CheckReport:
-    """V_k^(n) = lambda V_k^(n-1) + l_n, and the constant term of V_k^(n) is l_n."""
-    from .loopalg import shift
-
-    report = CheckReport(f"generating_recurrence(k={table.k})")
-    for n in range(1, nmax + 1):
-        v_n = lax_matrix(table, n)
-        rebuilt = shift(lax_matrix(table, n - 1), 1) + LaurentMatrix({0: table.rows[n]})
-        report.add(f"n={n}: lambda*V^({n - 1}) + l_{n}", v_n == rebuilt)
-        const = v_n.coeff(0) - table.rows[n]
-        report.add(f"n={n}: constant term", const.is_zero())
     return report
 
 

@@ -1,5 +1,7 @@
 """Shared helpers: parse shortcut and a seeded random-polynomial generator."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -67,6 +69,23 @@ def reference_rows(k: int, depth: int):
 def unowned(table: PsiTable) -> PsiTable:
     """An equal table whose rows are fresh objects, so no memo serves it."""
     return PsiTable(table.k, table.depth, tuple(Sl2Poly(r.a, r.bp, r.cm) for r in table.rows))
+
+
+def tampered_above_k(k: int, attr: str) -> PsiTable:
+    """build_psi(k, 6) with b1 added to the `attr` component of row k + 1."""
+    rows = list(fnr.build_psi(k, 6).rows)
+    parts = {"a": rows[k + 1].a, "bp": rows[k + 1].bp, "cm": rows[k + 1].cm}
+    parts[attr] = parts[attr] + P("b1")
+    rows[k + 1] = Sl2Poly(**parts)
+    return PsiTable(k=k, depth=6, rows=tuple(rows))
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def report_digest(report) -> str:
+    return digest(json.dumps(report.to_json(), sort_keys=True))
 
 
 @pytest.fixture

@@ -99,6 +99,15 @@ class TestPsi:
         assert out.startswith("\\begin{pmatrix}")
         assert "\\lambda" in out and "b_{1}" in out
 
+    def test_lax_order_zero_is_sigma3(self):
+        assert run_cli("psi", "--k", "2", "--lax", "0") == (0, "lambda^0: a = 1 | b = 0 | c = 0\n", "")
+
+    def test_negative_lax_is_a_usage_error(self):
+        code, out, err = run_cli("psi", "--k", "1", "--lax", "-1")
+        assert (code, out) == (2, "")
+        assert "--lax" in err and "lax must be >= 0" in err
+        assert "ValueError" not in err
+
     def test_default_depth(self):
         code, out, _ = run_cli("psi", "--k", "2")
         assert code == 0

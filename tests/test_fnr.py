@@ -12,9 +12,9 @@ from laxdual.fnr import (
     lax_matrix,
     trace_square_check,
 )
-from laxdual.loopalg import DepthExhausted, LaurentMatrix, Sl2Poly
+from laxdual.loopalg import DepthExhausted, LaurentMatrix, Sl2Poly, shift
 
-from conftest import P
+from conftest import P, report_digest, tampered_above_k
 
 
 class TestCasimirClosure:
@@ -124,8 +124,20 @@ class TestLaxMatrix:
         assert lax_matrix(build_psi(2, 3), 0) == LaurentMatrix({0: Sl2Poly.sigma3()})
 
     def test_depth_guard(self):
-        with pytest.raises(DepthExhausted):
+        with pytest.raises(DepthExhausted, match=r"lambda\^0; the known floor is 1"):
             lax_matrix(build_psi(1, 2), 3)
+        with pytest.raises(ValueError):
+            lax_matrix(build_psi(1, 2), 3)
+
+    def test_generating_recurrence(self):
+        # V^(n) = lambda V^(n-1) + l_n, so the constant term of V^(n) is l_n
+        for k, depth in ((1, 4), (2, 6), (3, 4)):
+            table = build_psi(k, depth)
+            for n in range(1, depth + 1):
+                v_n = lax_matrix(table, n)
+                rebuilt = shift(lax_matrix(table, n - 1), 1) + LaurentMatrix({0: table.rows[n]})
+                assert v_n == rebuilt, (k, n)
+                assert v_n.coeff(0) == table.rows[n]
 
     def test_psi_series_truncation(self):
         table = build_psi(1, 3)
@@ -133,3 +145,56 @@ class TestLaxMatrix:
         assert series.depth == 3
         with pytest.raises(DepthExhausted):
             series.coeff(-4)
+
+
+# SHA-256 of json.dumps(report.to_json(), sort_keys=True) of the
+# (diag_consistency, trace_square_check) reports on tampered_above_k(k, attr),
+# recorded from the implementation that summed the rows by hand.  At k = 3
+# the diagonal check cannot see a_4: it reads a_p only for p <= depth - k.
+ROW_CHECK_DIGESTS = {
+    (1, "a"): (
+        "0a8e268b22de8d88e56edd48f96f427f32569a3737ecd1a8773fbcb14e2ecd88",
+        "9f89de7c4e0f9b7ff75d29066d3b5fca9dc17a6675d46284564f265c288ee56d",
+    ),
+    (1, "bp"): (
+        "77ebe309ceaa8f45a53f5ea72787d581d0ca8748ae9cb14b087e4a4be0aa6948",
+        "28e4ec4e6a87fc80aa4095e984b521453ed79b07407dba863ccfcb75d4e7a53e",
+    ),
+    (1, "cm"): (
+        "90d074d02757c1fa78d361a14c410027a66be0b9a351e917778e4e7428482660",
+        "b3d73d5c383244154712f5a82d4dc3ee1d9f12ec8bbab072e9b1affd0d37a1ab",
+    ),
+    (2, "a"): (
+        "1a8070d8f77da80e2e7b503bccf2f222cb5c89428892bcc3d71a8aae1d675fd9",
+        "6d6c50d3cbc15c2a51a5c18a0a963756f6f5e2b55a15266dd3405221cfbe6597",
+    ),
+    (2, "bp"): (
+        "c1537eddb919d9b6d5349abd7f06a2383916d09304c87a4206fd921b9fff7418",
+        "cc835e402a9e1dd2736f2cba38767fff9218610905a410f4663473adf864f1bd",
+    ),
+    (2, "cm"): (
+        "c3226c9e264fc296145c2e9fd711e6f2b06f5907061805ea058731ba0e33cc6b",
+        "7c82d8906211b183bcce4f56008bf71434111c5957d314513e0501b7330af148",
+    ),
+    (3, "a"): (
+        "a2627c2cf14d8229b9ca077f7f14f64aff293aaabd968ef021b3a672a938d257",
+        "0d9b04a14db40b29bfc5bbd0d9095fd2026cd0f9b07bc150b1dd83a08b529786",
+    ),
+    (3, "bp"): (
+        "38334761055ccae8f87f8f28324acc2baf87cb174f97bc7a642d9c886ae409ab",
+        "7d54521830ef85a1bbe3c25b4a23d51cd95987670d387e012d1a5386e6f86c08",
+    ),
+    (3, "cm"): (
+        "f157dc9a698ed018996314653bdf712a1fc86ed17a5cf370420211502ae73ace",
+        "5ce41b67bd69aa2c02ab4dcd84bda50aa778b2adca4efe3a98fd4265739e0190",
+    ),
+}
+
+
+@pytest.mark.parametrize("k, attr", sorted(ROW_CHECK_DIGESTS))
+def test_row_checks_fail_byte_identically(k, attr):
+    table = tampered_above_k(k, attr)
+    diag, trace = diag_consistency(table), trace_square_check(table)
+    assert diag.passed == ((k, attr) == (3, "a"))
+    assert not trace.passed
+    assert (report_digest(diag), report_digest(trace)) == ROW_CHECK_DIGESTS[k, attr]

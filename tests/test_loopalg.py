@@ -9,7 +9,7 @@ from laxdual.loopalg import (
     Sl2Poly,
     lm_commutator,
     matrix_to_json,
-    project,
+    project_plus,
     shift,
     sl2_commutator,
     trace_pair,
@@ -59,7 +59,7 @@ class TestLaurent:
         y = LaurentMatrix({-1: Sl2Poly(bp=P("b1"))})
         out = lm_commutator(x, y)
         assert out.coeff(0) == Sl2Poly(bp=P("2*b1"))
-        assert out.exponents() == [0]
+        assert set(out.coeffs) == {0}
 
     def test_self_commutator_vanishes(self, rng):
         for _ in range(6):
@@ -102,26 +102,14 @@ class TestLaurent:
 class TestProjections:
     def test_plus_example(self):
         x = shift(LaurentMatrix({-1: SIGMA3, -2: SIGMA_P}, floor=-2), 1)
-        assert project(x, "plus") == LaurentMatrix({0: SIGMA3})
-
-    def test_partition_of_identity(self, rng):
-        for _ in range(6):
-            x = random_laurent(rng)
-            assert project(x, "plus") + project(x, "minus") == LaurentMatrix(dict(x.coeffs), x.floor)
-
-    def test_r_involution(self, rng):
-        for _ in range(6):
-            x = random_laurent(rng)
-            assert project(project(x, "R"), "R") == LaurentMatrix(dict(x.coeffs), x.floor)
+        assert project_plus(x) == LaurentMatrix({0: SIGMA3})
 
     def test_projector_algebra(self, rng):
         for _ in range(6):
             x = random_laurent(rng)
-            plus, minus = project(x, "plus"), project(x, "minus")
-            assert project(plus, "plus") == plus
-            assert project(minus, "minus") == minus
-            assert not project(plus, "minus").coeffs
-            assert not project(minus, "plus").coeffs
+            plus = project_plus(x)
+            assert project_plus(plus) == plus
+            assert all(e >= 0 for e in plus.coeffs)
 
     def test_shift_composition(self, rng):
         for _ in range(6):
@@ -129,8 +117,8 @@ class TestProjections:
             assert shift(shift(x, 2), 3) == shift(x, 5)
 
     def test_plus_needs_known_nonnegatives(self):
-        with pytest.raises(DepthExhausted):
-            project(LaurentMatrix({3: SIGMA3}, floor=2), "plus")
+        with pytest.raises(DepthExhausted, match="floor is 2"):
+            project_plus(LaurentMatrix({3: SIGMA3}, floor=2))
 
 
 class TestTracePair:

@@ -1,14 +1,12 @@
 """Bracket tables, Sklyanin relation, W-Z expansion, Hamiltonian flows."""
 
-import hashlib
-import json
-
 import pytest
 
 from laxdual.diffpoly import DiffPoly, FieldVar, equal_mod_total_derivative
 from laxdual.fnr import PsiTable, build_psi
 from laxdual.loopalg import DepthExhausted, Sl2Poly
 from laxdual.poisson import (
+    BracketTable,
     field_bracket_table,
     flow_from_hamiltonian,
     flow_matches_zc,
@@ -20,7 +18,7 @@ from laxdual.poisson import (
 )
 from laxdual.zerocurv import zero_curvature
 
-from conftest import P, fv, unowned
+from conftest import P, fv, report_digest, unowned
 
 
 def bracket_value(table, m_kind, m_idx, n_kind, n_idx):
@@ -67,6 +65,17 @@ class TestBracketTable:
     def test_jacobi(self):
         for k in (1, 2, 3, 4):
             assert field_bracket_table(build_psi(k, k)).jacobi_check().passed
+
+    def test_jacobi_fails_on_raised_entry(self):
+        # P[b1, c1] raised by b1, antisymmetrically, breaks the identity on the
+        # triple (b1, c1, c2); raising it by b2 instead would go unnoticed
+        good = field_bracket_table(build_psi(2, 2))
+        b1, c1 = fv("b", 1), fv("c", 1)
+        entries = dict(good.entries)
+        entries[(b1, c1)] = good.pair(b1, c1) + P("b1")
+        entries[(c1, b1)] = good.pair(c1, b1) - P("b1")
+        report = BracketTable(k=2, entries=entries, fields=good.fields).jacobi_check()
+        assert [(item.label, item.residual) for item in report.failures()] == [("(b1,c1,c2)", "-4")]
 
     def test_leibniz_against_raw_bracket(self):
         # {b_m, a_n} = -2 b_{m+n-k-1} and {c_m, a_n} = +2 c_{m+n-k-1} must
@@ -128,16 +137,12 @@ def perturbed(k):
     return PsiTable(k=k, depth=5, rows=tuple(rows))
 
 
-def digest(report):
-    return hashlib.sha256(json.dumps(report.to_json(), sort_keys=True).encode()).hexdigest()
-
-
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_failing_reports_are_byte_identical(k):
     table = perturbed(k)
     sklyanin, resolvent = sklyanin_check(table), resolvent_check(table, 5)
     assert not sklyanin.passed and not resolvent.passed
-    assert (digest(sklyanin), digest(resolvent)) == FAILING_REPORT_DIGESTS[k]
+    assert (report_digest(sklyanin), report_digest(resolvent)) == FAILING_REPORT_DIGESTS[k]
 
 
 class TestWZExpansion:

@@ -4,18 +4,17 @@ import pytest
 
 from laxdual.diffpoly import DiffPoly, FieldVar
 from laxdual.fnr import PsiTable, build_psi
-from laxdual.loopalg import Sl2Poly, lm_commutator, sl2_commutator
+from laxdual.loopalg import DepthExhausted, Sl2Poly, lm_commutator, sl2_commutator
 from laxdual.fnr import lax_matrix
 from laxdual.zerocurv import (
     ResidualNonZero,
     commuting_flows_check,
     dual_equivalence,
-    generating_recurrence_check,
     strong_zc_check,
     zero_curvature,
 )
 
-from conftest import P, fv
+from conftest import P, digest, fv, tampered_above_k
 
 
 class TestZeroCurvature:
@@ -94,8 +93,34 @@ class TestZeroCurvature:
             zero_curvature(PsiTable(k=2, depth=5, rows=tuple(rows)), 3)
 
     def test_depth_guard(self):
+        # V^(4) needs row 4; the floor of lambda^4 L at depth 3 is lambda^1
         with pytest.raises(ValueError):
             zero_curvature(build_psi(2, 3), 4)
+        with pytest.raises(DepthExhausted, match=r"lambda\^0; the known floor is 1"):
+            zero_curvature(build_psi(2, 3), 4)
+
+
+# SHA-256 of the ResidualNonZero message of zero_curvature(tampered_above_k(k,
+# attr), k + 1), recorded from the implementation that assembled the flow from
+# the commutator and the table rows by hand.
+RESIDUAL_MESSAGE_DIGESTS = {
+    (1, "a"): "9a82974567c84cb1d3f9e6b9531f74fcfa20c2bee3742f0f618f4cfa9454e39e",
+    (1, "bp"): "34112c785557b09b8c06f320f7b85d597975080606b6c15a912d98d4f779ac6f",
+    (1, "cm"): "db50e4846240868edfc33b674b701130c2c7b0ed3b868c8a326b2889c1fa8bc7",
+    (2, "a"): "68c65661463cd6ef439a31d1b527a6406b1b69bc99799ed396e1472a6962b678",
+    (2, "bp"): "0dc59e979d503baefb3f748a09ef93695991b81f99a1a3cedf16fe7ab0155cf4",
+    (2, "cm"): "465b4b5c82c6188e03020152f120827927ecc758bded65b886c2d9d853c0f205",
+    (3, "a"): "e7376f947c4dce27fb826177d7f406bfed6163b46a9f1c2bf5fd9fc91382eaeb",
+    (3, "bp"): "a5585ca75715ae1844acc7c85f789c4942ba350cb35866b7f9ee179547bfa099",
+    (3, "cm"): "c6105eb3ffc7f7a9146254bba333b8d13ea481bc1bb6e8596bf089b7a7705e7c",
+}
+
+
+@pytest.mark.parametrize("k, attr", sorted(RESIDUAL_MESSAGE_DIGESTS))
+def test_residual_message_is_byte_identical(k, attr):
+    with pytest.raises(ResidualNonZero) as info:
+        zero_curvature(tampered_above_k(k, attr), k + 1)
+    assert digest(str(info.value)) == RESIDUAL_MESSAGE_DIGESTS[k, attr]
 
 
 class TestStrongZeroCurvature:
@@ -114,16 +139,6 @@ class TestStrongZeroCurvature:
             for n in range(1, 5):
                 for m in range(n, 5):
                     assert strong_zc_check(table, n, m).passed, (k, n, m)
-
-
-class TestGeneratingRecurrence:
-    def test_first_step_any_k(self):
-        for k in (1, 2, 3):
-            assert generating_recurrence_check(build_psi(k, 4), 1).passed
-
-    def test_matches_printed_matrices(self):
-        assert generating_recurrence_check(build_psi(1, 4), 2).passed
-        assert generating_recurrence_check(build_psi(2, 6), 4).passed
 
 
 class TestCommutingFlows:
