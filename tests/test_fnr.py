@@ -12,7 +12,7 @@ from laxdual.fnr import (
     lax_matrix,
     trace_square_check,
 )
-from laxdual.loopalg import DepthExhausted, LaurentMatrix, Sl2Poly, shift
+from laxdual.loopalg import DepthExhausted, LaurentMatrix, Sl2Poly
 
 from conftest import P, report_digest, tampered_above_k
 
@@ -128,16 +128,6 @@ class TestLaxMatrix:
             lax_matrix(build_psi(1, 2), 3)
         with pytest.raises(ValueError):
             lax_matrix(build_psi(1, 2), 3)
-
-    def test_generating_recurrence(self):
-        # V^(n) = lambda V^(n-1) + l_n, so the constant term of V^(n) is l_n
-        for k, depth in ((1, 4), (2, 6), (3, 4)):
-            table = build_psi(k, depth)
-            for n in range(1, depth + 1):
-                v_n = lax_matrix(table, n)
-                rebuilt = shift(lax_matrix(table, n - 1), 1) + LaurentMatrix({0: table.rows[n]})
-                assert v_n == rebuilt, (k, n)
-                assert v_n.coeff(0) == table.rows[n]
 
     def test_psi_series_truncation(self):
         table = build_psi(1, 3)

@@ -4,7 +4,14 @@ import pytest
 
 from laxdual.diffpoly import DiffPoly, FieldVar
 from laxdual.fnr import PsiTable, build_psi
-from laxdual.loopalg import DepthExhausted, Sl2Poly, lm_commutator, sl2_commutator
+from laxdual.loopalg import (
+    DepthExhausted,
+    LaurentMatrix,
+    Sl2Poly,
+    lm_commutator,
+    shift,
+    sl2_commutator,
+)
 from laxdual.fnr import lax_matrix
 from laxdual.zerocurv import (
     ResidualNonZero,
@@ -139,6 +146,26 @@ class TestStrongZeroCurvature:
             for n in range(1, 5):
                 for m in range(n, 5):
                     assert strong_zc_check(table, n, m).passed, (k, n, m)
+
+
+def assert_generating_recurrence(table, n):
+    # V^(n) = lambda V^(n-1) + l_n, so the constant term of V^(n) is l_n
+    v_n = lax_matrix(table, n)
+    rebuilt = shift(lax_matrix(table, n - 1), 1) + LaurentMatrix({0: table.rows[n]})
+    assert v_n == rebuilt, (table.k, n)
+    assert v_n.coeff(0) == table.rows[n], (table.k, n)
+
+
+class TestGeneratingRecurrence:
+    def test_first_step_any_k(self):
+        for k in (1, 2, 3):
+            assert_generating_recurrence(build_psi(k, 4), 1)
+
+    def test_matches_printed_matrices(self):
+        for k, depth in ((1, 4), (2, 6), (3, 4)):
+            table = build_psi(k, depth)
+            for n in range(1, depth + 1):
+                assert_generating_recurrence(table, n)
 
 
 class TestCommutingFlows:
