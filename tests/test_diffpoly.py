@@ -1,5 +1,6 @@
 """Differential polynomial ring: arithmetic, calculus, canonical form."""
 
+import hashlib
 import json
 import sys
 import threading
@@ -380,3 +381,38 @@ class TestFromJsonValidation:
     def test_accepts_extension_kinds(self):
         p = P("2/3*e*b1s''")
         assert DiffPoly.from_json(p.to_json()) == p
+
+
+def _render_corpus():
+    """Polynomials whose text, LaTeX and JSON the render pin covers."""
+    from laxdual.fnr import build_psi
+    from laxdual.zerocurv import zero_curvature
+
+    polys = []
+    for k in (1, 2, 3):
+        table = build_psi(k, 12)
+        for row in table.rows:
+            for p in (row.a, row.bp, row.cm):
+                polys += [p, p.scale(Fraction(3, 7)) + DiffPoly.const(Fraction(-5, 11))]
+        if k <= 2:
+            for n in range(1, 7):
+                system = zero_curvature(table, n)
+                polys += [system.evolution[v] for v in system.fields()]
+    polys += [
+        DiffPoly.zero(),
+        DiffPoly.const(Fraction(-9, 4)),
+        P("-2/3*e*b1s''^2*c1 + 7*b1s*e^3 - e + 1/5*b1s'*b2^2 - 4"),
+        P("b1^2*c1'''*e - 1/9*b1s*c2 + 11/3*b1s^2"),
+    ]
+    return polys
+
+
+def test_render_pin():
+    # SHA-256 over to_text, to_latex and to_json of the corpus, as rendered
+    # by the Fraction-based renderer this pin was computed with.
+    h = hashlib.sha256()
+    for p in _render_corpus():
+        h.update(p.to_text().encode() + b"\n")
+        h.update(p.to_latex().encode() + b"\n")
+        h.update(json.dumps(p.to_json(), sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == "766be60d23594f9a343d41a261c2c6857cf317b16042023fb5efd23a412c5f33"
