@@ -8,15 +8,21 @@ variable.  The public forms are
   Monomial  = tuple of (FieldVar, exp)    sorted by FieldVar, exponents >= 1
 
 Inside, each FieldVar is interned to a small int id (a process-wide table that
-also caches the id of its derivative), a monomial is the sorted tuple of its
-ids with exponents written out (b1^2*c1 -> (i_b1, i_b1, i_c1)), and a DiffPoly
-is `num: {id monomial: int}` over one `den: int`.  The form is canonical:
-den >= 1, no zero numerators and gcd(den, *num) == 1, so two polynomials are
-equal iff their (num, den) are.  Ids follow first use and never show: the
-`terms` view, text and JSON sort by the public FieldVar order.  Arithmetic and
-calculus run on ints; fractions.Fraction appears only at the boundaries
-(constructors, `scale`, `constant_term`, `terms`, text/JSON I/O, parsing).
-Nothing in this module ever touches a float.
+also caches the step to its derivative), and a monomial is one int packing a
+16-bit exponent field per id: b1^2*c1 is 2 << 16*id(b1) | 1 << 16*id(c1).  A
+product of monomials is one addition, the derivation adds one fixed step, and
+a partial derivative reads one field.  A DiffPoly is `num: {monomial: int}`
+over one `den: int`, canonical (den >= 1, no zero numerators, gcd(den, *num)
+== 1), so two polynomials are equal iff their (num, den) are.  Ids never show:
+`terms`, text, LaTeX and JSON sort by the public FieldVar order, and render
+from ints; Fraction appears only in constructors, `scale`, `constant_term`,
+`terms` and parsing.  Nothing in this module touches a float.
+
+Exponents stay below EXP_LIMIT = 2^15.  Two such fields sum to less than 2^16,
+so no product carries into the next field, and a sum that reaches 2^15 sets the
+field's top (guard) bit.  Products, derivations and integration steps check
+the guard bits of their result keys and raise ValueError; parsing, JSON and
+the constructor reject larger exponents with PolyParseError.
 
 Besides ring arithmetic the module provides the distinguished derivation
 (Leibniz rule, raising dorder), substitution of dorder-0 generators (extended
@@ -32,9 +38,11 @@ constant symbol killed by the derivation; a kind containing digits (e.g.
 from __future__ import annotations
 
 import re
+import threading
 from fractions import Fraction
-from itertools import count
+from functools import reduce
 from math import gcd, lcm
+from operator import or_
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 
@@ -69,39 +77,63 @@ class FieldVar(NamedTuple):
 
 Monomial = Tuple[Tuple[FieldVar, int], ...]
 Terms = Dict[Monomial, Fraction]
-IdMono = Tuple[int, ...]
+
+_W = 16  # bits per exponent field
+_MASK = (1 << _W) - 1
+EXP_LIMIT = 1 << (_W - 1)  # exponents stay below this; the top bit is the guard
 
 # Interned generators: one table per process, growing with the number of
 # distinct generators ever named, not with the size of any polynomial.
 
-_VARS: Dict[int, FieldVar] = {}
+_VARS: List[FieldVar] = []
 _VAR_ID: Dict[FieldVar, int] = {}
-_DERIV: Dict[int, int] = {}  # derivative's id, -1 for constant symbols
-_NEXT_ID = count()
+_DERIV: Dict[int, int] = {}  # id -> key change of v^e -> v^(e-1)*v', 0 for constant symbols
+_GUARDS = 0  # the guard bit of every interned id's field
+_INTERN = threading.Lock()
 
 
 def _vid(v: FieldVar) -> int:
+    global _GUARDS
     i = _VAR_ID.get(v)
     if i is None:
-        i = next(_NEXT_ID)
-        _VARS[i] = FieldVar(*v)
-        # Atomic, so threads interning v at once agree on one id.
-        i = _VAR_ID.setdefault(v, i)
+        with _INTERN:
+            i = _VAR_ID.get(v)
+            if i is None:
+                i = len(_VARS)
+                _VARS.append(FieldVar(*v))
+                _GUARDS |= EXP_LIMIT << (_W * i)
+                _VAR_ID[v] = i  # published last: a reader that sees i sees the rest
     return i
 
 
-def _to_ids(mono: Monomial) -> IdMono:
-    ids: List[int] = []
+def _fields(m: int) -> List[Tuple[int, int]]:
+    """The (id, exp) pairs of a packed monomial, highest id first."""
+    out = []
+    while m:
+        s = (m.bit_length() - 1) // _W * _W
+        e = m >> s
+        out.append((s // _W, e))
+        m -= e << s
+    return out
+
+
+def _pack(mono: Monomial) -> int:
+    exps: Dict[int, int] = {}
     for v, e in mono:
-        if e < 1:
-            raise ValueError("monomial exponents must be >= 1")
-        ids += [_vid(v)] * e
-    ids.sort()
-    return tuple(ids)
+        i = _vid(v)
+        exps[i] = exps.get(i, 0) + _checked_exp(e)
+    return sum(_checked_exp(e) << (_W * i) for i, e in exps.items())
 
 
-def _to_public(m: IdMono) -> Monomial:
-    return tuple(sorted((_VARS[i], m.count(i)) for i in set(m)))
+def _to_public(m: int) -> Monomial:
+    return tuple(sorted((_VARS[i], e) for i, e in _fields(m)))
+
+
+def _guarded(tab: Dict[int, int]) -> Dict[int, int]:
+    """tab, unless some exponent in its keys reached EXP_LIMIT."""
+    if reduce(or_, tab, 0) & _GUARDS:
+        raise ValueError(f"exponent overflow: a generator's exponent reached the limit {EXP_LIMIT}")
+    return tab
 
 
 class DiffPoly:
@@ -111,9 +143,9 @@ class DiffPoly:
     __slots__ = ("num", "den")
 
     def __init__(self, terms: Optional[Mapping[Monomial, Fraction]] = None):
-        fracs: Dict[IdMono, Fraction] = {}
+        fracs: Dict[int, Fraction] = {}
         for mono, coeff in (terms or {}).items():
-            key = _to_ids(mono)
+            key = _pack(mono)
             fracs[key] = fracs.get(key, 0) + Fraction(coeff)
         den = lcm(*(c.denominator for c in fracs.values()))
         self.num = {m: c.numerator * (den // c.denominator) for m, c in fracs.items() if c}
@@ -128,7 +160,7 @@ class DiffPoly:
     @staticmethod
     def const(value) -> "DiffPoly":
         c = Fraction(value)
-        return _wrap({(): c.numerator}, c.denominator) if c else _ZERO
+        return _wrap({0: c.numerator}, c.denominator) if c else _ZERO
 
     @staticmethod
     def var(kind: str, index: int, dorder: int = 0) -> "DiffPoly":
@@ -136,7 +168,7 @@ class DiffPoly:
 
     @staticmethod
     def from_var(v: FieldVar) -> "DiffPoly":
-        return _wrap({(_vid(v),): 1}, 1)
+        return _wrap({1 << (_W * _vid(v)): 1}, 1)
 
     # -- basic queries -----------------------------------------------------
 
@@ -150,10 +182,11 @@ class DiffPoly:
         return not self.num
 
     def constant_term(self) -> Fraction:
-        return Fraction(self.num.get((), 0), self.den)
+        return Fraction(self.num.get(0, 0), self.den)
 
-    def _ids(self):
-        return {i for m in self.num for i in m}
+    def _ids(self) -> List[int]:
+        # A field of the OR of all keys is nonzero iff its id occurs somewhere.
+        return [i for i, _ in _fields(reduce(or_, self.num, 0))]
 
     def variables(self) -> List[FieldVar]:
         """All generators occurring, sorted by the canonical ordering."""
@@ -167,7 +200,7 @@ class DiffPoly:
         return max((_VARS[i].dorder for i in self._ids()), default=0)
 
     def total_degree(self) -> int:
-        return max(map(len, self.num), default=0)
+        return max((sum(e for _, e in _fields(m)) for m in self.num), default=0)
 
     # -- ring arithmetic ----------------------------------------------------
 
@@ -205,14 +238,14 @@ class DiffPoly:
     def __mul__(self, other: "DiffPoly") -> "DiffPoly":
         if not self.num or not other.num:
             return _ZERO
-        tab: Dict[IdMono, int] = {}
+        tab: Dict[int, int] = {}
         get = tab.get
         items2 = list(other.num.items())
         for m1, c1 in self.num.items():
             for m2, c2 in items2:
-                m = tuple(sorted(m1 + m2))
+                m = m1 + m2
                 tab[m] = get(m, 0) + c1 * c2
-        return _reduced(_nonzero(tab), self.den * other.den)
+        return _reduced(_nonzero(_guarded(tab)), self.den * other.den)
 
     def scale(self, s) -> "DiffPoly":
         s = Fraction(s)
@@ -239,37 +272,30 @@ class DiffPoly:
         """Distinguished derivation, applied `times` times (Leibniz rule)."""
         p = self
         for _ in range(times):
-            tab: Dict[IdMono, int] = {}
+            tab: Dict[int, int] = {}
             get = tab.get
             for m, c in p.num.items():
-                prev = -1
-                for k, i in enumerate(m):
-                    if i == prev:
-                        continue
-                    prev = i
-                    d = _DERIV.get(i)
-                    if d is None:
+                for i, e in _fields(m):
+                    step = _DERIV.get(i)
+                    if step is None:
                         v = _VARS[i]
-                        d = _DERIV[i] = -1 if v.is_constant_symbol() else _vid(v.derived())
-                    if d < 0:
-                        continue
-                    # d(v^e * rest) -> e * v^(e-1) * v' * rest
-                    key = tuple(sorted(m[:k] + m[k + 1:] + (d,)))
-                    tab[key] = get(key, 0) + c * m.count(i)
-            p = _reduced(_nonzero(tab), p.den)
+                        step = 0 if v.is_constant_symbol() else (1 << (_W * _vid(v.derived()))) - (1 << (_W * i))
+                        _DERIV[i] = step
+                    if step:
+                        # d(v^e * rest) -> e * v^(e-1) * v' * rest
+                        key = m + step
+                        tab[key] = get(key, 0) + c * e
+            p = _reduced(_nonzero(_guarded(tab)), p.den)
         return p
 
     def partial(self, v: FieldVar) -> "DiffPoly":
         """Plain partial derivative with respect to one generator v."""
         i = _VAR_ID.get(v)
-        tab: Dict[IdMono, int] = {}
-        for m, c in self.num.items():
-            if i in m:
-                # Dropping one factor i maps distinct sorted monomials to
-                # distinct sorted monomials, so nothing collides.
-                k = m.index(i)
-                tab[m[:k] + m[k + 1:]] = c * m.count(i)
-        return _reduced(tab, self.den)
+        if i is None:
+            return _ZERO
+        s, one = _W * i, 1 << (_W * i)
+        # Lowering one field maps distinct monomials to distinct monomials.
+        return _reduced({m - one: c * e for m, c in self.num.items() if (e := (m >> s) & _MASK)}, self.den)
 
     def substitute(self, rules: Mapping[FieldVar, "DiffPoly"]) -> "DiffPoly":
         """Replace dorder-0 generators by polynomials.
@@ -296,10 +322,11 @@ class DiffPoly:
 
         result = _ZERO
         for m, c in self.num.items():
-            term = _wrap({tuple(i for i in m if rule_at(i) is None): c}, 1)
-            for i in m:
-                if rule_at(i) is not None:
-                    term = term * rule_at(i)
+            ruled = [(rule, i, e) for i, e in _fields(m) if (rule := rule_at(i)) is not None]
+            term = _wrap({m - sum(e << (_W * i) for _, i, e in ruled): c}, 1)
+            for rule, _, e in ruled:
+                for _ in range(e):
+                    term = term * rule
             result = result + term
         return _reduced(result.num, result.den * self.den)
 
@@ -317,42 +344,58 @@ class DiffPoly:
 
     # -- output --------------------------------------------------------------
 
-    def sorted_terms(self) -> List[Tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items())
+    def _walk(self, fmt):
+        """Each term as (factors, n, d) in the public monomial order: the
+        factors rendered by fmt(FieldVar, exp), each distinct one once, and
+        the coefficient n/d in lowest terms, d >= 1."""
+        num, den = self.num, self.den
+        ids = sorted(self._ids(), key=_VARS.__getitem__)
+        # A factor's code is rank << 16 | exp, rank being its place in ids, so
+        # sorted code tuples order like the public monomials.  The decode is
+        # _fields inlined, keyed by field shift: rendering is a hot path.
+        rank = {_W * i: r << _W for r, i in enumerate(ids)}
+        keyed = {}
+        for m in num:
+            codes, x = [], m
+            while x:
+                s = (x.bit_length() - 1) // _W * _W
+                e = x >> s
+                codes.append(rank[s] | e)
+                x -= e << s
+            codes.sort()
+            keyed[tuple(codes)] = m
+        factor = _Factors(ids, fmt).__getitem__
+        for codes in sorted(keyed):
+            c = num[keyed[codes]]
+            g = gcd(c, den)
+            yield list(map(factor, codes)), c // g, den // g
 
     def to_text(self) -> str:
-        return self._render(_mono_text, str, "*")
+        return self._render(_var_text, _ratio_text, "*")
 
     def to_latex(self) -> str:
-        return self._render(_mono_latex, _frac_latex, " ")
+        return self._render(_var_latex, _ratio_latex, " ")
 
-    def _render(self, body_of, mag_of, sep: str) -> str:
-        if not self.num:
-            return "0"
+    def _render(self, fmt, mag_of, sep: str) -> str:
         pieces: List[str] = []
-        for mono, coeff in self.sorted_terms():
-            body = body_of(mono)
-            mag = abs(coeff)
-            if body:
-                frag = body if mag == 1 else f"{mag_of(mag)}{sep}{body}"
+        for factors, n, d in self._walk(fmt):
+            a = abs(n)
+            if not factors:
+                frag = mag_of(a, d)
+            elif a == d == 1:
+                frag = sep.join(factors)
             else:
-                frag = mag_of(mag)
+                frag = f"{mag_of(a, d)}{sep}{sep.join(factors)}"
             if not pieces:
-                pieces.append(frag if coeff > 0 else f"-{frag}")
+                pieces.append(frag if n > 0 else f"-{frag}")
             else:
-                pieces.append(("+ " if coeff > 0 else "- ") + frag)
-        return " ".join(pieces)
+                pieces.append(("+ " if n > 0 else "- ") + frag)
+        return " ".join(pieces) or "0"
 
     def to_json(self) -> List[dict]:
         return [
-            {
-                "coeff": str(coeff),
-                "vars": [
-                    {"kind": v.kind, "index": v.index, "dorder": v.dorder, "exp": e}
-                    for v, e in mono
-                ],
-            }
-            for mono, coeff in self.sorted_terms()
+            {"coeff": _ratio_text(n, d), "vars": list(map(dict, factors))}
+            for factors, n, d in self._walk(_var_json)
         ]
 
     @staticmethod
@@ -376,7 +419,7 @@ class DiffPoly:
         return DiffPoly(tab)
 
 
-def _wrap(num: Dict[IdMono, int], den: int) -> DiffPoly:
+def _wrap(num: Dict[int, int], den: int) -> DiffPoly:
     """A DiffPoly over a table already in canonical form."""
     p = object.__new__(DiffPoly)
     p.num = num
@@ -384,7 +427,7 @@ def _wrap(num: Dict[IdMono, int], den: int) -> DiffPoly:
     return p
 
 
-def _reduced(num: Dict[IdMono, int], den: int) -> DiffPoly:
+def _reduced(num: Dict[int, int], den: int) -> DiffPoly:
     """A DiffPoly over a table with no zero numerators, brought to lowest terms."""
     if den != 1:
         g = gcd(den, *num.values())
@@ -394,7 +437,7 @@ def _reduced(num: Dict[IdMono, int], den: int) -> DiffPoly:
     return _wrap(num, den)
 
 
-def _nonzero(tab: Dict[IdMono, int]) -> Dict[IdMono, int]:
+def _nonzero(tab: Dict[int, int]) -> Dict[int, int]:
     # Cancellation is rare: scanning for a zero is cheaper than rebuilding.
     return {m: c for m, c in tab.items() if c} if 0 in tab.values() else tab
 
@@ -402,12 +445,19 @@ def _nonzero(tab: Dict[IdMono, int]) -> Dict[IdMono, int]:
 _ZERO = _wrap({}, 1)
 
 
-def _mono_text(mono: Monomial) -> str:
-    return "*".join(str(v) if e == 1 else f"{v}^{e}" for v, e in mono)
+class _Factors(dict):
+    """The rendered factors of one _walk by code, each rendered on first use."""
+
+    def __init__(self, ids: List[int], fmt):
+        self.ids, self.fmt = ids, fmt
+
+    def __missing__(self, code: int):
+        out = self[code] = self.fmt(_VARS[self.ids[code >> _W]], code & _MASK)
+        return out
 
 
-def _mono_latex(mono: Monomial) -> str:
-    return " ".join(_var_latex(v, e) for v, e in mono)
+def _var_text(v: FieldVar, e: int) -> str:
+    return str(v) if e == 1 else f"{v}^{e}"
 
 
 def _var_latex(v: FieldVar, e: int) -> str:
@@ -418,11 +468,16 @@ def _var_latex(v: FieldVar, e: int) -> str:
     return core if e == 1 else f"{{{core}}}^{{{e}}}"
 
 
-def _frac_latex(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    sign = "-" if q < 0 else ""
-    return rf"{sign}\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
+def _var_json(v: FieldVar, e: int) -> dict:
+    return {"kind": v.kind, "index": v.index, "dorder": v.dorder, "exp": e}
+
+
+def _ratio_text(n: int, d: int) -> str:
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _ratio_latex(n: int, d: int) -> str:
+    return str(n) if d == 1 else rf"\frac{{{n}}}{{{d}}}"
 
 
 def equal_mod_total_derivative(p: DiffPoly, q: DiffPoly) -> bool:
@@ -448,15 +503,16 @@ def formal_integrate(p: DiffPoly) -> DiffPoly:
         mono = max(rem.num, key=_peel_key)
         if not mono:
             raise NotATotalDerivative("nonzero constant term has no antiderivative")
-        top = max(mono, key=_order_key)
-        if _VARS[top].dorder == 0 or _VARS[top].is_constant_symbol():
-            raise NotATotalDerivative(f"term {_mono_text(_to_public(mono))} cannot be integrated")
-        if mono.count(top) != 1:
-            raise NotATotalDerivative(f"leading derivative {_VARS[top]} occurs nonlinearly")
-        low = _vid(_VARS[top].derived(-1))
-        k = mono.index(top)
-        key = tuple(sorted(mono[:k] + mono[k + 1:] + (low,)))
-        piece = _reduced({key: rem.num[mono]}, rem.den * key.count(low))
+        top, e = max(_fields(mono), key=lambda f: _order_key(f[0]))
+        v = _VARS[top]
+        if v.dorder == 0 or v.is_constant_symbol():
+            term = "*".join(_var_text(v, e) for v, e in _to_public(mono))
+            raise NotATotalDerivative(f"term {term} cannot be integrated")
+        if e != 1:
+            raise NotATotalDerivative(f"leading derivative {v} occurs nonlinearly")
+        low = _vid(v.derived(-1))
+        key = mono - (1 << (_W * top)) + (1 << (_W * low))
+        piece = _reduced(_guarded({key: rem.num[mono]}), rem.den * ((key >> (_W * low)) & _MASK))
         result = result + piece
         rem = rem - piece.derive()
     return result
@@ -467,10 +523,10 @@ def _order_key(i: int):
     return (v.dorder, v.kind, v.index)
 
 
-def _peel_key(mono: IdMono):
+def _peel_key(mono: int):
     # Sorted-descending sequence of generator keys, exponent-expanded: the
     # derivation maps the maximal monomial of q to the maximal monomial of dq.
-    return sorted(map(_order_key, mono), reverse=True)
+    return sorted((_order_key(i) for i, e in _fields(mono) for _ in range(e)), reverse=True)
 
 
 # -- text grammar --------------------------------------------------------------
@@ -511,6 +567,8 @@ def _checked_var(kind, index, dorder) -> FieldVar:
 def _checked_exp(exp) -> int:
     if type(exp) is not int or exp < 1:
         raise PolyParseError(f"exponent must be an integer >= 1, got {exp!r}")
+    if exp >= EXP_LIMIT:
+        raise PolyParseError(f"exponent {exp} is not below the limit {EXP_LIMIT}")
     return exp
 
 

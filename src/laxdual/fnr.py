@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .diffpoly import DiffPoly
-from .loopalg import LaurentMatrix, Sl2Poly, lm_commutator, project_plus, shift, trace_pair
+from .loopalg import LaurentMatrix, Sl2Poly, commutator_floor, project_plus, shift, trace_pair
 from .report import CheckReport
 
 _HALF = Fraction(1, 2)
@@ -160,9 +160,15 @@ def diag_consistency(table: PsiTable) -> CheckReport:
     """Check the sigma3 component of the flow d_k L = [V_k^(k), L] on every
     row the table determines: d(a_p) = a-part of its lambda^{-p} coefficient."""
     report = CheckReport(f"diag_consistency(k={table.k})")
-    flow = lm_commutator(lax_matrix(table, table.k), table.psi_series())
-    for p in range(1, -flow.floor + 1):
-        residual = table.rows[p].a.derive() - flow.coeff(-p).a
+    v, series = lax_matrix(table, table.k), table.psi_series()
+    for p in range(1, -commutator_floor(v, series) + 1):
+        # The sigma3 part of [v, L] at lambda^-p; [x, y] has sigma3 part
+        # x.bp*y.cm - x.cm*y.bp.
+        flow = DiffPoly.zero()
+        for e, m in v.coeffs.items():
+            m2 = series.coeff(-p - e)
+            flow = flow + m.bp * m2.cm - m.cm * m2.bp
+        residual = table.rows[p].a.derive() - flow
         report.add(f"p={p}", residual.is_zero(), residual.to_text())
     return report
 

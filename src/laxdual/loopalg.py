@@ -157,18 +157,25 @@ def _possible_top(x: LaurentMatrix) -> Optional[int]:
     return t
 
 
-def lm_commutator(x: LaurentMatrix, y: LaurentMatrix) -> LaurentMatrix:
-    """Convolution commutator: coefficient at k is sum over i+j=k of [x_i, y_j].
-
-    The result floor accounts for unknown coefficients of either factor meeting
-    possibly-nonzero coefficients of the other; products below it are skipped.
-    """
+def commutator_floor(x: LaurentMatrix, y: LaurentMatrix) -> Optional[int]:
+    """Floor of [x, y]: where unknown coefficients of either factor can meet
+    possibly-nonzero coefficients of the other (None: nothing is unknown)."""
     floor = None
     pt_x, pt_y = _possible_top(x), _possible_top(y)
     if x.floor is not None and pt_y is not None:
         floor = x.floor + pt_y
     if y.floor is not None and pt_x is not None:
         floor = _max_floor(floor, y.floor + pt_x)
+    return floor
+
+
+def lm_commutator(x: LaurentMatrix, y: LaurentMatrix) -> LaurentMatrix:
+    """Convolution commutator: coefficient at k is sum over i+j=k of [x_i, y_j].
+
+    The result floor accounts for unknown coefficients of either factor meeting
+    possibly-nonzero coefficients of the other; products below it are skipped.
+    """
+    floor = commutator_floor(x, y)
     tab: Dict[int, Sl2Poly] = {}
     for e1, m1 in x.coeffs.items():
         for e2, m2 in y.coeffs.items():
@@ -237,7 +244,7 @@ def _entry_latex(table: Dict[int, DiffPoly], negate: bool = False) -> str:
         body = p.to_latex()
         if e != 0:
             lam = r"\lambda" if e == 1 else rf"\lambda^{{{e}}}"
-            if len(p.terms) > 1:
+            if len(p.num) > 1:
                 body = rf"\left({body}\right){lam}"
             elif body == "1":
                 body = lam

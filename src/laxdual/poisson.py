@@ -71,13 +71,19 @@ class BracketTable:
 
     def bracket(self, p: DiffPoly, q: DiffPoly) -> DiffPoly:
         """{p, q} for derivative-free polynomials, bilinear Leibniz extension."""
+        return self.gradient_bracket(self.gradient(p), self.gradient(q))
+
+    def gradient(self, p: DiffPoly) -> Dict[FieldVar, DiffPoly]:
+        """The nonzero partials of p in the fields the entries name."""
+        names = {w for pair in self.entries for w in pair}
+        return {w: d for w in names if not (d := p.partial(w)).is_zero()}
+
+    def gradient_bracket(self, dp: Dict[FieldVar, DiffPoly], dq: Dict[FieldVar, DiffPoly]) -> DiffPoly:
+        """{p, q} from the gradients of p and q."""
         out = DiffPoly.zero()
         for (u, v), p_uv in self.entries.items():
-            du = p.partial(u)
-            if du.is_zero():
-                continue
-            dv = q.partial(v)
-            if not dv.is_zero():
+            du, dv = dp.get(u), dq.get(v)
+            if du is not None and dv is not None:
                 out = out + du * p_uv * dv
         return out
 
@@ -145,13 +151,14 @@ def sklyanin_check(table: PsiTable) -> CheckReport:
     parts = entry_polynomials(lax_matrix(table, table.k))
     if any(p.max_dorder() for part in parts for p in part.values()):
         raise ValueError("Lax matrix entries must be derivative-free")
+    grads = [{e: brackets.gradient(p) for e, p in part.items()} for part in parts]
     pair_brackets = {}
-    for x, part_x in enumerate(parts):
-        for y, part_y in enumerate(parts):
+    for x, grad_x in enumerate(grads):
+        for y, grad_y in enumerate(grads):
             acc = pair_brackets[x, y] = {}
-            for dl, p in part_x.items():
-                for dm, q in part_y.items():
-                    _accumulate(acc, (dl, dm), brackets.bracket(p, q))
+            for dl, dp in grad_x.items():
+                for dm, dq in grad_y.items():
+                    _accumulate(acc, (dl, dm), brackets.gradient_bracket(dp, dq))
     # (index into parts, sign) of each entry of V
     slot = (((0, 1), (1, 1)), ((2, 1), (0, -1)))
 

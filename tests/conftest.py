@@ -48,6 +48,57 @@ def random_poly(
     return out
 
 
+# Reference ring operations on public {Monomial: Fraction} tables, used as
+# oracles for the packed kernel.
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            acc = dict(m1)
+            for v, e in m2:
+                acc[v] = acc.get(v, 0) + e
+            m = tuple(sorted(acc.items()))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_derive(a):
+    out = {}
+    for mono, c in a.items():
+        for v, e in mono:
+            if v.is_constant_symbol():
+                continue
+            acc = dict(mono)
+            acc[v] -= 1
+            if not acc[v]:
+                del acc[v]
+            acc[v.derived()] = acc.get(v.derived(), 0) + 1
+            m = tuple(sorted(acc.items()))
+            out[m] = out.get(m, 0) + c * e
+    return {m: c for m, c in out.items() if c}
+
+
+def ref_partial(a, v):
+    out = {}
+    for mono, c in a.items():
+        acc = dict(mono)
+        e = acc.pop(v, 0)
+        if e > 1:
+            acc[v] = e - 1
+        if e:
+            out[tuple(sorted(acc.items()))] = c * e
+    return out
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20411)

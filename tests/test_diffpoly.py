@@ -18,7 +18,7 @@ from laxdual.diffpoly import (
     parse_poly,
 )
 
-from conftest import EXT_POOL, P, fv, random_poly
+from conftest import EXT_POOL, P, fv, random_poly, ref_add, ref_derive, ref_mul
 
 
 class TestArithmetic:
@@ -223,41 +223,6 @@ def assert_canonical(p):
     return p
 
 
-def ref_add(a, b):
-    out = dict(a)
-    for m, c in b.items():
-        out[m] = out.get(m, 0) + c
-    return {m: c for m, c in out.items() if c}
-
-
-def ref_mul(a, b):
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            acc = dict(m1)
-            for v, e in m2:
-                acc[v] = acc.get(v, 0) + e
-            m = tuple(sorted(acc.items()))
-            out[m] = out.get(m, 0) + c1 * c2
-    return {m: c for m, c in out.items() if c}
-
-
-def ref_derive(a):
-    out = {}
-    for mono, c in a.items():
-        for v, e in mono:
-            if v.is_constant_symbol():
-                continue
-            acc = dict(mono)
-            acc[v] -= 1
-            if not acc[v]:
-                del acc[v]
-            acc[v.derived()] = acc.get(v.derived(), 0) + 1
-            m = tuple(sorted(acc.items()))
-            out[m] = out.get(m, 0) + c * e
-    return {m: c for m, c in out.items() if c}
-
-
 def ext_poly(rng):
     return random_poly(rng, pool=EXT_POOL, max_den=9)
 
@@ -330,6 +295,71 @@ class TestInternTable:
         assert not any(t.is_alive() for t in threads)
         expected = P(" + ".join(f"2*{name}*{name}'" for name in names))
         assert len(results) == 8 and all(r == expected for r in results)
+        # Every id interned in the race has its exponent guard.
+        for name in names:
+            for v in (name, name + "'"):
+                with pytest.raises(ValueError, match="32768"):
+                    P(f"{v}^32767") * P(v)
+
+
+class TestExponentLimit:
+    """Each generator's exponent lives in a 16-bit field whose top bit is a
+    guard, so exponents stop at 2^15 - 1 = 32767."""
+
+    def test_largest_exponent_round_trips(self):
+        p = P("b1^32767")
+        assert p * DiffPoly.const(1) == p
+        assert p.terms == {((fv("b", 1), 32767),): 1}
+        assert parse_poly(p.to_text()) == p == DiffPoly.from_json(p.to_json())
+        assert (p * P("c1")).terms == {((fv("b", 1), 32767), (fv("c", 1), 1)): 1}
+
+    def test_exponents_far_below_the_limit(self):
+        assert P("b1^300") * P("b1^300") == P("b1^600")
+        assert (P("b1^300*c1") * P("b1^300*c1")).terms == {((fv("b", 1), 600), (fv("c", 1), 2)): 1}
+
+    def test_product_reaching_the_limit_raises(self):
+        with pytest.raises(ValueError, match="32768"):
+            P("b1^32767") * P("b1")
+        with pytest.raises(ValueError, match="32768"):
+            P("c1 + b1^16384*c2") * P("b1^16384 - 3")
+
+    def test_derive_reaching_the_limit_raises(self):
+        assert P("b1'^32766*b1").derive() == P("b1'^32767 + 32766*b1*b1'^32765*b1''")
+        with pytest.raises(ValueError, match="32768"):
+            P("b1'^32767*b1").derive()
+
+    def test_integration_reaching_the_limit_raises(self):
+        assert formal_integrate(P("b1^32766*b1'")) == P("1/32767*b1^32767")
+        with pytest.raises(ValueError, match="32768"):
+            formal_integrate(P("b1^32767*b1'"))
+
+    @pytest.mark.parametrize("text", ["b1^32768", "b1^20000*b1^20000", "b1^16384*c1*b1^16384", "e^99999"])
+    def test_parse_rejects(self, text):
+        with pytest.raises(PolyParseError, match="32768"):
+            parse_poly(text)
+
+    def test_json_and_constructor_reject(self):
+        with pytest.raises(PolyParseError, match="32768"):
+            DiffPoly.from_json(_term(exp=32768))
+        twice = [{"coeff": "1", "vars": [{"kind": "b", "index": 1, "dorder": 0, "exp": 20000}] * 2}]
+        with pytest.raises(PolyParseError, match="32768"):
+            DiffPoly.from_json(twice)
+        with pytest.raises(ValueError, match="32768"):
+            DiffPoly({((fv("c", 2), 40000),): 1})
+
+    def test_cli_substitution_rejects(self, tmp_path):
+        from test_cli import run_cli
+
+        sub = tmp_path / "huge.sub"
+        sub.write_text("c1 = b1s^32768\n", encoding="utf-8")
+        code, out, err = run_cli("derive", "--k", "1", "--n", "2", "--sub", str(sub))
+        assert code == 2 and out == ""
+        assert f"{sub}:1:" in err and "32768" in err
+        # d2(c1) holds c1^2, which the rule raises to b1s^40000.
+        sub.write_text("c1 = b1s^20000\n", encoding="utf-8")
+        code, out, err = run_cli("derive", "--k", "1", "--n", "2", "--sub", str(sub))
+        assert code == 2 and out == ""
+        assert "32768" in err
 
 
 def _term(**var):
