@@ -324,7 +324,7 @@ class DiffPoly:
         for m, c in self.num.items():
             ruled = [(rule, i, e) for i, e in _fields(m) if (rule := rule_at(i)) is not None]
             term = _wrap({m - sum(e << (_W * i) for _, i, e in ruled): c}, 1)
-            for rule, _, e in ruled:
+            for rule, _, e in reversed(ruled):
                 for _ in range(e):
                     term = term * rule
             result = result + term
