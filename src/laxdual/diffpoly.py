@@ -24,6 +24,13 @@ field's top (guard) bit.  Products, derivations and integration steps check
 the guard bits of their result keys and raise ValueError; parsing, JSON and
 the constructor reject larger exponents with PolyParseError.
 
+Sums of products go through DiffPoly.dot: sum w*p*q over (w, p, q) triples
+with small integer weights.  Every product lands in a single {monomial: int}
+table over the common denominator of the pairs, with no Fraction in the loop;
+the table is then filtered for zeros, checked by the same overflow guard
+(cancelled products included) and brought to lowest terms once.  The
+convolutions of fnr and loopalg use it in place of chains of * and +.
+
 Besides ring arithmetic the module provides the distinguished derivation
 (Leibniz rule, raising dorder), substitution of dorder-0 generators (extended
 to derivatives so that substitution commutes with the derivation), the
@@ -205,35 +212,13 @@ class DiffPoly:
     # -- ring arithmetic ----------------------------------------------------
 
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
-        if not other.num:
-            return self
-        if not self.num:
-            return other
-        da, db = self.den, other.den
-        if da == db:
-            tab, fb = dict(self.num), 1
-        else:
-            den = lcm(da, db)
-            fa, fb = den // da, den // db
-            tab, da = {m: c * fa for m, c in self.num.items()}, den
-        get = tab.get
-        for m, c in other.num.items():
-            s = get(m)
-            if s is None:
-                tab[m] = c * fb
-            else:
-                s += c * fb
-                if s:
-                    tab[m] = s
-                else:
-                    del tab[m]
-        return _reduced(tab, da)
+        return _merge(self, other, 1)
 
     def __neg__(self) -> "DiffPoly":
         return _wrap({m: -c for m, c in self.num.items()}, self.den)
 
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
-        return self + (-other)
+        return _merge(self, other, -1)
 
     def __mul__(self, other: "DiffPoly") -> "DiffPoly":
         if not self.num or not other.num:
@@ -246,6 +231,28 @@ class DiffPoly:
                 m = m1 + m2
                 tab[m] = get(m, 0) + c1 * c2
         return _reduced(_nonzero(_guarded(tab)), self.den * other.den)
+
+    @staticmethod
+    def dot(terms: Iterable[Tuple[int, "DiffPoly", "DiffPoly"]]) -> "DiffPoly":
+        """sum of w*p*q over the (w, p, q) triples, w a small integer weight.
+
+        Every product goes into one {monomial: int} table over the common
+        denominator of the pairs, which is then guarded and reduced once."""
+        pairs = [(w, p.num, q.num, p.den * q.den) for w, p, q in terms if w and p.num and q.num]
+        if not pairs:
+            return _ZERO
+        den = lcm(*(d for *_, d in pairs))
+        tab: Dict[int, int] = {}
+        get = tab.get
+        for w, num1, num2, d in pairs:
+            f = w * (den // d)
+            items2 = list(num2.items())
+            for m1, c1 in num1.items():
+                c1 *= f
+                for m2, c2 in items2:
+                    m = m1 + m2
+                    tab[m] = get(m, 0) + c1 * c2
+        return _reduced(_nonzero(_guarded(tab)), den)
 
     def scale(self, s) -> "DiffPoly":
         s = Fraction(s)
@@ -417,6 +424,33 @@ class DiffPoly:
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise PolyParseError(f"malformed polynomial JSON: {type(exc).__name__}: {exc}") from exc
         return DiffPoly(tab)
+
+
+def _merge(a: DiffPoly, b: DiffPoly, sign: int) -> DiffPoly:
+    """a + sign*b for sign = +-1, without building a negated copy of b."""
+    if not b.num:
+        return a
+    if not a.num:
+        return b if sign > 0 else -b
+    da, db = a.den, b.den
+    if da == db:
+        tab, fb = dict(a.num), sign
+    else:
+        den = lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        tab, da = {m: c * fa for m, c in a.num.items()}, den
+    get = tab.get
+    for m, c in b.num.items():
+        s = get(m)
+        if s is None:
+            tab[m] = c * fb
+        else:
+            s += c * fb
+            if s:
+                tab[m] = s
+            else:
+                del tab[m]
+    return _reduced(tab, da)
 
 
 def _wrap(num: Dict[int, int], den: int) -> DiffPoly:

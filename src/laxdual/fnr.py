@@ -34,7 +34,6 @@ from .loopalg import LaurentMatrix, Sl2Poly, commutator_floor, project_plus, shi
 from .report import CheckReport
 
 _HALF = Fraction(1, 2)
-_QUARTER = Fraction(1, 4)
 
 
 @dataclass(frozen=True)
@@ -65,14 +64,19 @@ def casimir_closure_a(rows: Sequence[Sl2Poly], m: int) -> DiffPoly:
 
     With a_0 = 1, b_0 = c_0 = 0 the coefficient reads
     4 a_m + sum_{i=1}^{m-1} (2 a_i a_{m-i} + b_i c_{m-i} + b_{m-i} c_i) = 0.
+    The terms i and m-i are equal, so each pair i < m-i is taken once with
+    weight 2, and the middle term i = m/2 (m even) once.
     """
     if m < 1:
         raise ValueError("casimir_closure_a needs m >= 1")
-    acc = DiffPoly.zero()
-    for i in range(1, m):
+    terms = []
+    for i in range(1, (m + 1) // 2):
         li, lmi = rows[i], rows[m - i]
-        acc = acc + li.a * lmi.a.scale(2) + li.bp * lmi.cm + lmi.bp * li.cm
-    return acc.scale(-_QUARTER)
+        terms += ((2, li.a, lmi.a), (1, li.bp, lmi.cm), (1, lmi.bp, li.cm))
+    if m % 2 == 0:
+        mid = rows[m // 2]
+        terms += ((1, mid.a, mid.a), (1, mid.bp, mid.cm))
+    return DiffPoly.dot(terms).scale(-_HALF)
 
 
 def extend_offdiagonal(rows: Sequence[Sl2Poly], p: int, k: int) -> Tuple[DiffPoly, DiffPoly]:
@@ -84,12 +88,13 @@ def extend_offdiagonal(rows: Sequence[Sl2Poly], p: int, k: int) -> Tuple[DiffPol
     """
     if p < 1:
         raise ValueError("extend_offdiagonal needs p >= 1")
-    b_new = rows[p].bp.derive().scale(_HALF)
-    c_new = rows[p].cm.derive().scale(-_HALF)
+    b_terms, c_terms = [], []
     for j in range(1, k + 1):
         lj, lo = rows[j], rows[p + k - j]
-        b_new = b_new - (lj.a * lo.bp - lo.a * lj.bp)
-        c_new = c_new - (lj.a * lo.cm - lo.a * lj.cm)
+        b_terms += ((-1, lj.a, lo.bp), (1, lo.a, lj.bp))
+        c_terms += ((-1, lj.a, lo.cm), (1, lo.a, lj.cm))
+    b_new = rows[p].bp.derive().scale(_HALF) + DiffPoly.dot(b_terms)
+    c_new = rows[p].cm.derive().scale(-_HALF) + DiffPoly.dot(c_terms)
     return b_new, c_new
 
 
@@ -164,10 +169,11 @@ def diag_consistency(table: PsiTable) -> CheckReport:
     for p in range(1, -commutator_floor(v, series) + 1):
         # The sigma3 part of [v, L] at lambda^-p; [x, y] has sigma3 part
         # x.bp*y.cm - x.cm*y.bp.
-        flow = DiffPoly.zero()
+        terms = []
         for e, m in v.coeffs.items():
             m2 = series.coeff(-p - e)
-            flow = flow + m.bp * m2.cm - m.cm * m2.bp
+            terms += ((1, m.bp, m2.cm), (-1, m.cm, m2.bp))
+        flow = DiffPoly.dot(terms)
         residual = table.rows[p].a.derive() - flow
         report.add(f"p={p}", residual.is_zero(), residual.to_text())
     return report

@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Tuple
 from .diffpoly import DiffPoly
 
 _DP_ZERO = DiffPoly.zero()
-_DP_TWO = DiffPoly.const(2)
 
 
 class DepthExhausted(ValueError):
@@ -55,7 +54,7 @@ class Sl2Poly:
 
     def trace_with(self, other: "Sl2Poly") -> DiffPoly:
         """Killing pairing Tr(XY) = 2 a a' + bp cm' + cm bp'."""
-        return _DP_TWO * self.a * other.a + self.bp * other.cm + self.cm * other.bp
+        return DiffPoly.dot(((2, self.a, other.a), (1, self.bp, other.cm), (1, self.cm, other.bp)))
 
     @staticmethod
     def sigma3() -> "Sl2Poly":
@@ -71,10 +70,16 @@ def sl2_commutator(x: Sl2Poly, y: Sl2Poly) -> Sl2Poly:
 
     [sigma3, sigma+-] = +-2 sigma+-,  [sigma+, sigma-] = sigma3.
     """
-    return Sl2Poly(
-        a=x.bp * y.cm - x.cm * y.bp,
-        bp=(x.a * y.bp - y.a * x.bp).scale(2),
-        cm=(x.a * y.cm - y.a * x.cm).scale(-2),
+    a, bp, cm = _commutator_terms(x, y)
+    return Sl2Poly(DiffPoly.dot(a), DiffPoly.dot(bp), DiffPoly.dot(cm))
+
+
+def _commutator_terms(x: Sl2Poly, y: Sl2Poly):
+    """The (weight, p, q) products of the a, bp and cm components of [x, y]."""
+    return (
+        ((1, x.bp, y.cm), (-1, x.cm, y.bp)),
+        ((2, x.a, y.bp), (-2, y.a, x.bp)),
+        ((-2, x.a, y.cm), (2, y.a, x.cm)),
     )
 
 
@@ -176,16 +181,20 @@ def lm_commutator(x: LaurentMatrix, y: LaurentMatrix) -> LaurentMatrix:
     possibly-nonzero coefficients of the other; products below it are skipped.
     """
     floor = commutator_floor(x, y)
-    tab: Dict[int, Sl2Poly] = {}
+    # Per exponent, the products of the a, bp and cm components of every
+    # [x_i, y_j] that lands there, summed by one dot each.
+    groups: Dict[int, Tuple[list, list, list]] = {}
     for e1, m1 in x.coeffs.items():
         for e2, m2 in y.coeffs.items():
             e = e1 + e2
             if floor is not None and e < floor:
                 continue
-            c = sl2_commutator(m1, m2)
-            if not c.is_zero():
-                tab[e] = tab[e] + c if e in tab else c
-    return LaurentMatrix(tab, floor)
+            for acc, terms in zip(groups.setdefault(e, ([], [], [])), _commutator_terms(m1, m2)):
+                acc += terms
+    return LaurentMatrix(
+        {e: Sl2Poly(DiffPoly.dot(a), DiffPoly.dot(bp), DiffPoly.dot(cm)) for e, (a, bp, cm) in groups.items()},
+        floor,
+    )
 
 
 def shift(x: LaurentMatrix, k: int) -> LaurentMatrix:

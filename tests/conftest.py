@@ -9,7 +9,7 @@ import pytest
 
 from laxdual import fnr
 from laxdual.diffpoly import DiffPoly, FieldVar, parse_poly
-from laxdual.fnr import PsiTable, casimir_closure_a, extend_offdiagonal
+from laxdual.fnr import PsiTable
 from laxdual.loopalg import Sl2Poly
 
 
@@ -104,16 +104,35 @@ def rng() -> random.Random:
     return random.Random(20411)
 
 
+def reference_closure_a(rows, m: int) -> DiffPoly:
+    """a_m from the full textbook sum over i = 1..m-1, with plain * and +:
+    4 a_m + sum_i (2 a_i a_{m-i} + b_i c_{m-i} + b_{m-i} c_i) = 0."""
+    acc = DiffPoly.zero()
+    for i in range(1, m):
+        li, lmi = rows[i], rows[m - i]
+        acc = acc + DiffPoly.const(2) * li.a * lmi.a + li.bp * lmi.cm + lmi.bp * li.cm
+    return acc * DiffPoly.const(Fraction(-1, 4))
+
+
 def reference_rows(k: int, depth: int):
-    """Rows 0..depth of the t_k table rebuilt from the two recursions on a
-    private row list, never touching the shared store of build_psi."""
+    """Rows 0..depth of the t_k table rebuilt from the two textbook recursions
+    with plain * and +, on a private row list: an oracle that shares neither
+    the row store of build_psi nor the fused products of fnr."""
+    half, minus_half = DiffPoly.const(Fraction(1, 2)), DiffPoly.const(Fraction(-1, 2))
     rows = [Sl2Poly(a=DiffPoly.const(1))]
     for j in range(1, depth + 1):
         if j <= k:
             bj, cj = DiffPoly.var("b", j), DiffPoly.var("c", j)
         else:
-            bj, cj = extend_offdiagonal(rows, j - k, k)
-        rows.append(Sl2Poly(a=casimir_closure_a(rows, j), bp=bj, cm=cj))
+            # d_k l_p = sum_{i=0}^{k} [l_i, l_{p+k-i}], sigma+ and sigma- parts.
+            p = j - k
+            bj = rows[p].bp.derive() * half
+            cj = rows[p].cm.derive() * minus_half
+            for i in range(1, k + 1):
+                li, lo = rows[i], rows[p + k - i]
+                bj = bj - li.a * lo.bp + lo.a * li.bp
+                cj = cj - li.a * lo.cm + lo.a * li.cm
+        rows.append(Sl2Poly(a=reference_closure_a(rows, j), bp=bj, cm=cj))
     return rows
 
 

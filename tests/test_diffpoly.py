@@ -18,7 +18,19 @@ from laxdual.diffpoly import (
     parse_poly,
 )
 
-from conftest import EXT_POOL, P, fv, random_poly, ref_add, ref_derive, ref_mul
+from laxdual.fnr import casimir_closure_a
+
+from conftest import (
+    EXT_POOL,
+    P,
+    fv,
+    random_poly,
+    ref_add,
+    ref_derive,
+    ref_mul,
+    reference_closure_a,
+    reference_rows,
+)
 
 
 class TestArithmetic:
@@ -51,6 +63,46 @@ class TestArithmetic:
     def test_zero_is_empty_table(self):
         assert (P("b1") - P("b1")).terms == {}
         assert DiffPoly.zero().is_zero()
+
+
+class TestDot:
+    """DiffPoly.dot: a weighted sum of products in one table."""
+
+    def test_matches_reference_products(self, rng):
+        third, five_sevenths = Fraction(1, 3), Fraction(5, 7)
+        for _ in range(25):
+            # Odd denominators 3 and 7 on top of random_poly's 1..4.
+            triples = [
+                (w, random_poly(rng, pool=EXT_POOL).scale(third), random_poly(rng, pool=EXT_POOL).scale(five_sevenths))
+                for w in (1, -1, 2, -2)
+            ]
+            want, chain = {}, DiffPoly.zero()
+            for w, p, q in triples:
+                want = ref_add(want, {m: w * c for m, c in ref_mul(p.terms, q.terms).items()})
+                chain = chain + DiffPoly.const(w) * p * q
+            got = DiffPoly.dot(triples)
+            assert got.terms == want
+            assert got == chain  # same canonical (num, den)
+
+    def test_empty_and_cancelling_sums_are_zero(self):
+        p, q = P("1/3*b1 - 5/7*c1'"), P("b2*e + 2/3")
+        for triples in ([], [(2, p, q), (-1, q, p), (-1, p, q)], [(0, p, q)], [(1, DiffPoly.zero(), q)]):
+            out = DiffPoly.dot(triples)
+            assert out == DiffPoly.zero() and out.den == 1
+
+    def test_exponent_reaching_the_limit_raises(self):
+        big = P("b1^20000")
+        with pytest.raises(ValueError, match="32768"):
+            DiffPoly.dot([(1, big, big)])
+        # The guard reads every product, also those that cancel.
+        with pytest.raises(ValueError, match="32768"):
+            DiffPoly.dot([(1, big, big), (-1, big, big)])
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_symmetric_casimir_closure_matches_the_full_sum(self, k):
+        rows = reference_rows(k, 12)
+        for m in range(1, 13):
+            assert casimir_closure_a(rows, m) == reference_closure_a(rows, m)
 
 
 class TestDerive:

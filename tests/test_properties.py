@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from laxdual.diffpoly import DiffPoly, FieldVar, formal_integrate, parse_poly  # noqa: E402
 
-from conftest import ref_derive, ref_mul, ref_partial  # noqa: E402
+from conftest import ref_add, ref_derive, ref_mul, ref_partial  # noqa: E402
 
 BASES = [FieldVar(kind, index) for kind in ("b", "c") for index in (1, 2)]
 bases = st.sampled_from(BASES)
@@ -71,9 +71,14 @@ def test_substitution_commutes_with_derive(p, r):
 
 
 @settings(deadline=None)
-@given(polys(pool=ext_fields), polys(pool=ext_fields, max_factors=5), ext_fields)
-def test_kernel_matches_reference(p, q, v):
+@given(polys(pool=ext_fields), polys(pool=ext_fields, max_factors=5), ext_fields, st.tuples(*[st.integers(-3, 3)] * 3))
+def test_kernel_matches_reference(p, q, v, w):
     a, b = p.terms, q.terms
     assert (p * q).terms == ref_mul(a, b)
+    products = [ref_mul(a, b), ref_mul(b, b), ref_mul(a, a)]
+    want = {}
+    for wi, prod in zip(w, products):
+        want = ref_add(want, {m: wi * c for m, c in prod.items()})
+    assert DiffPoly.dot(zip(w, (p, q, p), (q, q, p))).terms == want
     assert p.derive().terms == ref_derive(a)
     assert (p * q).partial(v).terms == ref_partial(ref_mul(a, b), v)
