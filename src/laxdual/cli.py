@@ -64,7 +64,10 @@ def _read_config(path: Optional[str]) -> Dict[str, str]:
                 if "=" not in line:
                     raise CliError(f"{path}:{lineno}: expected key=value")
                 key, _, value = line.partition("=")
-                values[key.strip()] = value.strip()
+                key = key.strip()
+                if key in values:
+                    raise CliError(f"{path}:{lineno}: repeated key {key!r}")
+                values[key] = value.strip()
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}") from exc
     return values
@@ -89,6 +92,8 @@ def _read_substitutions(path: str) -> Dict[FieldVar, DiffPoly]:
             lhs = parse_fieldvar(lhs_text.strip())
             if lhs.dorder != 0:
                 raise CliError(f"{path}:{lineno}: substitution target must be underived")
+            if lhs in rules:
+                raise CliError(f"{path}:{lineno}: repeated substitution target {lhs_text.strip()!r}")
             rules[lhs] = parse_poly(rhs_text)
         except ValueError as exc:
             raise CliError(f"{path}:{lineno}: {exc}") from exc
@@ -311,8 +316,16 @@ def _add_common(
     parser.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flags only in full, in every subcommand too: an abbreviation such as
+    --dep would escape _merge_config, and the config default would win."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="laxdual",
         description="Integrable-hierarchy engine: constraint maps, Lax pairs, "
         "zero-curvature PDEs, r-matrix and Hamiltonian verification.",

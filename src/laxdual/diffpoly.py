@@ -31,6 +31,13 @@ the table is then filtered for zeros, checked by the same overflow guard
 (cancelled products included) and brought to lowest terms once.  The
 convolutions of fnr and loopalg use it in place of chains of * and +.
 
+A DiffPoly keeps its first derivative in the slot _d once derive computes it,
+so p.derive(l) walks a chain of kept derivatives.  DiffPoly is immutable and
+the cache is keyed by object identity: a derivative lives exactly as long as
+its polynomial (the row store of fnr evicts nothing, so its rows' derivatives
+stay too), and an equal polynomial built afresh derives afresh.  A derivation
+that raises keeps nothing.
+
 Besides ring arithmetic the module provides the distinguished derivation
 (Leibniz rule, raising dorder), substitution of dorder-0 generators (extended
 to derivatives so that substitution commutes with the derivation), the
@@ -124,6 +131,15 @@ def _fields(m: int) -> List[Tuple[int, int]]:
     return out
 
 
+def _step(i: int) -> int:
+    """_DERIV[i], filled on first use."""
+    step = _DERIV.get(i)
+    if step is None:
+        v = _VARS[i]
+        step = _DERIV[i] = 0 if v.is_constant_symbol() else (1 << (_W * _vid(v.derived()))) - (1 << (_W * i))
+    return step
+
+
 def _pack(mono: Monomial) -> int:
     exps: Dict[int, int] = {}
     for v, e in mono:
@@ -147,7 +163,7 @@ class DiffPoly:
     """Immutable sparse differential polynomial: integer numerators over one
     common denominator, in the canonical form described in the module doc."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_d")  # _d: the first derivative, once computed
 
     def __init__(self, terms: Optional[Mapping[Monomial, Fraction]] = None):
         fracs: Dict[int, Fraction] = {}
@@ -157,6 +173,7 @@ class DiffPoly:
         den = lcm(*(c.denominator for c in fracs.values()))
         self.num = {m: c.numerator * (den // c.denominator) for m, c in fracs.items() if c}
         self.den = den
+        self._d = None
 
     # -- constructors ------------------------------------------------------
 
@@ -276,23 +293,15 @@ class DiffPoly:
     # -- calculus -----------------------------------------------------------
 
     def derive(self, times: int = 1) -> "DiffPoly":
-        """Distinguished derivation, applied `times` times (Leibniz rule)."""
+        """Distinguished derivation, applied `times` times (Leibniz rule).
+
+        Each first derivative is computed once and kept on its polynomial."""
         p = self
         for _ in range(times):
-            tab: Dict[int, int] = {}
-            get = tab.get
-            for m, c in p.num.items():
-                for i, e in _fields(m):
-                    step = _DERIV.get(i)
-                    if step is None:
-                        v = _VARS[i]
-                        step = 0 if v.is_constant_symbol() else (1 << (_W * _vid(v.derived()))) - (1 << (_W * i))
-                        _DERIV[i] = step
-                    if step:
-                        # d(v^e * rest) -> e * v^(e-1) * v' * rest
-                        key = m + step
-                        tab[key] = get(key, 0) + c * e
-            p = _reduced(_nonzero(_guarded(tab)), p.den)
+            d = p._d
+            if d is None:
+                d = p._d = _derivative(p)
+            p = d
         return p
 
     def partial(self, v: FieldVar) -> "DiffPoly":
@@ -426,6 +435,26 @@ class DiffPoly:
         return DiffPoly(tab)
 
 
+def _derivative(p: DiffPoly) -> DiffPoly:
+    """The first derivative of p, computed afresh."""
+    steps = {_W * i: _step(i) for i in p._ids()}  # keyed by field shift
+    tab: Dict[int, int] = {}
+    get = tab.get
+    for m, c in p.num.items():
+        # d(v^e * rest) -> e * v^(e-1) * v' * rest for each factor; the
+        # decode is _fields inlined, as in _walk.
+        x = m
+        while x:
+            s = (x.bit_length() - 1) // _W * _W
+            e = x >> s
+            x -= e << s
+            step = steps[s]
+            if step:
+                key = m + step
+                tab[key] = get(key, 0) + c * e
+    return _reduced(_nonzero(_guarded(tab)), p.den)
+
+
 def _merge(a: DiffPoly, b: DiffPoly, sign: int) -> DiffPoly:
     """a + sign*b for sign = +-1, without building a negated copy of b."""
     if not b.num:
@@ -458,6 +487,7 @@ def _wrap(num: Dict[int, int], den: int) -> DiffPoly:
     p = object.__new__(DiffPoly)
     p.num = num
     p.den = den
+    p._d = None
     return p
 
 

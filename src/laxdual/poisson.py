@@ -245,31 +245,29 @@ class _Riccati:
     def expansion(self, depth: int) -> WZExpansion:
         k, rows, betas, gammas = self.k, self.rows, self.betas, self.gammas
         for j in range(len(betas), depth + k):
-            if j <= k:
-                rhs_b, rhs_c = -rows[j].bp, -rows[j].cm
-            else:
-                rhs_b = rhs_c = DiffPoly.zero()
-            for m in range(1, min(k, j - 1) + 1):
-                if not rows[m].a.is_zero():
-                    rhs_b = rhs_b - rows[m].a * betas[j - m].scale(2)
-                    rhs_c = rhs_c + rows[m].a * gammas[j - m].scale(2)
+            b_terms = [(-2, rows[m].a, betas[j - m]) for m in range(1, min(k, j - 1) + 1)]
+            c_terms = [(2, rows[m].a, gammas[j - m]) for m in range(1, min(k, j - 1) + 1)]
             for m in range(1, min(k, j - 2) + 1):
-                om_b, om_c = rows[m].bp, rows[m].cm
-                for i1 in range(1, j - m):
-                    i2 = j - m - i1
-                    rhs_b = rhs_b + betas[i1] * om_c * betas[i2]
-                    rhs_c = rhs_c + gammas[i1] * om_b * gammas[i2]
-            if j > k:
-                rhs_b = rhs_b + betas[j - k].derive()
-                rhs_c = rhs_c + gammas[j - k].derive()
+                # w_{i1} O_m w_{i2} over i1 + i2 = s: the pair i1 < i2 equals
+                # its mirror, so it is taken once with weight 2, the middle once.
+                om_b, om_c, s = rows[m].bp, rows[m].cm, j - m
+                for i1 in range(1, s // 2 + 1):
+                    w = 1 if 2 * i1 == s else 2
+                    b_terms.append((w, betas[i1] * om_c, betas[s - i1]))
+                    c_terms.append((w, gammas[i1] * om_b, gammas[s - i1]))
+            rhs_b, rhs_c = DiffPoly.dot(b_terms), DiffPoly.dot(c_terms)
+            if j <= k:
+                rhs_b, rhs_c = rhs_b - rows[j].bp, rhs_c - rows[j].cm
+            else:
+                rhs_b, rhs_c = rhs_b + betas[j - k].derive(), rhs_c + gammas[j - k].derive()
             betas.append(rhs_b.scale(_HALF))
             gammas.append(rhs_c.scale(-_HALF))
         for n in range(len(self.densities) + 1, depth + 1):
-            acc = DiffPoly.zero()
+            terms = []
             for m in range(1, k + 1):
                 i = n + k - m
-                acc = acc + rows[m].bp * gammas[i] - rows[m].cm * betas[i]
-            self.densities.append(acc.scale(_HALF))
+                terms += ((1, rows[m].bp, gammas[i]), (-1, rows[m].cm, betas[i]))
+            self.densities.append(DiffPoly.dot(terms).scale(_HALF))
         return WZExpansion(
             k=k,
             depth=depth,

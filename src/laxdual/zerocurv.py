@@ -46,7 +46,6 @@ class PdeSystem:
     n: int
     evolution: Dict[FieldVar, DiffPoly]
     auxiliary: Dict[FieldVar, DiffPoly] = field(default_factory=dict)
-    _dcache: Dict[FieldVar, DiffPoly] = field(default_factory=dict, repr=False, compare=False)
 
     def rhs(self, kind: str, index: int) -> DiffPoly:
         return self.evolution[FieldVar(kind, index)]
@@ -54,21 +53,18 @@ class PdeSystem:
     def derivative(self, p: DiffPoly) -> DiffPoly:
         """Extend d_n to any polynomial by the chain rule.
 
-        d_n and the distinguished d_k commute, so d_n(u^(l)) = d_k^l(d_n u).
+        d_n and the distinguished d_k commute, so d_n(u^(l)) = d_k^l(d_n u);
+        DiffPoly keeps those derivatives, so each is computed once.
         """
-        out = DiffPoly.zero()
+        terms = []
         for v in p.variables():
             if v.is_constant_symbol():
                 continue
-            rule = self._dcache.get(v)
-            if rule is None:
-                base = self.evolution.get(v.base())
-                if base is None:
-                    raise KeyError(f"no evolution rule for field {v.kind}{v.index}")
-                rule = base.derive(v.dorder) if v.dorder else base
-                self._dcache[v] = rule
-            out = out + p.partial(v) * rule
-        return out
+            base = self.evolution.get(v.base())
+            if base is None:
+                raise KeyError(f"no evolution rule for field {v.kind}{v.index}")
+            terms.append((1, p.partial(v), base.derive(v.dorder)))
+        return DiffPoly.dot(terms)
 
     def fields(self) -> List[FieldVar]:
         return sorted(self.evolution)

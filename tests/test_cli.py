@@ -66,6 +66,13 @@ class TestDerive:
         assert code == 2 and out == ""
         assert f"{sub}:2:" in err
 
+    def test_substitution_rejects_repeated_target(self, tmp_path):
+        sub = tmp_path / "twice.sub"
+        sub.write_text("b1 = c1\n# the second rule for b1 used to win silently\nb1 = 2*c1\n", encoding="utf-8")
+        code, out, err = run_cli("derive", "--k", "1", "--n", "2", "--sub", str(sub))
+        assert code == 2 and out == ""
+        assert f"{sub}:3:" in err and "'b1'" in err
+
     def test_usage_error_on_bad_k(self):
         code, _, err = run_cli("derive", "--k", "0", "--n", "2")
         assert code == 2
@@ -208,6 +215,40 @@ class TestPlumbing:
         assert run_cli("derive", "--k", "2", "--n", "4")[0] == 0
         assert run_cli("verify", "duality", "--n", "2", "--k", "4")[0] == 0
         assert {k: len(store.rows) for k, store in fresh_store.items()} == {2: 5, 4: 5}
+
+    def test_config_rejects_repeated_key(self, tmp_path):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("depth=3\nk=1\ndepth = 4\n", encoding="utf-8")
+        code, out, err = run_cli("--config", str(cfg), "psi")
+        assert code == 2 and out == ""
+        assert f"{cfg}:3:" in err and "'depth'" in err
+
+    def test_full_flag_beats_config_default(self, tmp_path):
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text("depth=5\n", encoding="utf-8")
+        code, out, _ = run_cli("--config", str(cfg), "psi", "--k", "1", "--depth", "2")
+        assert code == 0 and out.startswith("# psi table: k=1 depth=2\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("psi", "--k", "1", "--dep", "2"),
+            ("psi", "--k", "1", "--depth=2", "--form", "json"),
+            ("verify", "flow", "--k", "1", "--n", "2", "--form", "text"),
+            ("--conf", "CFG", "psi", "--k", "1"),
+        ],
+        ids=["dep", "form", "verify-form", "conf"],
+    )
+    def test_abbreviated_flag_is_a_usage_error(self, tmp_path, argv):
+        # With prefixes allowed, "--dep 2" escaped the config merge, which
+        # appended "--depth 5" after it, and the config default won.
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text("depth=5\n", encoding="utf-8")
+        argv = [str(cfg) if a == "CFG" else a for a in argv]
+        for prefix in ([], ["--config", str(cfg)]):
+            code, out, err = run_cli(*prefix, *argv)
+            assert code == 2 and out == ""
+            assert "unrecognized arguments" in err or "invalid choice" in err
 
     def test_config_key_no_subcommand_defines(self, tmp_path):
         cfg = tmp_path / "typo.cfg"

@@ -18,7 +18,7 @@ from laxdual.diffpoly import (
     parse_poly,
 )
 
-from laxdual.fnr import casimir_closure_a
+from laxdual.fnr import build_psi, casimir_closure_a
 
 from conftest import (
     EXT_POOL,
@@ -119,6 +119,55 @@ class TestDerive:
         for _ in range(20):
             p, q = random_poly(rng), random_poly(rng)
             assert (p * q).derive() == p.derive() * q + p * q.derive()
+
+    def test_first_derivative_is_kept(self, rng):
+        for _ in range(20):
+            p = random_poly(rng, pool=EXT_POOL)
+            want = ref_derive(p.terms)
+            first = p.derive()
+            assert first.terms == want
+            assert p.derive() is first and p.derive().terms == want
+            assert p.derive(3) is first.derive().derive()
+            # A copy holds no derivatives, so it derives afresh.
+            copy = DiffPoly.from_json(p.to_json())
+            assert p.derive(3) == copy.derive().derive().derive()
+            assert p.derive(3).terms == ref_derive(ref_derive(want))
+
+    def test_overflow_keeps_nothing(self):
+        p = P("b1'^32766*b1^2")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="32768"):
+                p.derive(2)
+        # The first step stands; only the step that overflowed is not kept.
+        assert p.derive() == P("2*b1*b1'^32767 + 32766*b1^2*b1'^32765*b1''")
+        with pytest.raises(ValueError, match="32768"):
+            p.derive().derive()
+
+    def test_concurrent_derivation_agrees(self, fresh_store):
+        # Row 10 of a fresh t_2 store: the rows above it were never built, so
+        # nothing has derived it yet and the threads race to.
+        row = build_psi(2, 10).rows[10].bp
+        want = ref_derive(ref_derive(ref_derive(row.terms)))
+        barrier = threading.Barrier(8)
+        results = []
+
+        def work():
+            barrier.wait(timeout=60)
+            results.append(row.derive(3))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8 and all(r.terms == want for r in results)
+        assert row.derive(3) == results[0]
 
 
 class TestSubstitute:

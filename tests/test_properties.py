@@ -52,6 +52,17 @@ def test_json_roundtrip(p):
 
 
 @settings(deadline=None)
+@given(polys(pool=ext_fields), st.integers(1, 3))
+def test_kept_derivative_matches_reference(p, times):
+    want = p.terms
+    for _ in range(times):
+        want = ref_derive(want)
+    first = p.derive(times)
+    assert first.terms == want
+    assert p.derive(times) is first
+
+
+@settings(deadline=None)
 @given(polys(), bases)
 def test_euler_kills_total_derivatives(p, u):
     assert p.derive().euler(u).is_zero()
