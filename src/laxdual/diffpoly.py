@@ -20,9 +20,10 @@ from ints; Fraction appears only in constructors, `scale`, `constant_term`,
 
 Exponents stay below EXP_LIMIT = 2^15.  Two such fields sum to less than 2^16,
 so no product carries into the next field, and a sum that reaches 2^15 sets the
-field's top (guard) bit.  Products, derivations and integration steps check
-the guard bits of their result keys and raise ValueError; parsing, JSON and
-the constructor reject larger exponents with PolyParseError.
+field's top (guard) bit.  Products, derivations, substitutions and
+integration steps check the guard bits of their result keys and raise
+ValueError; parsing, JSON and the constructor reject larger exponents with
+PolyParseError.
 
 Sums of products go through DiffPoly.dot: sum w*p*q over (w, p, q) triples
 with small integer weights.  Every product lands in a single {monomial: int}
@@ -37,6 +38,13 @@ the cache is keyed by object identity: a derivative lives exactly as long as
 its polynomial (the row store of fnr evicts nothing, so its rows' derivatives
 stay too), and an equal polynomial built afresh derives afresh.  A derivation
 that raises keeps nothing.
+
+The Euler operator sum_l (-d)^l P_l, P_l the partial by u^(l), is evaluated in
+Horner form P_0 - d(P_1 - d(P_2 - ...)): one derivation per order, not l of
+them for each P_l.  substitute computes each power rule^e it needs once per
+call, multiplies each monomial's powers in ascending id order, and sums every
+image into one {monomial: int} table over the common denominator of the
+images, guarded (cancelled terms included) and reduced once, as dot does.
 
 Besides ring arithmetic the module provides the distinguished derivation
 (Leibniz rule, raising dorder), substitution of dorder-0 generators (extended
@@ -328,6 +336,7 @@ class DiffPoly:
         if not base_rules:
             return self
         rule_of: Dict[int, Optional[DiffPoly]] = {}
+        powers: Dict[Tuple[int, int], DiffPoly] = {}
 
         def rule_at(i: int) -> Optional[DiffPoly]:
             if i not in rule_of:
@@ -336,26 +345,53 @@ class DiffPoly:
                 rule_of[i] = rhs if rhs is None or not v.dorder else rule_at(_vid(v.derived(-1))).derive()
             return rule_of[i]
 
-        result = _ZERO
+        def power(i: int, e: int) -> DiffPoly:
+            """rule_at(i)^e; each power is multiplied out once per call."""
+            rule = p = rule_at(i)
+            for j in range(2, e + 1):
+                q = powers.get((i, j))
+                if q is None:
+                    q = powers[i, j] = p * rule
+                p = q
+            return p
+
+        # Each monomial becomes (rest, c, product of its rules' powers); the
+        # products are then summed into one table over their common denominator.
+        images = []
         for m, c in self.num.items():
-            ruled = [(rule, i, e) for i, e in _fields(m) if (rule := rule_at(i)) is not None]
-            term = _wrap({m - sum(e << (_W * i) for _, i, e in ruled): c}, 1)
-            for rule, _, e in reversed(ruled):
-                for _ in range(e):
-                    term = term * rule
-            result = result + term
-        return _reduced(result.num, result.den * self.den)
+            rest, prod = m, None
+            for i, e in reversed(_fields(m)):  # ascending id
+                if rule_at(i) is not None:
+                    rest -= e << (_W * i)
+                    prod = power(i, e) if prod is None else prod * power(i, e)
+            if prod is None:
+                images.append((m, c, 1, {0: 1}))
+            elif prod.num:
+                images.append((rest, c, prod.den, prod.num))
+        if not images:
+            return _ZERO
+        den = lcm(*(d for _, _, d, _ in images))
+        tab: Dict[int, int] = {}
+        get = tab.get
+        for rest, c, d, num in images:
+            c *= den // d
+            for m2, c2 in num.items():
+                m = rest + m2
+                tab[m] = get(m, 0) + c * c2
+        return _reduced(_nonzero(_guarded(tab)), den * self.den)
 
     def euler(self, target: FieldVar) -> "DiffPoly":
-        """Variational derivative: sum_l (-d)^l of d(self)/d(target^(l))."""
+        """Variational derivative: sum_l (-d)^l of d(self)/d(target^(l)).
+
+        Evaluated in Horner form P_0 - d(P_1 - d(P_2 - ...)), P_l the partial
+        by target^(l): one derivation per order."""
         if target.dorder != 0:
             raise ValueError("euler target must be a dorder-0 generator")
         out = _ZERO
-        for order in range(self.max_dorder() + 1):
+        for order in range(self.max_dorder(), -1, -1):
             part = self.partial(FieldVar(target.kind, target.index, order))
-            if not part.is_zero():
-                part = part.derive(order)
-                out = out - part if order % 2 else out + part
+            # A zero is never derived, so the shared _ZERO keeps no derivative.
+            out = part - out.derive() if out.num else part
         return out
 
     # -- output --------------------------------------------------------------

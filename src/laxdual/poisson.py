@@ -80,12 +80,11 @@ class BracketTable:
 
     def gradient_bracket(self, dp: Dict[FieldVar, DiffPoly], dq: Dict[FieldVar, DiffPoly]) -> DiffPoly:
         """{p, q} from the gradients of p and q."""
-        out = DiffPoly.zero()
-        for (u, v), p_uv in self.entries.items():
-            du, dv = dp.get(u), dq.get(v)
-            if du is not None and dv is not None:
-                out = out + du * p_uv * dv
-        return out
+        return DiffPoly.dot(
+            (1, du * p_uv, dv)
+            for (u, v), p_uv in self.entries.items()
+            if (du := dp.get(u)) is not None and (dv := dq.get(v)) is not None
+        )
 
     def jacobi_check(self) -> CheckReport:
         """Field-dependent bivector Jacobi identity on all field triples."""
@@ -289,14 +288,10 @@ def flow_from_hamiltonian(table: PsiTable, n: int) -> PdeSystem:
     density = hamiltonian_density(table, n)
     brackets = field_bracket_table(table)
     variations = {v: density.euler(v) for v in brackets.fields}
-    evolution: Dict[FieldVar, DiffPoly] = {}
-    for u in brackets.fields:
-        acc = DiffPoly.zero()
-        for v in brackets.fields:
-            p_uv = brackets.entries.get((u, v))
-            if p_uv is not None and not variations[v].is_zero():
-                acc = acc + p_uv * variations[v]
-        evolution[u] = acc
+    evolution = {
+        u: DiffPoly.dot((1, p_uv, variations[v]) for (w, v), p_uv in brackets.entries.items() if w == u)
+        for u in brackets.fields
+    }
     return PdeSystem(k=table.k, n=n, evolution=evolution)
 
 
@@ -316,15 +311,10 @@ def hamiltonians_commute(table: PsiTable, n1: int, n2: int) -> DiffPoly:
     d1 = hamiltonian_density(table, n1)
     d2 = hamiltonian_density(table, n2)
     brackets = field_bracket_table(table)
-    acc = DiffPoly.zero()
-    for (u, v), p_uv in brackets.entries.items():
-        e1 = d1.euler(u)
-        if e1.is_zero():
-            continue
-        e2 = d2.euler(v)
-        if not e2.is_zero():
-            acc = acc + p_uv * e1 * e2
-    return acc
+    # Each field's Euler derivative once per density, then one bracket of the
+    # two variational gradients.
+    e1, e2 = ({u: e for u in brackets.fields if not (e := d.euler(u)).is_zero()} for d in (d1, d2))
+    return brackets.gradient_bracket(e1, e2)
 
 
 # -- resolvent ---------------------------------------------------------------------
@@ -349,11 +339,11 @@ def resolvent_check(table: PsiTable, depth: int) -> CheckReport:
     report = CheckReport(f"resolvent(k={table.k})")
     for j in range(0, depth + 1):
         if j:
-            s.append(sum((beta[i] * gamma[j - i] for i in range(1, j)), zero))
-            g.append(sum((s[i] * g[j - i] for i in range(1, j + 1)), zero))
+            s.append(DiffPoly.dot((1, beta[i], gamma[j - i]) for i in range(1, j)))
+            g.append(DiffPoly.dot((1, s[i], g[j - i]) for i in range(1, j + 1)))
         a = g[j].scale(2) if j else g[0]  # 2 g_j - delta_{j0}
-        bp = sum((beta[i] * g[j - i] for i in range(1, j + 1)), zero).scale(-2)
-        cm = sum((gamma[i] * g[j - i] for i in range(1, j + 1)), zero).scale(2)
+        bp = DiffPoly.dot((-2, beta[i], g[j - i]) for i in range(1, j + 1))
+        cm = DiffPoly.dot((2, gamma[i], g[j - i]) for i in range(1, j + 1))
         row = table.rows[j]
         residual_parts = (a - row.a, bp - row.bp, cm - row.cm)
         report.add(

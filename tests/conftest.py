@@ -99,6 +99,37 @@ def ref_partial(a, v):
     return out
 
 
+def ref_euler(a, u):
+    """The textbook sum over l of (-D)^l applied to the partial by u^(l)."""
+    out = {}
+    top = max((v.dorder for mono in a for v, _ in mono), default=0)
+    for order in range(top + 1):
+        term = ref_mul({(): Fraction(-1) ** order}, ref_partial(a, u.derived(order)))
+        for _ in range(order):
+            term = ref_derive(term)
+        out = ref_add(out, term)
+    return out
+
+
+def ref_substitute(a, rules):
+    """Each monomial rebuilt factor by factor: a generator whose base has a
+    rule becomes that rule derived dorder times, any other stays."""
+    out = {}
+    for mono, c in a.items():
+        term = {(): c}
+        for v, e in mono:
+            image = rules.get(v.base())
+            if image is None:
+                image = {((v, 1),): Fraction(1)}
+            else:
+                for _ in range(v.dorder):
+                    image = ref_derive(image)
+            for _ in range(e):
+                term = ref_mul(term, image)
+        out = ref_add(out, term)
+    return out
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20411)

@@ -28,6 +28,7 @@ from conftest import (
     ref_add,
     ref_derive,
     ref_mul,
+    ref_substitute,
     reference_closure_a,
     reference_rows,
 )
@@ -193,6 +194,14 @@ class TestSubstitute:
         for _ in range(15):
             p = random_poly(rng)
             assert p.substitute(rules).derive() == p.derive().substitute(rules)
+
+    def test_matches_reference_on_each_kind_of_rule(self):
+        # A rule holding its own target, a rule to a constant and a rule to 0,
+        # all over odd denominators, on powers and derivatives of the targets.
+        rules = {fv("b", 1): P("1/3*b1 + 5/7*c1'"), fv("c", 1): P("-3/5"), fv("b", 2): DiffPoly.zero()}
+        p = P("1/9*b1^3*c1^2 + 7/3*b1'^2*b1 - 3/5*b2*c1 + e*b1s*b1^4 + c1'*b1s'")
+        want = ref_substitute(p.terms, {v: rhs.terms for v, rhs in rules.items()})
+        assert p.substitute(rules).terms == want
 
     def test_rejects_derived_targets(self):
         with pytest.raises(ValueError):
@@ -433,6 +442,21 @@ class TestExponentLimit:
         assert formal_integrate(P("b1^32766*b1'")) == P("1/32767*b1^32767")
         with pytest.raises(ValueError, match="32768"):
             formal_integrate(P("b1^32767*b1'"))
+
+    def test_substitution_reaching_the_limit_raises(self):
+        huge = P("b2^20000")
+        assert P("b2^12767*b1").substitute({fv("b", 1): huge}) == P("b2^32767")
+        with pytest.raises(ValueError, match="32768"):
+            P("b1^2").substitute({fv("b", 1): huge})
+        # The overflowing terms cancel, and the guard must still see them.
+        with pytest.raises(ValueError, match="32768"):
+            P("b1^2 - c1^2").substitute({fv("b", 1): huge, fv("c", 1): huge})
+        # Each rule's power is in range; only its product with the rest of the
+        # monomial overflows, which the one table's guard alone can see.
+        with pytest.raises(ValueError, match="32768"):
+            P("b2^20000*b1").substitute({fv("b", 1): huge})
+        with pytest.raises(ValueError, match="32768"):
+            P("b2^20000*b1 - b2^20000*c1").substitute({fv("b", 1): huge, fv("c", 1): huge})
 
     @pytest.mark.parametrize("text", ["b1^32768", "b1^20000*b1^20000", "b1^16384*c1*b1^16384", "e^99999"])
     def test_parse_rejects(self, text):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from laxdual import poisson
 from laxdual.diffpoly import DiffPoly, FieldVar, equal_mod_total_derivative
 from laxdual.fnr import PsiTable, build_psi
 from laxdual.loopalg import DepthExhausted, Sl2Poly
@@ -279,6 +280,17 @@ class TestHamiltonianFlows:
     @pytest.mark.parametrize("k,n", [(1, 2), (1, 3), (2, 1), (3, 1), (2, 4), (4, 2)])
     def test_flow_matches_zero_curvature(self, k, n):
         assert flow_matches_zc(build_psi(k, max(k, n) + 1), n).passed
+
+    @pytest.mark.parametrize("k,n", [(1, 2), (2, 3), (3, 1)])
+    def test_flow_sees_only_the_density_mod_total_derivatives(self, monkeypatch, k, n):
+        # The flow reads the density through the Euler operator: adding a term
+        # with a nonzero variational derivative must break the match with
+        # zero curvature, and adding a total derivative must not.
+        table = build_psi(k, max(k, n) + 1)
+        for extra, passes in ((P("b1*c1'"), False), (P("b1*c1").derive(), True)):
+            monkeypatch.setattr(poisson, "hamiltonian_density", lambda t, m, e=extra: hamiltonian_density(t, m) + e)
+            report = flow_matches_zc(table, n)
+            assert report.passed is passes, report.failures()
 
     def test_hamiltonians_commute_k1(self):
         residual = hamiltonians_commute(build_psi(1, 1), 2, 3)

@@ -1,7 +1,8 @@
 """Property tests of the DiffPoly boundary and calculus over generated polynomials.
 
 Polynomials are drawn over the fields b1, b2, c1, c2 with derivative orders up
-to 2 and rational coefficients with denominators up to 7.
+to 2 and rational coefficients with denominators up to 7; some also draw the
+constant symbol e and the placeholder field b1s, or odd denominators up to 15.
 """
 
 from fractions import Fraction
@@ -13,23 +14,25 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from laxdual.diffpoly import DiffPoly, FieldVar, formal_integrate, parse_poly  # noqa: E402
 
-from conftest import ref_add, ref_derive, ref_mul, ref_partial  # noqa: E402
+from conftest import ref_add, ref_derive, ref_euler, ref_mul, ref_partial, ref_substitute  # noqa: E402
 
 BASES = [FieldVar(kind, index) for kind in ("b", "c") for index in (1, 2)]
 bases = st.sampled_from(BASES)
 fields = st.builds(FieldVar, st.sampled_from(("b", "c")), st.integers(1, 2), st.integers(0, 2))
 coeffs = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7))
+odd_coeffs = st.builds(Fraction, st.integers(-12, 12), st.sampled_from((1, 3, 5, 7, 9, 15)))
 
 
 # The standard fields plus a constant symbol and a placeholder field.
 ext_fields = st.one_of(fields, st.sampled_from([FieldVar("e", 0), FieldVar("b1s", 0), FieldVar("b1s", 0, 1)]))
+EXT_BASES = BASES + [FieldVar("e", 0), FieldVar("b1s", 0)]
 
 
 @st.composite
-def polys(draw, max_terms=4, max_factors=3, pool=fields):
+def polys(draw, max_terms=4, max_factors=3, pool=fields, coeff=coeffs):
     out = DiffPoly.zero()
     for _ in range(draw(st.integers(0, max_terms))):
-        term = DiffPoly.const(draw(coeffs))
+        term = DiffPoly.const(draw(coeff))
         for v in draw(st.lists(pool, max_size=max_factors)):
             term = term * DiffPoly.from_var(v)
         out = out + term
@@ -37,6 +40,25 @@ def polys(draw, max_terms=4, max_factors=3, pool=fields):
 
 
 rules = st.dictionaries(bases, polys(max_terms=2, max_factors=2), max_size=2)
+
+
+def rule_rhs(target):
+    """A right side with odd denominators: a polynomial, zero, a constant, or
+    a polynomial that holds its own target."""
+    small = polys(max_terms=2, max_factors=2, pool=ext_fields, coeff=odd_coeffs)
+    return st.one_of(
+        small,
+        st.just(DiffPoly.zero()),
+        st.builds(DiffPoly.const, odd_coeffs),
+        st.builds(lambda p, q: p + DiffPoly.from_var(target) * q, small, small),
+    )
+
+
+# Half the factors are possible rule targets, so powers of a rule occur often.
+target_heavy = st.one_of(st.sampled_from(EXT_BASES), ext_fields)
+ext_rules = st.lists(st.sampled_from(EXT_BASES), unique=True, max_size=3).flatmap(
+    lambda targets: st.fixed_dictionaries({t: rule_rhs(t) for t in targets})
+)
 
 
 @settings(deadline=None)
@@ -66,6 +88,20 @@ def test_kept_derivative_matches_reference(p, times):
 @given(polys(), bases)
 def test_euler_kills_total_derivatives(p, u):
     assert p.derive().euler(u).is_zero()
+
+
+@settings(deadline=None)
+@given(polys(pool=ext_fields, max_terms=5), st.integers(0, 2), st.sampled_from(EXT_BASES))
+def test_euler_matches_reference(p, times, u):
+    p = p.derive(times)
+    assert p.euler(u).terms == ref_euler(p.terms, u)
+
+
+@settings(deadline=None)
+@given(polys(pool=target_heavy, max_terms=5, max_factors=4, coeff=odd_coeffs), ext_rules, st.sampled_from(EXT_BASES))
+def test_substitute_matches_reference(p, r, v):
+    p = p * DiffPoly.from_var(v) * DiffPoly.from_var(v)  # powers of a rule, shared between terms
+    assert p.substitute(r).terms == ref_substitute(p.terms, {t: rhs.terms for t, rhs in r.items()})
 
 
 @settings(deadline=None)

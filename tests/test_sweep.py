@@ -1,16 +1,25 @@
-"""The wide three-route certification sweep.
+"""The wide certification sweeps.
 
-Marked slow, so the default run deselects it (pyproject.toml); run it with
+Marked slow, so the default run deselects them (pyproject.toml); run them with
 `pytest -m slow`.  Everything runs in one process on the shared row store of
 each k, so the routes read the same row objects and the derivatives those rows
-keep.
+keep.  The last test replays the benchmark's rational_reduce jobs; it only
+reads perfbench/.
 """
+
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
 
 import pytest
 
+from laxdual.diffpoly import DiffPoly, equal_mod_total_derivative
 from laxdual.fnr import build_psi
-from laxdual.poisson import flow_matches_zc, sklyanin_check
+from laxdual.poisson import flow_matches_zc, hamiltonians_commute, sklyanin_check
 from laxdual.zerocurv import dual_equivalence
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.mark.slow
@@ -26,3 +35,31 @@ def test_three_routes_agree_on_the_wide_sweep():
     for k in range(1, 11):
         report = sklyanin_check(build_psi(k, k))
         assert report.passed, ("sklyanin", k, report.failures())
+
+
+@pytest.mark.slow
+def test_hamiltonians_commute_on_the_wide_sweep():
+    for k in range(1, 5):
+        for n2 in range(2, 8):
+            table = build_psi(k, k + n2 + 2)
+            for n1 in range(1, n2):
+                acc = hamiltonians_commute(table, n1, n2)
+                assert equal_mod_total_derivative(acc, DiffPoly.zero()), (k, n1, n2, acc.to_text())
+
+
+@pytest.mark.slow
+def test_every_rational_reduce_job_matches_its_pin():
+    # Every substitution and Euler job of the benchmark, replayed through its
+    # own runner against the pinned verdicts and output hashes; a benchmark
+    # run covers only the jobs its seed selects.
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", PERFBENCH / "jobs.py")
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    pinned = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))["workloads"]["rational_reduce"]
+    runner = jobs.Runner()
+    all_jobs = jobs.all_jobs("rational_reduce")
+    assert len(all_jobs) == len(pinned)
+    for job in all_jobs:
+        verdict, text = runner.run(job)
+        got = {"verdict": verdict, "sha256": hashlib.sha256(text.encode()).hexdigest()}
+        assert got == pinned[job.key], job.key
