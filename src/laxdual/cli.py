@@ -13,13 +13,13 @@ emitted in canonical order.  Exit codes: 0 success / all checks pass,
 
 A flat key=value config file (--config) provides defaults that flags
 override.  The environment variable LAXDUAL_MAX_MB caps the address space as
-a guard against runaway expansions.
+a guard against runaway expansions; a value that is not a positive integer,
+and a run that exhausts the cap, exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Dict, List, Optional
@@ -43,12 +43,18 @@ def _apply_memory_cap() -> None:
     if not cap:
         return
     try:
+        megabytes = int(cap)
+        if megabytes < 1:
+            raise ValueError
+    except ValueError:
+        raise CliError(f"LAXDUAL_MAX_MB must be a positive number of megabytes, got {cap!r}") from None
+    try:
         import resource
 
-        limit = int(cap) * 1024 * 1024
+        limit = megabytes * 1024 * 1024
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-    except (ValueError, ImportError, OSError) as exc:  # pragma: no cover
-        print(f"warning: cannot apply LAXDUAL_MAX_MB: {exc}", file=sys.stderr)
+    except (ValueError, ImportError, OSError) as exc:
+        raise CliError(f"cannot apply LAXDUAL_MAX_MB={cap!r}: {exc}") from exc
 
 
 def _read_config(path: Optional[str]) -> Dict[str, str]:
@@ -100,6 +106,13 @@ def _read_substitutions(path: str) -> Dict[FieldVar, DiffPoly]:
     return rules
 
 
+def _json_text(payload) -> str:
+    # json is imported here: only the JSON format pays for loading it.
+    import json
+
+    return json.dumps(payload, indent=2)
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as handle:
@@ -128,7 +141,7 @@ def _render_psi(table: PsiTable, fmt: str) -> str:
             }
             for j in range(table.depth + 1)
         ]
-        return json.dumps({"k": table.k, "depth": table.depth, "rows": rows}, indent=2)
+        return _json_text({"k": table.k, "depth": table.depth, "rows": rows})
     if fmt == "latex":
         lines = [rf"% constraint map for $t_{{{table.k}}}$, depth {table.depth}"]
         for j in range(table.depth + 1):
@@ -153,7 +166,7 @@ def _cmd_psi(args) -> int:
         rendered = {
             "text": matrix_to_text,
             "latex": matrix_to_latex,
-            "json": lambda m: json.dumps(matrix_to_json(m), indent=2),
+            "json": lambda m: _json_text(matrix_to_json(m)),
         }[args.format](matrix)
     else:
         depth = args.depth if args.depth is not None else args.k + 2
@@ -174,7 +187,7 @@ def _render_system(
     items = [(u, rewrite(system.evolution[u])) for u in sorted(system.evolution)]
     aux = [(u, rewrite(system.auxiliary[u])) for u in sorted(system.auxiliary)]
     if fmt == "json":
-        return json.dumps(
+        return _json_text(
             {
                 "k": system.k,
                 "n": system.n,
@@ -184,8 +197,7 @@ def _render_system(
                 "auxiliary": [
                     {"field": _field_name(u), "rhs": rhs.to_json()} for u, rhs in aux
                 ],
-            },
-            indent=2,
+            }
         )
     if fmt == "latex":
         if style == "zero":
@@ -242,9 +254,7 @@ def _cmd_hamiltonian(args) -> int:
     table = build_psi(args.k, args.k)
     density = hamiltonian_density(table, args.n)
     if args.format == "json":
-        text = json.dumps(
-            {"k": args.k, "n": args.n, "density": density.to_json()}, indent=2
-        )
+        text = _json_text({"k": args.k, "n": args.n, "density": density.to_json()})
     elif args.format == "latex":
         text = rf"H_{{{args.k}}}^{{({args.n})}} = \int \left( {density.to_latex()} \right) dt_{{{args.k}}}"
     else:
@@ -265,7 +275,7 @@ def _report_out(report_json: dict, fmt: str, out: Optional[str]) -> None:
             lines.append(f"  [{mark}] {item['label']}{residual}")
         _emit("\n".join(lines), out)
     else:
-        _emit(json.dumps(report_json, indent=2), out)
+        _emit(_json_text(report_json), out)
 
 
 def _cmd_verify(args) -> int:
@@ -417,20 +427,21 @@ def _merge_config(
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    _apply_memory_cap()
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # --config must be peeled off before subcommand parsing so its values can
-    # be injected as defaults.
-    config_path = None
-    if "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 >= len(argv):
-            print("error: --config needs a path", file=sys.stderr)
-            return USAGE_ERROR
-        config_path = argv[idx + 1]
-        argv = argv[:idx] + argv[idx + 2 :]
-    parser = build_parser()
+    # Everything runs under the handler, so that a bad or exhausted memory
+    # cap ends in one error line and exit 2 like any other engine error.
     try:
+        _apply_memory_cap()
+        argv = list(sys.argv[1:] if argv is None else argv)
+        # --config must be peeled off before subcommand parsing so its values
+        # can be injected as defaults.
+        config_path = None
+        if "--config" in argv:
+            idx = argv.index("--config")
+            if idx + 1 >= len(argv):
+                raise CliError("--config needs a path")
+            config_path = argv[idx + 1]
+            argv = argv[:idx] + argv[idx + 2 :]
+        parser = build_parser()
         try:
             args = parser.parse_args(_merge_config(parser, argv, _read_config(config_path), config_path))
         except SystemExit as exc:  # argparse reports usage errors via exit(2)

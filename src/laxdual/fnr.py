@@ -25,28 +25,28 @@ evicted, and every shared result must be treated as read-only.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .diffpoly import DiffPoly
 from .loopalg import LaurentMatrix, Sl2Poly, commutator_floor, project_plus, shift, trace_pair
+from .records import FrozenRecord
 from .report import CheckReport
 
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
-class PsiTable:
+class PsiTable(FrozenRecord):
     """Rows j = 0..depth of the constrained series for the time t_k."""
 
-    k: int
-    depth: int
-    rows: Tuple[Sl2Poly, ...]
+    __slots__ = ("k", "depth", "rows")
 
-    def __post_init__(self):
-        if len(self.rows) != self.depth + 1:
-            raise ValueError(f"depth {self.depth} needs {self.depth + 1} rows, got {len(self.rows)}")
+    def __init__(self, k: int, depth: int, rows: Tuple[Sl2Poly, ...]):
+        if len(rows) != depth + 1:
+            raise ValueError(f"depth {depth} needs {depth + 1} rows, got {len(rows)}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "rows", rows)
 
     def free_fields(self):
         """The 2k free generators, b first, in index order."""

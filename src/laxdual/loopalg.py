@@ -14,10 +14,10 @@ DepthExhausted -- silent truncation is the main correctness hazard here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .diffpoly import DiffPoly
+from .records import FrozenRecord
 
 _DP_ZERO = DiffPoly.zero()
 
@@ -26,13 +26,15 @@ class DepthExhausted(ValueError):
     """A requested coefficient lies below the known truncation depth."""
 
 
-@dataclass(frozen=True)
-class Sl2Poly:
+class Sl2Poly(FrozenRecord):
     """a*sigma3 + bp*sigma+ + cm*sigma- with DiffPoly components."""
 
-    a: DiffPoly = _DP_ZERO
-    bp: DiffPoly = _DP_ZERO
-    cm: DiffPoly = _DP_ZERO
+    __slots__ = ("a", "bp", "cm")
+
+    def __init__(self, a: DiffPoly = _DP_ZERO, bp: DiffPoly = _DP_ZERO, cm: DiffPoly = _DP_ZERO):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "bp", bp)
+        object.__setattr__(self, "cm", cm)
 
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.bp.is_zero() and self.cm.is_zero()
@@ -51,10 +53,6 @@ class Sl2Poly:
 
     def map(self, f) -> "Sl2Poly":
         return Sl2Poly(f(self.a), f(self.bp), f(self.cm))
-
-    def trace_with(self, other: "Sl2Poly") -> DiffPoly:
-        """Killing pairing Tr(XY) = 2 a a' + bp cm' + cm bp'."""
-        return DiffPoly.dot(((2, self.a, other.a), (1, self.bp, other.cm), (1, self.cm, other.bp)))
 
     @staticmethod
     def sigma3() -> "Sl2Poly":
@@ -81,6 +79,11 @@ def _commutator_terms(x: Sl2Poly, y: Sl2Poly):
         ((2, x.a, y.bp), (-2, y.a, x.bp)),
         ((-2, x.a, y.cm), (2, y.a, x.cm)),
     )
+
+
+def _trace_terms(x: Sl2Poly, y: Sl2Poly):
+    """The (weight, p, q) products of the Killing pairing Tr(xy) = 2 a a' + bp cm' + cm bp'."""
+    return (2, x.a, y.a), (1, x.bp, y.cm), (1, x.cm, y.bp)
 
 
 class LaurentMatrix:
@@ -224,12 +227,12 @@ def trace_pair(x: LaurentMatrix, y: LaurentMatrix, j: int = 0) -> DiffPoly:
         raise DepthExhausted("trace_pair: unknown left coefficients reach the needed exponent")
     if y.floor is not None and pt_x is not None and y.floor + pt_x > target:
         raise DepthExhausted("trace_pair: unknown right coefficients reach the needed exponent")
-    out = DiffPoly.zero()
+    terms = []
     for e1, m1 in x.coeffs.items():
         m2 = y.coeffs.get(target - e1)
         if m2 is not None:
-            out = out + m1.trace_with(m2)
-    return out
+            terms += _trace_terms(m1, m2)
+    return DiffPoly.dot(terms)
 
 
 # -- emitters ---------------------------------------------------------------------

@@ -31,7 +31,6 @@ three scalar series that resolvent_check matches against the constrained series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Dict, List, Tuple
@@ -39,6 +38,7 @@ from typing import Dict, List, Tuple
 from .diffpoly import DiffPoly, FieldVar
 from .fnr import PsiTable, _memo_owner, lax_matrix
 from .loopalg import DepthExhausted, entry_polynomials
+from .records import FrozenRecord
 from .report import CheckReport
 from .zerocurv import PdeSystem, zero_curvature
 
@@ -48,13 +48,17 @@ _HALF = Fraction(1, 2)
 _NU = Fraction(2)
 
 
-@dataclass(frozen=True)
-class BracketTable:
+class BracketTable(FrozenRecord):
     """Structure polynomials P[u, v] of {u(t), v(tau)} = P[u, v] delta(t-tau)."""
 
-    k: int
-    entries: Dict[Tuple[FieldVar, FieldVar], DiffPoly]
-    fields: Tuple[FieldVar, ...]
+    __slots__ = ("k", "entries", "fields")
+
+    def __init__(
+        self, k: int, entries: Dict[Tuple[FieldVar, FieldVar], DiffPoly], fields: Tuple[FieldVar, ...]
+    ):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "fields", fields)
 
     def pair(self, u: FieldVar, v: FieldVar) -> DiffPoly:
         hit = self.entries.get((u, v))
@@ -184,15 +188,23 @@ def sklyanin_check(table: PsiTable) -> CheckReport:
 # -- monodromy factorization -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WZExpansion:
+class WZExpansion(FrozenRecord):
     """Riccati data: w_j = beta_j sigma+ + gamma_j sigma- and the diagonal
     densities (coefficient of lambda^{-n} in (1/2) Tr(sigma3 dZ))."""
 
-    k: int
-    depth: int
-    w: Tuple[Tuple[DiffPoly, DiffPoly], ...]
-    zdot_densities: Tuple[DiffPoly, ...]
+    __slots__ = ("k", "depth", "w", "zdot_densities")
+
+    def __init__(
+        self,
+        k: int,
+        depth: int,
+        w: Tuple[Tuple[DiffPoly, DiffPoly], ...],
+        zdot_densities: Tuple[DiffPoly, ...],
+    ):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "zdot_densities", zdot_densities)
 
     def beta(self, j: int) -> DiffPoly:
         return self.w[j - 1][0]

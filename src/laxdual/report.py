@@ -8,15 +8,18 @@ and the caller decides what to do with that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional
 
+from .records import FrozenRecord, Record
 
-@dataclass(frozen=True)
-class CheckItem:
-    label: str
-    ok: bool
-    residual: Optional[str] = None
+
+class CheckItem(FrozenRecord):
+    __slots__ = ("label", "ok", "residual")
+
+    def __init__(self, label: str, ok: bool, residual: Optional[str] = None):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "residual", residual)
 
     def to_json(self) -> dict:
         out = {"label": self.label, "ok": self.ok}
@@ -25,10 +28,12 @@ class CheckItem:
         return out
 
 
-@dataclass
-class CheckReport:
-    name: str
-    items: List[CheckItem] = field(default_factory=list)
+class CheckReport(Record):
+    __slots__ = ("name", "items")
+
+    def __init__(self, name: str, items: Optional[List[CheckItem]] = None):
+        self.name = name
+        self.items = [] if items is None else items
 
     def add(self, label: str, ok: bool, residual: Optional[str] = None) -> None:
         self.items.append(CheckItem(label, ok, None if ok else residual))

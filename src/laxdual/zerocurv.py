@@ -15,13 +15,13 @@ polynomial in t_k-derivatives and extends d_n to composites by the chain rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from .diffpoly import DiffPoly, FieldVar
 from .fnr import PsiTable, _memoized, build_psi, lax_matrix
 from .loopalg import lm_commutator
+from .records import Record
 from .report import CheckReport
 
 
@@ -33,8 +33,7 @@ class EliminationFailure(Exception):
     """Auxiliary-field elimination cannot proceed (a rule is not linear in its target)."""
 
 
-@dataclass
-class PdeSystem:
+class PdeSystem(Record):
     """Evolution rules d_n(u) = RHS for the free fields of a t_k table.
 
     RHS entries are differential polynomials in the free fields and their
@@ -42,10 +41,19 @@ class PdeSystem:
     fields where a computation produces them (dual_equivalence does).
     """
 
-    k: int
-    n: int
-    evolution: Dict[FieldVar, DiffPoly]
-    auxiliary: Dict[FieldVar, DiffPoly] = field(default_factory=dict)
+    __slots__ = ("k", "n", "evolution", "auxiliary")
+
+    def __init__(
+        self,
+        k: int,
+        n: int,
+        evolution: Dict[FieldVar, DiffPoly],
+        auxiliary: Optional[Dict[FieldVar, DiffPoly]] = None,
+    ):
+        self.k = k
+        self.n = n
+        self.evolution = evolution
+        self.auxiliary = {} if auxiliary is None else auxiliary
 
     def rhs(self, kind: str, index: int) -> DiffPoly:
         return self.evolution[FieldVar(kind, index)]
@@ -145,10 +153,12 @@ def commuting_flows_check(table: PsiTable, n: int, m: int) -> CheckReport:
     return report
 
 
-@dataclass
-class DualityResult:
-    report: CheckReport
-    common: PdeSystem
+class DualityResult(Record):
+    __slots__ = ("report", "common")
+
+    def __init__(self, report: CheckReport, common: PdeSystem):
+        self.report = report
+        self.common = common
 
     @property
     def passed(self) -> bool:

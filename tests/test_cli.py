@@ -1,8 +1,10 @@
 """Command-line behaviour: formats, exit codes, determinism, substitutions."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,17 @@ def run_cli(*argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def run_process(*args, **env):
+    """A fresh interpreter without site hooks, importing laxdual from src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-S", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src, **env},
+    )
 
 
 class TestDerive:
@@ -279,3 +292,31 @@ class TestPlumbing:
             subprocess.run(cmd, capture_output=True, check=True).stdout for _ in range(2)
         ]
         assert runs[0] == runs[1]
+
+    def test_import_loads_no_dataclasses_inspect_or_json(self):
+        probe = (
+            "import sys\n"
+            "import laxdual.cli\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules), file=sys.stderr)\n"
+            "code = laxdual.cli.main(['psi', '--k', '1', '--format', 'json'])\n"
+            "print('json' in sys.modules, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        proc = run_process("-c", probe)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == ["[]", "True"]
+        assert proc.stdout == run_cli("psi", "--k", "1", "--format", "json")[1]
+
+    @pytest.mark.parametrize("cap", ["1", "0", "-5", "abc"])
+    def test_memory_cap_faults_exit_2_with_one_error_line(self, cap):
+        # A 1 MB cap cannot hold a depth-30 table: the MemoryError is reported.
+        proc = run_process("-m", "laxdual.cli", "psi", "--k", "1", "--depth", "30", LAXDUAL_MAX_MB=cap)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+        assert ("MemoryError" if cap == "1" else repr(cap)) in proc.stderr
+
+    def test_memory_cap_that_holds_the_run(self):
+        proc = run_process("-m", "laxdual.cli", "psi", "--k", "1", LAXDUAL_MAX_MB="4096")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == run_cli("psi", "--k", "1")[1]
