@@ -11,10 +11,11 @@ Output is deterministic byte-for-byte for a fixed invocation: every table is
 emitted in canonical order.  Exit codes: 0 success / all checks pass,
 1 verification failure, 2 usage or engine error.
 
-A flat key=value config file (--config) provides defaults that flags
-override.  The environment variable LAXDUAL_MAX_MB caps the address space as
-a guard against runaway expansions; a value that is not a positive integer,
-and a run that exhausts the cap, exit 2.
+A flat key=value config file (--config FILE or --config=FILE, given at most
+once) provides defaults that flags override; its keys are subcommand flags.
+verify renders text or json only.  The environment variable LAXDUAL_MAX_MB
+caps the address space as a guard against runaway expansions; a value that
+is not a positive integer, and a run that exhausts the cap, exit 2.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, List, Optional
 
 from .diffpoly import DiffPoly, FieldVar, parse_fieldvar, parse_poly
 from .fnr import PsiTable, build_psi, lax_matrix
@@ -57,10 +57,10 @@ def _apply_memory_cap() -> None:
         raise CliError(f"cannot apply LAXDUAL_MAX_MB={cap!r}: {exc}") from exc
 
 
-def _read_config(path: Optional[str]) -> Dict[str, str]:
+def _read_config(path: str | None) -> dict[str, str]:
     if not path:
         return {}
-    values: Dict[str, str] = {}
+    values: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
             for lineno, raw in enumerate(handle, 1):
@@ -79,9 +79,9 @@ def _read_config(path: Optional[str]) -> Dict[str, str]:
     return values
 
 
-def _read_substitutions(path: str) -> Dict[FieldVar, DiffPoly]:
+def _read_substitutions(path: str) -> dict[FieldVar, DiffPoly]:
     """One `lhs = rhs` per line in the polynomial grammar; lhs a bare field."""
-    rules: Dict[FieldVar, DiffPoly] = {}
+    rules: dict[FieldVar, DiffPoly] = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -113,7 +113,7 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2)
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -179,7 +179,7 @@ def _cmd_psi(args) -> int:
 
 
 def _render_system(
-    system: PdeSystem, fmt: str, subs: Dict[FieldVar, DiffPoly], style: str = "evolution"
+    system: PdeSystem, fmt: str, subs: dict[FieldVar, DiffPoly], style: str = "evolution"
 ) -> str:
     def rewrite(p: DiffPoly) -> DiffPoly:
         return p.substitute(subs) if subs else p
@@ -233,7 +233,7 @@ def _negated_tail(rhs: DiffPoly) -> str:
     return f"+ {text}" if not text.startswith("-") else f"- {text[1:]}"
 
 
-def _lhs_text(u: FieldVar, subs: Dict[FieldVar, DiffPoly]) -> str:
+def _lhs_text(u: FieldVar, subs: dict[FieldVar, DiffPoly]) -> str:
     if subs and u in subs:
         return str(subs[u])
     return _field_name(u)
@@ -266,7 +266,7 @@ def _cmd_hamiltonian(args) -> int:
 # -- verify ---------------------------------------------------------------------------
 
 
-def _report_out(report_json: dict, fmt: str, out: Optional[str]) -> None:
+def _report_out(report_json: dict, fmt: str, out: str | None) -> None:
     if fmt == "text":
         lines = [f"{report_json['check']}: {'PASS' if report_json['passed'] else 'FAIL'}"]
         for item in report_json["items"]:
@@ -315,14 +315,13 @@ def _at_least(name: str, low: int):
 
 
 def _add_common(
-    parser: argparse.ArgumentParser, *, n_flag: bool, default_format: str = "text"
+    parser: argparse.ArgumentParser, *, n_flag: bool, formats: tuple = ("text", "latex", "json")
 ) -> None:
+    """--k, --n if n_flag, --format (one of formats, the first by default) and --out."""
     parser.add_argument("--k", type=_at_least("k", 1), required=True, help="distinguished time index")
     if n_flag:
         parser.add_argument("--n", type=_at_least("n", 1), required=True, help="partner time index")
-    parser.add_argument(
-        "--format", choices=("text", "latex", "json"), default=default_format, help="output format"
-    )
+    parser.add_argument("--format", choices=formats, default=formats[0], help="output format")
     parser.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
 
@@ -376,12 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify_sub = p_verify.add_subparsers(dest="what", required=True)
     for what, needs_n in (("sklyanin", False), ("duality", True), ("flow", True)):
         p = verify_sub.add_parser(what)
-        _add_common(p, n_flag=needs_n, default_format="json")
+        _add_common(p, n_flag=needs_n, formats=("json", "text"))
         p.set_defaults(func=_cmd_verify, what=what)
     return parser
 
 
-def _subcommands(parser: argparse.ArgumentParser) -> Dict[str, argparse.ArgumentParser]:
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
     for action in parser._actions:
         if isinstance(action.choices, dict):
             return action.choices
@@ -398,8 +397,8 @@ def _all_flags(parser: argparse.ArgumentParser) -> set:
 
 
 def _merge_config(
-    parser: argparse.ArgumentParser, argv: List[str], config: Dict[str, str], path: Optional[str]
-) -> List[str]:
+    parser: argparse.ArgumentParser, argv: list[str], config: dict[str, str], path: str | None
+) -> list[str]:
     """Config values act as defaults: append them as flags unless given.
 
     A key is passed on only if the chosen subcommand defines its flag, so one
@@ -413,9 +412,11 @@ def _merge_config(
         if token not in choices:
             break
         chosen = choices[token]
-    known, accepted = _all_flags(parser), _flags(chosen)
+    # Only subcommand flags: the top-level --config is not a config key.
+    known = set().union(*map(_all_flags, _subcommands(parser).values()))
+    accepted = _flags(chosen)
     present = {token.split("=", 1)[0] for token in argv if token.startswith("--")}
-    extra: List[str] = []
+    extra: list[str] = []
     for key, value in sorted(config.items()):
         flag = f"--{key}"
         if flag not in known:
@@ -426,21 +427,31 @@ def _merge_config(
     return argv + extra
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def _take_config(argv: list[str]) -> tuple[str | None, list[str]]:
+    """The --config path, in either form, and the rest of argv.
+
+    --config must be peeled off before subcommand parsing so its values can
+    be injected as defaults; it may be given at most once."""
+    path, rest, tokens = None, [], iter(argv)
+    for token in tokens:
+        if token != "--config" and not token.startswith("--config="):
+            rest.append(token)
+            continue
+        if path is not None:
+            raise CliError("--config given more than once")
+        path = token.partition("=")[2] if "=" in token else next(tokens, "")
+        if not path:
+            raise CliError("--config needs a path")
+    return path, rest
+
+
+def main(argv: list[str] | None = None) -> int:
     # Everything runs under the handler, so that a bad or exhausted memory
     # cap ends in one error line and exit 2 like any other engine error.
     try:
         _apply_memory_cap()
         argv = list(sys.argv[1:] if argv is None else argv)
-        # --config must be peeled off before subcommand parsing so its values
-        # can be injected as defaults.
-        config_path = None
-        if "--config" in argv:
-            idx = argv.index("--config")
-            if idx + 1 >= len(argv):
-                raise CliError("--config needs a path")
-            config_path = argv[idx + 1]
-            argv = argv[:idx] + argv[idx + 2 :]
+        config_path, argv = _take_config(argv)
         parser = build_parser()
         try:
             args = parser.parse_args(_merge_config(parser, argv, _read_config(config_path), config_path))

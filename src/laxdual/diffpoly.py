@@ -61,11 +61,12 @@ from __future__ import annotations
 
 import re
 import threading
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import or_
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 
 class NotATotalDerivative(Exception):
@@ -76,12 +77,10 @@ class PolyParseError(ValueError):
     pass
 
 
-class FieldVar(NamedTuple):
+class FieldVar(namedtuple("FieldVar", ("kind", "index", "dorder"), defaults=(0,))):
     """A single generator: field kind, field index, derivative order."""
 
-    kind: str
-    index: int
-    dorder: int = 0
+    __slots__ = ()
 
     def derived(self, times: int = 1) -> "FieldVar":
         return FieldVar(self.kind, self.index, self.dorder + times)
@@ -97,9 +96,6 @@ class FieldVar(NamedTuple):
         return f"{self.kind}{self.index if self.kind in ('b', 'c') else ''}" + "'" * self.dorder
 
 
-Monomial = Tuple[Tuple[FieldVar, int], ...]
-Terms = Dict[Monomial, Fraction]
-
 _W = 16  # bits per exponent field
 _MASK = (1 << _W) - 1
 EXP_LIMIT = 1 << (_W - 1)  # exponents stay below this; the top bit is the guard
@@ -107,9 +103,9 @@ EXP_LIMIT = 1 << (_W - 1)  # exponents stay below this; the top bit is the guard
 # Interned generators: one table per process, growing with the number of
 # distinct generators ever named, not with the size of any polynomial.
 
-_VARS: List[FieldVar] = []
-_VAR_ID: Dict[FieldVar, int] = {}
-_DERIV: Dict[int, int] = {}  # id -> key change of v^e -> v^(e-1)*v', 0 for constant symbols
+_VARS: list[FieldVar] = []
+_VAR_ID: dict[FieldVar, int] = {}
+_DERIV: dict[int, int] = {}  # id -> key change of v^e -> v^(e-1)*v', 0 for constant symbols
 _GUARDS = 0  # the guard bit of every interned id's field
 _INTERN = threading.Lock()
 
@@ -128,7 +124,7 @@ def _vid(v: FieldVar) -> int:
     return i
 
 
-def _fields(m: int) -> List[Tuple[int, int]]:
+def _fields(m: int) -> list[tuple[int, int]]:
     """The (id, exp) pairs of a packed monomial, highest id first."""
     out = []
     while m:
@@ -148,19 +144,19 @@ def _step(i: int) -> int:
     return step
 
 
-def _pack(mono: Monomial) -> int:
-    exps: Dict[int, int] = {}
+def _pack(mono: tuple[tuple[FieldVar, int], ...]) -> int:
+    exps: dict[int, int] = {}
     for v, e in mono:
         i = _vid(v)
         exps[i] = exps.get(i, 0) + _checked_exp(e)
     return sum(_checked_exp(e) << (_W * i) for i, e in exps.items())
 
 
-def _to_public(m: int) -> Monomial:
+def _to_public(m: int) -> tuple[tuple[FieldVar, int], ...]:
     return tuple(sorted((_VARS[i], e) for i, e in _fields(m)))
 
 
-def _guarded(tab: Dict[int, int]) -> Dict[int, int]:
+def _guarded(tab: dict[int, int]) -> dict[int, int]:
     """tab, unless some exponent in its keys reached EXP_LIMIT."""
     if reduce(or_, tab, 0) & _GUARDS:
         raise ValueError(f"exponent overflow: a generator's exponent reached the limit {EXP_LIMIT}")
@@ -173,8 +169,8 @@ class DiffPoly:
 
     __slots__ = ("num", "den", "_d")  # _d: the first derivative, once computed
 
-    def __init__(self, terms: Optional[Mapping[Monomial, Fraction]] = None):
-        fracs: Dict[int, Fraction] = {}
+    def __init__(self, terms: Mapping[tuple[tuple[FieldVar, int], ...], Fraction] | None = None):
+        fracs: dict[int, Fraction] = {}
         for mono, coeff in (terms or {}).items():
             key = _pack(mono)
             fracs[key] = fracs.get(key, 0) + Fraction(coeff)
@@ -205,7 +201,7 @@ class DiffPoly:
     # -- basic queries -----------------------------------------------------
 
     @property
-    def terms(self) -> Terms:
+    def terms(self) -> dict[tuple[tuple[FieldVar, int], ...], Fraction]:
         """A fresh {Monomial: Fraction} table in the public (FieldVar, exp) form."""
         den = self.den
         return {_to_public(m): Fraction(c, den) for m, c in self.num.items()}
@@ -216,15 +212,15 @@ class DiffPoly:
     def constant_term(self) -> Fraction:
         return Fraction(self.num.get(0, 0), self.den)
 
-    def _ids(self) -> List[int]:
+    def _ids(self) -> list[int]:
         # A field of the OR of all keys is nonzero iff its id occurs somewhere.
         return [i for i, _ in _fields(reduce(or_, self.num, 0))]
 
-    def variables(self) -> List[FieldVar]:
+    def variables(self) -> list[FieldVar]:
         """All generators occurring, sorted by the canonical ordering."""
         return sorted(_VARS[i] for i in self._ids())
 
-    def generators(self) -> List[FieldVar]:
+    def generators(self) -> list[FieldVar]:
         """Distinct (kind, index) pairs occurring, as dorder-0 FieldVars."""
         return sorted({_VARS[i].base() for i in self._ids()})
 
@@ -248,7 +244,7 @@ class DiffPoly:
     def __mul__(self, other: "DiffPoly") -> "DiffPoly":
         if not self.num or not other.num:
             return _ZERO
-        tab: Dict[int, int] = {}
+        tab: dict[int, int] = {}
         get = tab.get
         items2 = list(other.num.items())
         for m1, c1 in self.num.items():
@@ -258,7 +254,7 @@ class DiffPoly:
         return _reduced(_nonzero(_guarded(tab)), self.den * other.den)
 
     @staticmethod
-    def dot(terms: Iterable[Tuple[int, "DiffPoly", "DiffPoly"]]) -> "DiffPoly":
+    def dot(terms: Iterable[tuple[int, "DiffPoly", "DiffPoly"]]) -> "DiffPoly":
         """sum of w*p*q over the (w, p, q) triples, w a small integer weight.
 
         Every product goes into one {monomial: int} table over the common
@@ -267,7 +263,7 @@ class DiffPoly:
         if not pairs:
             return _ZERO
         den = lcm(*(d for *_, d in pairs))
-        tab: Dict[int, int] = {}
+        tab: dict[int, int] = {}
         get = tab.get
         for w, num1, num2, d in pairs:
             f = w * (den // d)
@@ -328,17 +324,17 @@ class DiffPoly:
         of the rule, so substitution commutes with the derivation.  Generators
         without a rule are untouched.
         """
-        base_rules: Dict[Tuple[str, int], DiffPoly] = {}
+        base_rules: dict[tuple[str, int], DiffPoly] = {}
         for v, rhs in rules.items():
             if v.dorder != 0:
                 raise ValueError(f"substitution rules must target dorder-0 generators, got {v}")
             base_rules[(v.kind, v.index)] = rhs
         if not base_rules:
             return self
-        rule_of: Dict[int, Optional[DiffPoly]] = {}
-        powers: Dict[Tuple[int, int], DiffPoly] = {}
+        rule_of: dict[int, DiffPoly | None] = {}
+        powers: dict[tuple[int, int], DiffPoly] = {}
 
-        def rule_at(i: int) -> Optional[DiffPoly]:
+        def rule_at(i: int) -> DiffPoly | None:
             if i not in rule_of:
                 v = _VARS[i]
                 rhs = base_rules.get((v.kind, v.index))
@@ -371,7 +367,7 @@ class DiffPoly:
         if not images:
             return _ZERO
         den = lcm(*(d for _, _, d, _ in images))
-        tab: Dict[int, int] = {}
+        tab: dict[int, int] = {}
         get = tab.get
         for rest, c, d, num in images:
             c *= den // d
@@ -429,7 +425,7 @@ class DiffPoly:
         return self._render(_var_latex, _ratio_latex, " ")
 
     def _render(self, fmt, mag_of, sep: str) -> str:
-        pieces: List[str] = []
+        pieces: list[str] = []
         for factors, n, d in self._walk(fmt):
             a = abs(n)
             if not factors:
@@ -444,7 +440,7 @@ class DiffPoly:
                 pieces.append(("+ " if n > 0 else "- ") + frag)
         return " ".join(pieces) or "0"
 
-    def to_json(self) -> List[dict]:
+    def to_json(self) -> list[dict]:
         return [
             {"coeff": _ratio_text(n, d), "vars": list(map(dict, factors))}
             for factors, n, d in self._walk(_var_json)
@@ -453,7 +449,7 @@ class DiffPoly:
     @staticmethod
     def from_json(data: Iterable[dict]) -> "DiffPoly":
         """Inverse of to_json; raises PolyParseError on any malformed payload."""
-        tab: Terms = {}
+        tab: dict = {}
         try:
             for term in data:
                 mono = tuple(
@@ -474,7 +470,7 @@ class DiffPoly:
 def _derivative(p: DiffPoly) -> DiffPoly:
     """The first derivative of p, computed afresh."""
     steps = {_W * i: _step(i) for i in p._ids()}  # keyed by field shift
-    tab: Dict[int, int] = {}
+    tab: dict[int, int] = {}
     get = tab.get
     for m, c in p.num.items():
         # d(v^e * rest) -> e * v^(e-1) * v' * rest for each factor; the
@@ -518,7 +514,7 @@ def _merge(a: DiffPoly, b: DiffPoly, sign: int) -> DiffPoly:
     return _reduced(tab, da)
 
 
-def _wrap(num: Dict[int, int], den: int) -> DiffPoly:
+def _wrap(num: dict[int, int], den: int) -> DiffPoly:
     """A DiffPoly over a table already in canonical form."""
     p = object.__new__(DiffPoly)
     p.num = num
@@ -527,7 +523,7 @@ def _wrap(num: Dict[int, int], den: int) -> DiffPoly:
     return p
 
 
-def _reduced(num: Dict[int, int], den: int) -> DiffPoly:
+def _reduced(num: dict[int, int], den: int) -> DiffPoly:
     """A DiffPoly over a table with no zero numerators, brought to lowest terms."""
     if den != 1:
         g = gcd(den, *num.values())
@@ -537,7 +533,7 @@ def _reduced(num: Dict[int, int], den: int) -> DiffPoly:
     return _wrap(num, den)
 
 
-def _nonzero(tab: Dict[int, int]) -> Dict[int, int]:
+def _nonzero(tab: dict[int, int]) -> dict[int, int]:
     # Cancellation is rare: scanning for a zero is cheaper than rebuilding.
     return {m: c for m, c in tab.items() if c} if 0 in tab.values() else tab
 
@@ -548,7 +544,7 @@ _ZERO = _wrap({}, 1)
 class _Factors(dict):
     """The rendered factors of one _walk by code, each rendered on first use."""
 
-    def __init__(self, ids: List[int], fmt):
+    def __init__(self, ids: list[int], fmt):
         self.ids, self.fmt = ids, fmt
 
     def __missing__(self, code: int):
@@ -730,7 +726,7 @@ def _tokenize(text: str):
 
 def _parse_term(tokens, pos):
     coeff = Fraction(1)
-    factors: Dict[FieldVar, int] = {}
+    factors: dict[FieldVar, int] = {}
     expect_factor = True
     while pos < len(tokens):
         kind, value = tokens[pos]

@@ -25,11 +25,12 @@ evicted, and every shared result must be treated as read-only.
 from __future__ import annotations
 
 import threading
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
 
 from .diffpoly import DiffPoly
 from .loopalg import LaurentMatrix, Sl2Poly, commutator_floor, project_plus, shift, trace_pair
+from .loopalg import _commutator_terms, _trace_terms
 from .records import FrozenRecord
 from .report import CheckReport
 
@@ -41,7 +42,7 @@ class PsiTable(FrozenRecord):
 
     __slots__ = ("k", "depth", "rows")
 
-    def __init__(self, k: int, depth: int, rows: Tuple[Sl2Poly, ...]):
+    def __init__(self, k: int, depth: int, rows: tuple[Sl2Poly, ...]):
         if len(rows) != depth + 1:
             raise ValueError(f"depth {depth} needs {depth + 1} rows, got {len(rows)}")
         object.__setattr__(self, "k", k)
@@ -63,23 +64,23 @@ def casimir_closure_a(rows: Sequence[Sl2Poly], m: int) -> DiffPoly:
     """a_m forced by the vanishing of the lambda^{-m} coefficient of Tr L^2 - 2.
 
     With a_0 = 1, b_0 = c_0 = 0 the coefficient reads
-    4 a_m + sum_{i=1}^{m-1} (2 a_i a_{m-i} + b_i c_{m-i} + b_{m-i} c_i) = 0.
-    The terms i and m-i are equal, so each pair i < m-i is taken once with
-    weight 2, and the middle term i = m/2 (m even) once.
+    4 a_m + sum_{i=1}^{m-1} (2 a_i a_{m-i} + b_i c_{m-i} + b_{m-i} c_i) = 0,
+    the summand being the Killing pairing Tr(l_i l_{m-i}).  The terms i and
+    m-i are equal, so each pair i < m-i is taken once with weight 2, and the
+    middle term i = m/2 (m even) once.
     """
     if m < 1:
         raise ValueError("casimir_closure_a needs m >= 1")
     terms = []
     for i in range(1, (m + 1) // 2):
-        li, lmi = rows[i], rows[m - i]
-        terms += ((2, li.a, lmi.a), (1, li.bp, lmi.cm), (1, lmi.bp, li.cm))
+        terms += _trace_terms(rows[i], rows[m - i])
     if m % 2 == 0:
         mid = rows[m // 2]
         terms += ((1, mid.a, mid.a), (1, mid.bp, mid.cm))
     return DiffPoly.dot(terms).scale(-_HALF)
 
 
-def extend_offdiagonal(rows: Sequence[Sl2Poly], p: int, k: int) -> Tuple[DiffPoly, DiffPoly]:
+def extend_offdiagonal(rows: Sequence[Sl2Poly], p: int, k: int) -> tuple[DiffPoly, DiffPoly]:
     """(b_{p+k}, c_{p+k}) solved from the sigma+- components of the flow
     d/dt_k l_p = sum_{j=0}^{k} [l_j, l_{p+k-j}]:
 
@@ -103,9 +104,9 @@ class _Hierarchy:
 
     def __init__(self, k: int):
         self.k = k
-        self.rows: List[Sl2Poly] = [Sl2Poly.sigma3()]
-        self.memo: Dict = {}
-        # Guards appends to rows and the growth of mutable memo entries.
+        self.rows: list[Sl2Poly] = [Sl2Poly.sigma3()]
+        self.memo: dict = {}
+        # Guards appends to rows; a memo entry that grows guards itself.
         self.lock = threading.Lock()
 
     def extend(self, depth: int) -> None:
@@ -120,10 +121,10 @@ class _Hierarchy:
                 rows.append(Sl2Poly(a=casimir_closure_a(rows, j), bp=bj, cm=cj))
 
 
-_HIERARCHIES: Dict[int, _Hierarchy] = {}
+_HIERARCHIES: dict[int, _Hierarchy] = {}
 
 
-def _memo_owner(table: PsiTable, upto: int) -> Optional[_Hierarchy]:
+def _memo_owner(table: PsiTable, upto: int) -> _Hierarchy | None:
     """The store of table.k if rows 0..upto of the table are its very row
     objects, else None: a table built or perturbed by hand never reuses a memo."""
     found = _HIERARCHIES.get(table.k)
@@ -167,12 +168,10 @@ def diag_consistency(table: PsiTable) -> CheckReport:
     report = CheckReport(f"diag_consistency(k={table.k})")
     v, series = lax_matrix(table, table.k), table.psi_series()
     for p in range(1, -commutator_floor(v, series) + 1):
-        # The sigma3 part of [v, L] at lambda^-p; [x, y] has sigma3 part
-        # x.bp*y.cm - x.cm*y.bp.
+        # The sigma3 part of [v, L] at lambda^-p.
         terms = []
         for e, m in v.coeffs.items():
-            m2 = series.coeff(-p - e)
-            terms += ((1, m.bp, m2.cm), (-1, m.cm, m2.bp))
+            terms += _commutator_terms(m, series.coeff(-p - e))[0]
         flow = DiffPoly.dot(terms)
         residual = table.rows[p].a.derive() - flow
         report.add(f"p={p}", residual.is_zero(), residual.to_text())

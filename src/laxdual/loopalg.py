@@ -14,7 +14,6 @@ DepthExhausted -- silent truncation is the main correctness hazard here.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
 
 from .diffpoly import DiffPoly
 from .records import FrozenRecord
@@ -91,7 +90,7 @@ class LaurentMatrix:
 
     __slots__ = ("coeffs", "floor")
 
-    def __init__(self, coeffs: Dict[int, Sl2Poly], floor: Optional[int] = None):
+    def __init__(self, coeffs: dict[int, Sl2Poly], floor: int | None = None):
         tab = {e: m for e, m in coeffs.items() if not m.is_zero()}
         if floor is not None:
             for e in tab:
@@ -103,11 +102,11 @@ class LaurentMatrix:
     # -- queries --------------------------------------------------------------
 
     @property
-    def depth(self) -> Optional[int]:
+    def depth(self) -> int | None:
         """Spec view of the floor: exponents < -depth are unknown."""
         return None if self.floor is None else -self.floor
 
-    def top_degree(self) -> Optional[int]:
+    def top_degree(self) -> int | None:
         return max(self.coeffs) if self.coeffs else None
 
     def coeff(self, e: int) -> Sl2Poly:
@@ -148,7 +147,7 @@ class LaurentMatrix:
         return LaurentMatrix({e: m.map(f) for e, m in self.coeffs.items()}, self.floor)
 
 
-def _max_floor(f1: Optional[int], f2: Optional[int]) -> Optional[int]:
+def _max_floor(f1: int | None, f2: int | None) -> int | None:
     if f1 is None:
         return f2
     if f2 is None:
@@ -156,7 +155,7 @@ def _max_floor(f1: Optional[int], f2: Optional[int]) -> Optional[int]:
     return max(f1, f2)
 
 
-def _possible_top(x: LaurentMatrix) -> Optional[int]:
+def _possible_top(x: LaurentMatrix) -> int | None:
     """Largest exponent where x could be nonzero (None: provably zero)."""
     t = x.top_degree()
     if x.floor is not None:
@@ -165,9 +164,10 @@ def _possible_top(x: LaurentMatrix) -> Optional[int]:
     return t
 
 
-def commutator_floor(x: LaurentMatrix, y: LaurentMatrix) -> Optional[int]:
-    """Floor of [x, y]: where unknown coefficients of either factor can meet
-    possibly-nonzero coefficients of the other (None: nothing is unknown)."""
+def commutator_floor(x: LaurentMatrix, y: LaurentMatrix) -> int | None:
+    """Floor of a product of x and y, [x, y] or Tr(xy): where unknown
+    coefficients of either factor can meet possibly-nonzero coefficients of
+    the other (None: nothing is unknown)."""
     floor = None
     pt_x, pt_y = _possible_top(x), _possible_top(y)
     if x.floor is not None and pt_y is not None:
@@ -186,7 +186,7 @@ def lm_commutator(x: LaurentMatrix, y: LaurentMatrix) -> LaurentMatrix:
     floor = commutator_floor(x, y)
     # Per exponent, the products of the a, bp and cm components of every
     # [x_i, y_j] that lands there, summed by one dot each.
-    groups: Dict[int, Tuple[list, list, list]] = {}
+    groups: dict[int, tuple[list, list, list]] = {}
     for e1, m1 in x.coeffs.items():
         for e2, m2 in y.coeffs.items():
             e = e1 + e2
@@ -221,12 +221,9 @@ def trace_pair(x: LaurentMatrix, y: LaurentMatrix, j: int = 0) -> DiffPoly:
     Raises DepthExhausted unless every potentially nonzero contribution at
     that exponent is known on both sides.
     """
-    target = -1 - j
-    pt_x, pt_y = _possible_top(x), _possible_top(y)
-    if x.floor is not None and pt_y is not None and x.floor + pt_y > target:
-        raise DepthExhausted("trace_pair: unknown left coefficients reach the needed exponent")
-    if y.floor is not None and pt_x is not None and y.floor + pt_x > target:
-        raise DepthExhausted("trace_pair: unknown right coefficients reach the needed exponent")
+    target, floor = -1 - j, commutator_floor(x, y)
+    if floor is not None and floor > target:
+        raise DepthExhausted(f"trace_pair needs the coefficient at lambda^{target}; the known floor is {floor}")
     terms = []
     for e1, m1 in x.coeffs.items():
         m2 = y.coeffs.get(target - e1)
@@ -238,7 +235,7 @@ def trace_pair(x: LaurentMatrix, y: LaurentMatrix, j: int = 0) -> DiffPoly:
 # -- emitters ---------------------------------------------------------------------
 
 
-def entry_polynomials(x: LaurentMatrix) -> Tuple[Dict[int, DiffPoly], Dict[int, DiffPoly], Dict[int, DiffPoly]]:
+def entry_polynomials(x: LaurentMatrix) -> tuple[dict[int, DiffPoly], dict[int, DiffPoly], dict[int, DiffPoly]]:
     """Matrix entries (A, B, C) as exponent -> DiffPoly tables; the 2x2 form
     is ((A, B), (C, -A))."""
     a = {e: m.a for e, m in x.coeffs.items() if not m.a.is_zero()}
@@ -247,10 +244,10 @@ def entry_polynomials(x: LaurentMatrix) -> Tuple[Dict[int, DiffPoly], Dict[int, 
     return a, b, c
 
 
-def _entry_latex(table: Dict[int, DiffPoly], negate: bool = False) -> str:
+def _entry_latex(table: dict[int, DiffPoly], negate: bool = False) -> str:
     if not table:
         return "0"
-    parts: List[str] = []
+    parts: list[str] = []
     for e in sorted(table, reverse=True):
         p = table[e].scale(-1) if negate else table[e]
         body = p.to_latex()

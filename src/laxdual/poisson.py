@@ -31,18 +31,19 @@ three scalar series that resolvent_check matches against the constrained series.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Dict, List, Tuple
 
 from .diffpoly import DiffPoly, FieldVar
-from .fnr import PsiTable, _memo_owner, lax_matrix
+from .fnr import PsiTable, _memoized, lax_matrix
 from .loopalg import DepthExhausted, entry_polynomials
 from .records import FrozenRecord
 from .report import CheckReport
 from .zerocurv import PdeSystem, zero_curvature
 
 _HALF = Fraction(1, 2)
+_ONE = DiffPoly.const(1)
 # {b_1, c_1} = 4 delta at k = 1 fixes the global factor relative to the raw
 # component bracket 2 a_{m+n-k-1}.
 _NU = Fraction(2)
@@ -54,7 +55,7 @@ class BracketTable(FrozenRecord):
     __slots__ = ("k", "entries", "fields")
 
     def __init__(
-        self, k: int, entries: Dict[Tuple[FieldVar, FieldVar], DiffPoly], fields: Tuple[FieldVar, ...]
+        self, k: int, entries: dict[tuple[FieldVar, FieldVar], DiffPoly], fields: tuple[FieldVar, ...]
     ):
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "entries", entries)
@@ -66,23 +67,18 @@ class BracketTable(FrozenRecord):
 
     def bracket_field(self, u: FieldVar, q: DiffPoly) -> DiffPoly:
         """{u, q} for a derivative-free polynomial q, by the Leibniz rule."""
-        out = DiffPoly.zero()
-        for v in self.fields:
-            p_uv = self.entries.get((u, v))
-            if p_uv is not None:
-                out = out + p_uv * q.partial(v)
-        return out
+        return self.gradient_bracket({u: _ONE}, self.gradient(q))
 
     def bracket(self, p: DiffPoly, q: DiffPoly) -> DiffPoly:
         """{p, q} for derivative-free polynomials, bilinear Leibniz extension."""
         return self.gradient_bracket(self.gradient(p), self.gradient(q))
 
-    def gradient(self, p: DiffPoly) -> Dict[FieldVar, DiffPoly]:
+    def gradient(self, p: DiffPoly) -> dict[FieldVar, DiffPoly]:
         """The nonzero partials of p in the fields the entries name."""
         names = {w for pair in self.entries for w in pair}
         return {w: d for w in names if not (d := p.partial(w)).is_zero()}
 
-    def gradient_bracket(self, dp: Dict[FieldVar, DiffPoly], dq: Dict[FieldVar, DiffPoly]) -> DiffPoly:
+    def gradient_bracket(self, dp: dict[FieldVar, DiffPoly], dq: dict[FieldVar, DiffPoly]) -> DiffPoly:
         """{p, q} from the gradients of p and q."""
         return DiffPoly.dot(
             (1, du * p_uv, dv)
@@ -94,11 +90,12 @@ class BracketTable(FrozenRecord):
         """Field-dependent bivector Jacobi identity on all field triples."""
         report = CheckReport(f"bracket_jacobi(k={self.k})")
         for u, v, z in combinations(self.fields, 3):
-            acc = DiffPoly.zero()
-            for x, y, w_pair in ((u, v, z), (v, z, u), (z, u, v)):
-                pvz = self.pair(y, w_pair)
-                for w in self.fields:
-                    acc = acc + self.pair(x, w) * pvz.partial(w)
+            # sum over the cyclic (x, y, y2) of {x, P[y, y2]}
+            acc = DiffPoly.dot(
+                (1, self.pair(x, w), d)
+                for x, y, y2 in ((u, v, z), (v, z, u), (z, u, v))
+                for w, d in self.gradient(self.pair(y, y2)).items()
+            )
             report.add(
                 f"({u.kind}{u.index},{v.kind}{v.index},{z.kind}{z.index})",
                 acc.is_zero(),
@@ -112,7 +109,7 @@ def field_bracket_table(table: PsiTable) -> BracketTable:
     k = table.k
     if table.depth < k:
         raise ValueError("bracket table needs depth >= k")
-    entries: Dict[Tuple[FieldVar, FieldVar], DiffPoly] = {}
+    entries: dict[tuple[FieldVar, FieldVar], DiffPoly] = {}
     for m in range(1, k + 1):
         for n in range(1, k + 1):
             idx = m + n - k - 1
@@ -134,15 +131,6 @@ def field_bracket_table(table: PsiTable) -> BracketTable:
 # coefficients, held as {(e_lambda, e_mu): DiffPoly} dicts without zero values.
 
 
-def _accumulate(out: Dict[Tuple[int, int], DiffPoly], key: Tuple[int, int], val: DiffPoly) -> None:
-    hit = out.get(key)
-    total = val if hit is None else hit + val
-    if total.is_zero():
-        out.pop(key, None)
-    else:
-        out[key] = total
-
-
 def sklyanin_check(table: PsiTable) -> CheckReport:
     """Entrywise check of (lambda-mu) {V_1, V_2} = [-2 Pi, V_1 + V_2].
 
@@ -155,31 +143,35 @@ def sklyanin_check(table: PsiTable) -> CheckReport:
     if any(p.max_dorder() for part in parts for p in part.values()):
         raise ValueError("Lax matrix entries must be derivative-free")
     grads = [{e: brackets.gradient(p) for e, p in part.items()} for part in parts]
-    pair_brackets = {}
-    for x, grad_x in enumerate(grads):
-        for y, grad_y in enumerate(grads):
-            acc = pair_brackets[x, y] = {}
-            for dl, dp in grad_x.items():
-                for dm, dq in grad_y.items():
-                    _accumulate(acc, (dl, dm), brackets.gradient_bracket(dp, dq))
+    # {(e_lambda, e_mu): bracket} per pair of parts, zero brackets dropped
+    pair_brackets = {
+        (x, y): {
+            (dl, dm): p
+            for dl, dp in grad_x.items()
+            for dm, dq in grad_y.items()
+            if not (p := brackets.gradient_bracket(dp, dq)).is_zero()
+        }
+        for x, grad_x in enumerate(grads)
+        for y, grad_y in enumerate(grads)
+    }
     # (index into parts, sign) of each entry of V
     slot = (((0, 1), (1, 1)), ((2, 1), (0, -1)))
 
     report = CheckReport(f"sklyanin(k={table.k})")
     for i1, i2, j1, j2 in product(range(2), repeat=4):
         (x, sx), (y, sy) = slot[i1][j1], slot[i2][j2]
-        residual: Dict[Tuple[int, int], DiffPoly] = {}
+        # (weight, polynomial) contributions per (e_lambda, e_mu), one dot each
+        sums: dict[tuple[int, int], list] = {}
         for (dl, dm), p in pair_brackets[x, y].items():
-            p = p.scale(sx * sy)
-            _accumulate(residual, (dl + 1, dm), p)
-            _accumulate(residual, (dl, dm + 1), -p)
+            sums.setdefault((dl + 1, dm), []).append((sx * sy, p, _ONE))
+            sums.setdefault((dl, dm + 1), []).append((-sx * sy, p, _ONE))
         for hit, (i, j), sign in ((i1 == j2, (i2, j1), 2), (i2 == j1, (i1, j2), -2)):
             if hit:
                 z, sz = slot[i][j]
                 for e, p in parts[z].items():
-                    p = p.scale(sign * sz)
-                    _accumulate(residual, (e, 0), p)
-                    _accumulate(residual, (0, e), -p)
+                    sums.setdefault((e, 0), []).append((sign * sz, p, _ONE))
+                    sums.setdefault((0, e), []).append((-sign * sz, p, _ONE))
+        residual = {key: p for key, terms in sums.items() if not (p := DiffPoly.dot(terms)).is_zero()}
         detail = "; ".join(f"l^{dl} m^{dm}: {p}" for (dl, dm), p in sorted(residual.items()))
         report.add(f"entry({2 * i1 + i2},{2 * j1 + j2})", not residual, detail)
     return report
@@ -198,8 +190,8 @@ class WZExpansion(FrozenRecord):
         self,
         k: int,
         depth: int,
-        w: Tuple[Tuple[DiffPoly, DiffPoly], ...],
-        zdot_densities: Tuple[DiffPoly, ...],
+        w: tuple[tuple[DiffPoly, DiffPoly], ...],
+        zdot_densities: tuple[DiffPoly, ...],
     ):
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "depth", depth)
@@ -235,56 +227,54 @@ def wz_expand(table: PsiTable, depth: int) -> WZExpansion:
     k = table.k
     if table.depth < k:
         raise DepthExhausted("wz_expand needs the table rows 0..k")
-    owner = _memo_owner(table, k)
-    if owner is None:
-        return _Riccati(table).expansion(depth)
-    riccati = owner.memo.get("riccati") or owner.memo.setdefault("riccati", _Riccati(table))
-    with owner.lock:
-        return riccati.expansion(depth)
+    return _memoized(table, k, "riccati", lambda: _Riccati(table)).expansion(depth)
 
 
 class _Riccati:
-    """The w_j and densities of wz_expand computed so far, resumable."""
+    """The w_j and densities of wz_expand computed so far, resumable; a shared
+    one grows under its own lock."""
 
     def __init__(self, table: PsiTable):
+        self._lock = threading.Lock()
         self.k = table.k
         self.rows = table.rows[: table.k + 1]
-        self.betas: List[DiffPoly] = [DiffPoly.zero()]  # index 0 unused
-        self.gammas: List[DiffPoly] = [DiffPoly.zero()]
-        self.densities: List[DiffPoly] = []
+        self.betas: list[DiffPoly] = [DiffPoly.zero()]  # index 0 unused
+        self.gammas: list[DiffPoly] = [DiffPoly.zero()]
+        self.densities: list[DiffPoly] = []
 
     def expansion(self, depth: int) -> WZExpansion:
-        k, rows, betas, gammas = self.k, self.rows, self.betas, self.gammas
-        for j in range(len(betas), depth + k):
-            b_terms = [(-2, rows[m].a, betas[j - m]) for m in range(1, min(k, j - 1) + 1)]
-            c_terms = [(2, rows[m].a, gammas[j - m]) for m in range(1, min(k, j - 1) + 1)]
-            for m in range(1, min(k, j - 2) + 1):
-                # w_{i1} O_m w_{i2} over i1 + i2 = s: the pair i1 < i2 equals
-                # its mirror, so it is taken once with weight 2, the middle once.
-                om_b, om_c, s = rows[m].bp, rows[m].cm, j - m
-                for i1 in range(1, s // 2 + 1):
-                    w = 1 if 2 * i1 == s else 2
-                    b_terms.append((w, betas[i1] * om_c, betas[s - i1]))
-                    c_terms.append((w, gammas[i1] * om_b, gammas[s - i1]))
-            rhs_b, rhs_c = DiffPoly.dot(b_terms), DiffPoly.dot(c_terms)
-            if j <= k:
-                rhs_b, rhs_c = rhs_b - rows[j].bp, rhs_c - rows[j].cm
-            else:
-                rhs_b, rhs_c = rhs_b + betas[j - k].derive(), rhs_c + gammas[j - k].derive()
-            betas.append(rhs_b.scale(_HALF))
-            gammas.append(rhs_c.scale(-_HALF))
-        for n in range(len(self.densities) + 1, depth + 1):
-            terms = []
-            for m in range(1, k + 1):
-                i = n + k - m
-                terms += ((1, rows[m].bp, gammas[i]), (-1, rows[m].cm, betas[i]))
-            self.densities.append(DiffPoly.dot(terms).scale(_HALF))
-        return WZExpansion(
-            k=k,
-            depth=depth,
-            w=tuple(zip(betas[1 : depth + 1], gammas[1 : depth + 1])),
-            zdot_densities=tuple(self.densities[:depth]),
-        )
+        with self._lock:
+            k, rows, betas, gammas = self.k, self.rows, self.betas, self.gammas
+            for j in range(len(betas), depth + k):
+                b_terms = [(-2, rows[m].a, betas[j - m]) for m in range(1, min(k, j - 1) + 1)]
+                c_terms = [(2, rows[m].a, gammas[j - m]) for m in range(1, min(k, j - 1) + 1)]
+                for m in range(1, min(k, j - 2) + 1):
+                    # w_{i1} O_m w_{i2} over i1 + i2 = s: the pair i1 < i2 equals
+                    # its mirror, so it is taken once with weight 2, the middle once.
+                    om_b, om_c, s = rows[m].bp, rows[m].cm, j - m
+                    for i1 in range(1, s // 2 + 1):
+                        w = 1 if 2 * i1 == s else 2
+                        b_terms.append((w, betas[i1] * om_c, betas[s - i1]))
+                        c_terms.append((w, gammas[i1] * om_b, gammas[s - i1]))
+                rhs_b, rhs_c = DiffPoly.dot(b_terms), DiffPoly.dot(c_terms)
+                if j <= k:
+                    rhs_b, rhs_c = rhs_b - rows[j].bp, rhs_c - rows[j].cm
+                else:
+                    rhs_b, rhs_c = rhs_b + betas[j - k].derive(), rhs_c + gammas[j - k].derive()
+                betas.append(rhs_b.scale(_HALF))
+                gammas.append(rhs_c.scale(-_HALF))
+            for n in range(len(self.densities) + 1, depth + 1):
+                terms = []
+                for m in range(1, k + 1):
+                    i = n + k - m
+                    terms += ((1, rows[m].bp, gammas[i]), (-1, rows[m].cm, betas[i]))
+                self.densities.append(DiffPoly.dot(terms).scale(_HALF))
+            return WZExpansion(
+                k=k,
+                depth=depth,
+                w=tuple(zip(betas[1 : depth + 1], gammas[1 : depth + 1])),
+                zdot_densities=tuple(self.densities[:depth]),
+            )
 
 
 def hamiltonian_density(table: PsiTable, n: int) -> DiffPoly:
@@ -300,10 +290,7 @@ def flow_from_hamiltonian(table: PsiTable, n: int) -> PdeSystem:
     density = hamiltonian_density(table, n)
     brackets = field_bracket_table(table)
     variations = {v: density.euler(v) for v in brackets.fields}
-    evolution = {
-        u: DiffPoly.dot((1, p_uv, variations[v]) for (w, v), p_uv in brackets.entries.items() if w == u)
-        for u in brackets.fields
-    }
+    evolution = {u: brackets.gradient_bracket({u: _ONE}, variations) for u in brackets.fields}
     return PdeSystem(k=table.k, n=n, evolution=evolution)
 
 

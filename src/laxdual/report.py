@@ -8,7 +8,6 @@ and the caller decides what to do with that.
 
 from __future__ import annotations
 
-from typing import List, Optional
 
 from .records import FrozenRecord, Record
 
@@ -16,7 +15,7 @@ from .records import FrozenRecord, Record
 class CheckItem(FrozenRecord):
     __slots__ = ("label", "ok", "residual")
 
-    def __init__(self, label: str, ok: bool, residual: Optional[str] = None):
+    def __init__(self, label: str, ok: bool, residual: str | None = None):
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "ok", ok)
         object.__setattr__(self, "residual", residual)
@@ -31,18 +30,18 @@ class CheckItem(FrozenRecord):
 class CheckReport(Record):
     __slots__ = ("name", "items")
 
-    def __init__(self, name: str, items: Optional[List[CheckItem]] = None):
+    def __init__(self, name: str, items: list[CheckItem] | None = None):
         self.name = name
         self.items = [] if items is None else items
 
-    def add(self, label: str, ok: bool, residual: Optional[str] = None) -> None:
+    def add(self, label: str, ok: bool, residual: str | None = None) -> None:
         self.items.append(CheckItem(label, ok, None if ok else residual))
 
     @property
     def passed(self) -> bool:
         return all(item.ok for item in self.items)
 
-    def failures(self) -> List[CheckItem]:
+    def failures(self) -> list[CheckItem]:
         return [item for item in self.items if not item.ok]
 
     def to_json(self) -> dict:

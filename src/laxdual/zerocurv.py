@@ -16,7 +16,6 @@ polynomial in t_k-derivatives and extends d_n to composites by the chain rule.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional
 
 from .diffpoly import DiffPoly, FieldVar
 from .fnr import PsiTable, _memoized, build_psi, lax_matrix
@@ -47,8 +46,8 @@ class PdeSystem(Record):
         self,
         k: int,
         n: int,
-        evolution: Dict[FieldVar, DiffPoly],
-        auxiliary: Optional[Dict[FieldVar, DiffPoly]] = None,
+        evolution: dict[FieldVar, DiffPoly],
+        auxiliary: dict[FieldVar, DiffPoly] | None = None,
     ):
         self.k = k
         self.n = n
@@ -74,7 +73,7 @@ class PdeSystem(Record):
             terms.append((1, p.partial(v), base.derive(v.dorder)))
         return DiffPoly.dot(terms)
 
-    def fields(self) -> List[FieldVar]:
+    def fields(self) -> list[FieldVar]:
         return sorted(self.evolution)
 
 
@@ -96,13 +95,13 @@ def _derive_system(table: PsiTable, n: int) -> PdeSystem:
     # d_n V^(k) = d_k V^(n) + [V^(n), V^(k)]; d_n V^(k) is sum_q (d_n l_q) lambda^(k-q).
     flow = v_n.map(DiffPoly.derive) + lm_commutator(v_n, lax_matrix(table, k))
 
-    evolution: Dict[FieldVar, DiffPoly] = {}
+    evolution: dict[FieldVar, DiffPoly] = {}
     for q in range(1, k + 1):
         evolution[FieldVar("b", q)] = flow.coeff(k - q).bp
         evolution[FieldVar("c", q)] = flow.coeff(k - q).cm
     system = PdeSystem(k=k, n=n, evolution=evolution)
 
-    bad: List[str] = []
+    bad: list[str] = []
     # Coefficients lambda^e, e = k+n..k, carry no d_n of a free field, so the
     # zero-curvature form leaves -flow there, which must vanish outright (for
     # e <= n it restates the t_k flow equation).
@@ -186,7 +185,7 @@ def dual_equivalence(n: int, k: int) -> DualityResult:
 
     # Ascending elimination: the rule for d_n u_q (q <= k-n) contains u_{q+n}
     # linearly with coefficient +-2 and nothing else of that index.
-    psi: Dict[FieldVar, DiffPoly] = {}
+    psi: dict[FieldVar, DiffPoly] = {}
     for q in range(1, k - n + 1):
         j = n + q
         for kind, coeff in (("b", Fraction(2)), ("c", Fraction(-2))):

@@ -270,6 +270,50 @@ class TestPlumbing:
         assert code == 2 and out == ""
         assert str(cfg) in err and "'depht'" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "sklyanin", "--k", "1"),
+            ("verify", "duality", "--n", "1", "--k", "2"),
+            ("verify", "flow", "--k", "1", "--n", "2"),
+        ],
+        ids=["sklyanin", "duality", "flow"],
+    )
+    def test_verify_has_no_latex_format(self, tmp_path, argv):
+        # verify used to print its JSON report under --format latex and exit 0.
+        cfg = tmp_path / "latex.cfg"
+        cfg.write_text("format=latex\n", encoding="utf-8")
+        for full in ([*argv, "--format", "latex"], ["--config", str(cfg), *argv]):
+            code, out, err = run_cli(*full)
+            assert code == 2 and out == ""
+            assert "invalid choice: 'latex'" in err
+
+    def test_config_equals_form(self, tmp_path):
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text("depth=5\n", encoding="utf-8")
+        want = run_cli("--config", str(cfg), "psi", "--k", "1")
+        assert want[1].startswith("# psi table: k=1 depth=5\n")
+        assert run_cli(f"--config={cfg}", "psi", "--k", "1") == want
+        assert run_cli("psi", "--k", "1", f"--config={cfg}") == want
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (("--config", "{cfg}", "--config", "{cfg}", "psi", "--k", "1"), "--config given more than once"),
+            (("--config", "{cfg}", "psi", "--k", "1", "--config={cfg}"), "--config given more than once"),
+            (("--config", "{nested}", "psi", "--k", "1"), "{nested}: unknown config key 'config'"),
+            (("--config=", "psi", "--k", "1"), "--config needs a path"),
+        ],
+        ids=["repeated", "repeated-equals", "config-key", "empty"],
+    )
+    def test_config_that_cannot_apply_is_an_error(self, tmp_path, argv, error):
+        paths = {"cfg": tmp_path / "deep.cfg", "nested": tmp_path / "nested.cfg"}
+        paths["cfg"].write_text("depth=5\n", encoding="utf-8")
+        paths["nested"].write_text(f"config={paths['cfg']}\n", encoding="utf-8")
+        code, out, err = run_cli(*(a.format(**paths) for a in argv))
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: " + error.format(**paths)]
+
     def test_out_file(self, tmp_path):
         target = tmp_path / "out.txt"
         code, out, _ = run_cli("derive", "--k", "1", "--n", "2", "--out", str(target))
@@ -297,7 +341,8 @@ class TestPlumbing:
         probe = (
             "import sys\n"
             "import laxdual.cli\n"
-            "print(sorted(m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules), file=sys.stderr)\n"
+            "loaded = ('dataclasses', 'inspect', 'json', 'typing')\n"
+            "print(sorted(m for m in loaded if m in sys.modules), file=sys.stderr)\n"
             "code = laxdual.cli.main(['psi', '--k', '1', '--format', 'json'])\n"
             "print('json' in sys.modules, file=sys.stderr)\n"
             "sys.exit(code)\n"

@@ -82,6 +82,44 @@ class TestRowReuse:
         for table in tables:
             assert list(table.rows) == want[table.k][: table.depth + 1]
 
+    def test_concurrent_riccati_growth(self, fresh_store):
+        # In each round eight threads grow the one shared expansion per k of an
+        # empty store to shuffled depths; a growth step that two threads race
+        # through shifts every later order.  Without the lock, 30 rounds fail
+        # in nearly every run.
+        want = {(k, d): wz_expand(unowned(build_psi(k, k)), d) for k in (1, 2, 3) for d in range(1, 10)}
+        results, errors = [], []
+        rounds = 30
+
+        def work(seed, start):
+            order = [(k, d) for k in (1, 2, 3) for d in range(1, 10)]
+            random.Random(seed).shuffle(order)
+            try:
+                start.wait()
+                for k, d in order:
+                    results.append((k, d, wz_expand(build_psi(k, k), d)))
+            except Exception as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for rnd in range(rounds):
+                fresh_store.clear()
+                start = threading.Barrier(8, timeout=60)
+                threads = [threading.Thread(target=work, args=(8 * rnd + i, start)) for i in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+        assert not errors
+        assert len(results) == rounds * 8 * 3 * 9
+        for k, d, wz in results:
+            assert wz == want[k, d]
+
 
 class TestMemos:
     def test_zero_curvature_is_shared(self):

@@ -150,7 +150,7 @@ class TestTracePair:
     def test_depth_exhausted(self):
         x = LaurentMatrix({0: SIGMA3}, floor=0)
         y = LaurentMatrix({0: SIGMA3}, floor=0)
-        with pytest.raises(DepthExhausted):
+        with pytest.raises(DepthExhausted, match=r"lambda\^-1; the known floor is 0"):
             trace_pair(x, y, 0)  # needs the lambda^-1 coefficient of both
 
 
