@@ -57,49 +57,47 @@ def _apply_memory_cap() -> None:
         raise CliError(f"cannot apply LAXDUAL_MAX_MB={cap!r}: {exc}") from exc
 
 
+def _read_pairs(path: str, what: str, form: str):
+    """Yield (lineno, key, value) for each `key = value` line of a file.
+
+    Blank lines and `#` comments are skipped; `what` names the file and
+    `form` the expected line in error messages."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except OSError as exc:
+        raise CliError(f"cannot read {what} file: {exc}") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}:{lineno}: expected {form}")
+        key, _, value = line.partition("=")
+        yield lineno, key.strip(), value.strip()
+
+
 def _read_config(path: str | None) -> dict[str, str]:
     if not path:
         return {}
     values: dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise CliError(f"{path}:{lineno}: expected key=value")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key in values:
-                    raise CliError(f"{path}:{lineno}: repeated key {key!r}")
-                values[key] = value.strip()
-    except OSError as exc:
-        raise CliError(f"cannot read config file: {exc}") from exc
+    for lineno, key, value in _read_pairs(path, "config", "key=value"):
+        if key in values:
+            raise CliError(f"{path}:{lineno}: repeated key {key!r}")
+        values[key] = value
     return values
 
 
 def _read_substitutions(path: str) -> dict[FieldVar, DiffPoly]:
     """One `lhs = rhs` per line in the polynomial grammar; lhs a bare field."""
     rules: dict[FieldVar, DiffPoly] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise CliError(f"cannot read substitution file: {exc}") from exc
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected lhs = rhs")
-        lhs_text, _, rhs_text = line.partition("=")
+    for lineno, lhs_text, rhs_text in _read_pairs(path, "substitution", "lhs = rhs"):
         try:
-            lhs = parse_fieldvar(lhs_text.strip())
+            lhs = parse_fieldvar(lhs_text)
             if lhs.dorder != 0:
                 raise CliError(f"{path}:{lineno}: substitution target must be underived")
             if lhs in rules:
-                raise CliError(f"{path}:{lineno}: repeated substitution target {lhs_text.strip()!r}")
+                raise CliError(f"{path}:{lineno}: repeated substitution target {lhs_text!r}")
             rules[lhs] = parse_poly(rhs_text)
         except ValueError as exc:
             raise CliError(f"{path}:{lineno}: {exc}") from exc
@@ -121,10 +119,6 @@ def _emit(text: str, out: str | None) -> None:
                 handle.write("\n")
     else:
         print(text)
-
-
-def _field_name(v: FieldVar) -> str:
-    return f"{v.kind}{v.index if v.kind in ('b', 'c') else ''}"
 
 
 # -- psi ---------------------------------------------------------------------
@@ -184,46 +178,34 @@ def _render_system(
     def rewrite(p: DiffPoly) -> DiffPoly:
         return p.substitute(subs) if subs else p
 
-    items = [(u, rewrite(system.evolution[u])) for u in sorted(system.evolution)]
-    aux = [(u, rewrite(system.auxiliary[u])) for u in sorted(system.auxiliary)]
+    fields = sorted(system.evolution)
+    pairs = [(rewrite(DiffPoly.from_var(u)), rewrite(system.evolution[u])) for u in fields]
+    n = system.n
     if fmt == "json":
-        return _json_text(
-            {
-                "k": system.k,
-                "n": system.n,
-                "evolution": [
-                    {"field": _field_name(u), "rhs": rhs.to_json()} for u, rhs in items
-                ],
-                "auxiliary": [
-                    {"field": _field_name(u), "rhs": rhs.to_json()} for u, rhs in aux
-                ],
-            }
-        )
+        evolution = [{"field": str(u), "rhs": rhs.to_json()} for u, (_, rhs) in zip(fields, pairs)]
+        return _json_text({"k": system.k, "n": n, "evolution": evolution, "auxiliary": []})
     if fmt == "latex":
         if style == "zero":
             lines = [
-                rf"\partial_{{t_{{{system.n}}}}} {u.kind}_{{{u.index}}} "
-                rf"- \left( {rhs.to_latex()} \right) = 0"
-                for u, rhs in items
+                rf"\partial_{{t_{{{n}}}}} {_latex_lhs(lhs)} - \left( {rhs.to_latex()} \right) = 0"
+                for lhs, rhs in pairs
             ]
         else:
-            lines = [
-                rf"\partial_{{t_{{{system.n}}}}} {u.kind}_{{{u.index}}} = {rhs.to_latex()}"
-                for u, rhs in items
-            ]
-        lines += [
-            rf"{u.kind}_{{{u.index}}} = {rhs.to_latex()} \quad\text{{(auxiliary)}}"
-            for u, rhs in aux
-        ]
+            lines = [rf"\partial_{{t_{{{n}}}}} {_latex_lhs(lhs)} = {rhs.to_latex()}" for lhs, rhs in pairs]
         return " \\\\\n".join(lines)
     if style == "zero":
-        lines = [
-            f"d{system.n}({_lhs_text(u, subs)}) {_negated_tail(rhs)} = 0" for u, rhs in items
-        ]
+        lines = [f"d{n}({lhs}) {_negated_tail(rhs)} = 0" for lhs, rhs in pairs]
     else:
-        lines = [f"d{system.n}({_lhs_text(u, subs)}) = {rhs}" for u, rhs in items]
-    lines += [f"{_lhs_text(u, subs)} = {rhs}  [auxiliary]" for u, rhs in aux]
+        lines = [f"d{n}({lhs}) = {rhs}" for lhs, rhs in pairs]
     return "\n".join(lines)
+
+
+def _latex_lhs(lhs: DiffPoly) -> str:
+    """A bare field as itself; a substituted left side in parentheses."""
+    fields = lhs.variables()
+    if len(fields) == 1 and lhs == DiffPoly.from_var(fields[0]):
+        return lhs.to_latex()
+    return rf"\left( {lhs.to_latex()} \right)"
 
 
 def _negated_tail(rhs: DiffPoly) -> str:
@@ -231,12 +213,6 @@ def _negated_tail(rhs: DiffPoly) -> str:
     if text == "0":
         return ""
     return f"+ {text}" if not text.startswith("-") else f"- {text[1:]}"
-
-
-def _lhs_text(u: FieldVar, subs: dict[FieldVar, DiffPoly]) -> str:
-    if subs and u in subs:
-        return str(subs[u])
-    return _field_name(u)
 
 
 def _cmd_derive(args) -> int:
@@ -288,12 +264,10 @@ def _cmd_verify(args) -> int:
         result = dual_equivalence(args.n, args.k)
         payload = result.report.to_json()
         payload["n"], payload["k"] = args.n, args.k
-    elif args.what == "flow":
+    else:  # flow
         report = flow_matches_zc(build_psi(args.k, max(args.k, args.n)), args.n)
         payload = report.to_json()
         payload["k"], payload["n"] = args.k, args.n
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown verification {args.what!r}")
     _report_out(payload, args.format, args.out)
     return 0 if payload["passed"] else VERIFY_FAILURE
 
@@ -412,8 +386,8 @@ def _merge_config(
         if token not in choices:
             break
         chosen = choices[token]
-    # Only subcommand flags: the top-level --config is not a config key.
-    known = set().union(*map(_all_flags, _subcommands(parser).values()))
+    # The top-level --config is not a config key.
+    known = _all_flags(parser) - {"--config"}
     accepted = _flags(chosen)
     present = {token.split("=", 1)[0] for token in argv if token.startswith("--")}
     extra: list[str] = []

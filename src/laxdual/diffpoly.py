@@ -93,7 +93,7 @@ class FieldVar(namedtuple("FieldVar", ("kind", "index", "dorder"), defaults=(0,)
         return self.kind not in ("b", "c") and self.kind.isalpha()
 
     def __str__(self) -> str:
-        return f"{self.kind}{self.index if self.kind in ('b', 'c') else ''}" + "'" * self.dorder
+        return self.kind + (str(self.index) if self.kind in ("b", "c") else "") + "'" * self.dorder
 
 
 _W = 16  # bits per exponent field
@@ -735,7 +735,10 @@ def _parse_term(tokens, pos):
         if kind in ("num", "var") and not expect_factor:
             raise PolyParseError(f"missing '*' before {value!r}")
         if kind == "num":
-            coeff *= Fraction(value)
+            try:
+                coeff *= Fraction(value)
+            except ZeroDivisionError:
+                raise PolyParseError(f"zero denominator in {value!r}") from None
             pos += 1
         elif kind == "var":
             v = parse_fieldvar(value)

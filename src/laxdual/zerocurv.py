@@ -69,7 +69,7 @@ class PdeSystem(Record):
                 continue
             base = self.evolution.get(v.base())
             if base is None:
-                raise KeyError(f"no evolution rule for field {v.kind}{v.index}")
+                raise KeyError(f"no evolution rule for field {v.base()}")
             terms.append((1, p.partial(v), base.derive(v.dorder)))
         return DiffPoly.dot(terms)
 
@@ -148,7 +148,7 @@ def commuting_flows_check(table: PsiTable, n: int, m: int) -> CheckReport:
     for u in table.free_fields():
         p = DiffPoly.from_var(u)
         residual = sys_n.derivative(sys_m.derivative(p)) - sys_m.derivative(sys_n.derivative(p))
-        report.add(f"[{n},{m}] on {u.kind}{u.index}", residual.is_zero(), residual.to_text())
+        report.add(f"[{n},{m}] on {u}", residual.is_zero(), residual.to_text())
     return report
 
 

@@ -65,6 +65,32 @@ class TestDerive:
         assert "d2(b1) = -b1^2*b1s*e + 1/2*b1''" in out
         assert "d2(b1s*e) = " in out
 
+    @pytest.mark.parametrize(
+        "style, want",
+        [
+            (
+                "evolution",
+                r"\partial_{t_{2}} \left( 2 b_{1} \right) = -4 {b_{1}}^{2} c_{1} + b_{1}'' \\" "\n"
+                r"\partial_{t_{2}} c_{1} = 2 b_{1} {c_{1}}^{2} - \frac{1}{2} c_{1}''" "\n",
+            ),
+            (
+                "zero",
+                r"\partial_{t_{2}} \left( 2 b_{1} \right) - \left( -4 {b_{1}}^{2} c_{1} + b_{1}'' \right) = 0 \\"
+                "\n"
+                r"\partial_{t_{2}} c_{1} - \left( 2 b_{1} {c_{1}}^{2} - \frac{1}{2} c_{1}'' \right) = 0" "\n",
+            ),
+        ],
+        ids=["evolution", "zero"],
+    )
+    def test_latex_substitutes_the_left_side(self, tmp_path, style, want):
+        sub = tmp_path / "double.sub"
+        sub.write_text("b1 = 2*b1\n", encoding="utf-8")
+        argv = ("derive", "--k", "1", "--n", "2", "--sub", str(sub), "--style", style)
+        code, out, _ = run_cli(*argv, "--format", "latex")
+        assert (code, out) == (0, want)
+        # the text form already wrote the substituted left side
+        assert run_cli(*argv)[1].startswith("d2(2*b1) ")
+
     def test_substitution_needs_explicit_star(self, tmp_path):
         sub = tmp_path / "implicit.sub"
         sub.write_text("b1 = 2 3 c1\n", encoding="utf-8")
@@ -313,6 +339,42 @@ class TestPlumbing:
         code, out, err = run_cli(*(a.format(**paths) for a in argv))
         assert code == 2 and out == ""
         assert err.splitlines() == ["error: " + error.format(**paths)]
+
+    @pytest.mark.parametrize(
+        "argv, text, error",
+        [
+            (("--config", "{path}", "psi", "--k", "1"), "# defaults\ndepth 5\n", "{path}:2: expected key=value"),
+            (("derive", "--k", "1", "--n", "2", "--sub", "{path}"), "c1 e*b1s\n", "{path}:1: expected lhs = rhs"),
+            (
+                ("--config", "{path}", "psi", "--k", "1"),
+                None,
+                "cannot read config file: [Errno 2] No such file or directory: {path!r}",
+            ),
+            (
+                ("derive", "--k", "1", "--n", "2", "--sub", "{path}"),
+                None,
+                "cannot read substitution file: [Errno 2] No such file or directory: {path!r}",
+            ),
+            (
+                ("derive", "--k", "1", "--n", "2", "--sub", "{path}"),
+                "b1' = c1\n",
+                "{path}:1: substitution target must be underived",
+            ),
+            (
+                ("derive", "--k", "1", "--n", "2", "--sub", "{path}"),
+                "\nb1 = 1/0*c1\n",
+                "{path}:2: zero denominator in '1/0'",
+            ),
+        ],
+        ids=["config-line", "sub-line", "config-missing", "sub-missing", "sub-derived", "sub-zero-denominator"],
+    )
+    def test_file_reader_errors(self, tmp_path, argv, text, error):
+        path = str(tmp_path / "input.txt")
+        if text is not None:
+            Path(path).write_text(text, encoding="utf-8")
+        code, out, err = run_cli(*(a.format(path=path) for a in argv))
+        assert code == 2 and out == ""
+        assert err.splitlines() == ["error: " + error.format(path=path)]
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "out.txt"

@@ -307,6 +307,11 @@ class TestParser:
             with pytest.raises(PolyParseError, match="tokenize"):
                 parse_poly(text)
 
+    @pytest.mark.parametrize("text, number", [("1/0*b1", "1/0"), ("c1 - 3/00", "3/00")])
+    def test_zero_denominator_is_a_parse_error(self, text, number):
+        with pytest.raises(PolyParseError, match=f"zero denominator in '{number}'"):
+            parse_poly(text)
+
     def test_extra_symbols(self):
         # letters-only tokens are constants, digit-bearing ones are fields
         p = P("e*b1s")

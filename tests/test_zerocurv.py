@@ -91,6 +91,13 @@ class TestZeroCurvature:
         with pytest.raises(KeyError):
             system.derivative(P("b7"))
 
+    def test_unknown_field_is_named_as_text_names_it(self):
+        # b1s is kind "b1s", index 0; the message must not read "b1s0".
+        system = zero_curvature(build_psi(1, 2), 2)
+        with pytest.raises(KeyError) as exc:
+            system.derivative(P("b1s'*b1"))
+        assert exc.value.args == ("no evolution rule for field b1s",)
+
     def test_tampered_table_raises_residual(self):
         table = build_psi(2, 5)
         rows = list(table.rows)
