@@ -67,6 +67,8 @@ def _read_pairs(path: str, what: str, form: str):
             lines = handle.readlines()
     except OSError as exc:
         raise CliError(f"cannot read {what} file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {what} file: {path}: {exc}") from exc
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -15,8 +15,13 @@ a partial derivative reads one field.  A DiffPoly is `num: {monomial: int}`
 over one `den: int`, canonical (den >= 1, no zero numerators, gcd(den, *num)
 == 1), so two polynomials are equal iff their (num, den) are.  Ids never show:
 `terms`, text, LaTeX and JSON sort by the public FieldVar order, and render
-from ints; Fraction appears only in constructors, `scale`, `constant_term`,
-`terms` and parsing.  Nothing in this module touches a float.
+from ints.  Coefficients come in as int pairs: the constructor, `const` and
+`scale` read `numerator`/`denominator` (an int or a Fraction, never a float)
+and the parser reads `n` or `n/d` as two ints.  Only `terms` and
+`constant_term` return a Fraction and only `from_json` builds one; they import
+`fractions` on first use, and the CLI calls none of them, so it never loads
+`fractions` (nor `decimal` and `numbers` with it).  Nothing in this module
+touches a float.
 
 Exponents stay below EXP_LIMIT = 2^15.  Two such fields sum to less than 2^16,
 so no product carries into the next field, and a sum that reaches 2^15 sets the
@@ -63,7 +68,6 @@ import re
 import threading
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
-from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import or_
@@ -170,14 +174,13 @@ class DiffPoly:
     __slots__ = ("num", "den", "_d")  # _d: the first derivative, once computed
 
     def __init__(self, terms: Mapping[tuple[tuple[FieldVar, int], ...], Fraction] | None = None):
-        fracs: dict[int, Fraction] = {}
-        for mono, coeff in (terms or {}).items():
-            key = _pack(mono)
-            fracs[key] = fracs.get(key, 0) + Fraction(coeff)
-        den = lcm(*(c.denominator for c in fracs.values()))
-        self.num = {m: c.numerator * (den // c.denominator) for m, c in fracs.items() if c}
-        self.den = den
-        self._d = None
+        items = [(_pack(mono), *_ratio(coeff)) for mono, coeff in (terms or {}).items()]
+        den = lcm(*(d for *_, d in items))
+        tab: dict[int, int] = {}
+        for key, n, d in items:
+            tab[key] = tab.get(key, 0) + n * (den // d)
+        p = _reduced(_nonzero(tab), den)
+        self.num, self.den, self._d = p.num, p.den, None
 
     # -- constructors ------------------------------------------------------
 
@@ -187,8 +190,8 @@ class DiffPoly:
 
     @staticmethod
     def const(value) -> "DiffPoly":
-        c = Fraction(value)
-        return _wrap({0: c.numerator}, c.denominator) if c else _ZERO
+        n, d = _ratio(value)
+        return _reduced({0: n}, d) if n else _ZERO
 
     @staticmethod
     def var(kind: str, index: int, dorder: int = 0) -> "DiffPoly":
@@ -203,6 +206,8 @@ class DiffPoly:
     @property
     def terms(self) -> dict[tuple[tuple[FieldVar, int], ...], Fraction]:
         """A fresh {Monomial: Fraction} table in the public (FieldVar, exp) form."""
+        from fractions import Fraction
+
         den = self.den
         return {_to_public(m): Fraction(c, den) for m, c in self.num.items()}
 
@@ -210,6 +215,8 @@ class DiffPoly:
         return not self.num
 
     def constant_term(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.num.get(0, 0), self.den)
 
     def _ids(self) -> list[int]:
@@ -275,12 +282,15 @@ class DiffPoly:
                     tab[m] = get(m, 0) + c1 * c2
         return _reduced(_nonzero(_guarded(tab)), den)
 
-    def scale(self, s) -> "DiffPoly":
-        s = Fraction(s)
-        if not s or not self.num:
+    def scale(self, s, d=1) -> "DiffPoly":
+        """s/d times self, for s and d each an int or a Fraction, d nonzero."""
+        (sn, sd), (dn, dd) = _ratio(s), _ratio(d)
+        if not dn:
+            raise ZeroDivisionError("DiffPoly.scale by zero")
+        n = sn * dd if dn > 0 else -sn * dd
+        if not n or not self.num:
             return _ZERO
-        n = s.numerator
-        return _reduced({m: c * n for m, c in self.num.items()}, self.den * s.denominator)
+        return _reduced({m: c * n for m, c in self.num.items()}, self.den * sd * abs(dn))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DiffPoly) and self.den == other.den and self.num == other.num
@@ -449,6 +459,8 @@ class DiffPoly:
     @staticmethod
     def from_json(data: Iterable[dict]) -> "DiffPoly":
         """Inverse of to_json; raises PolyParseError on any malformed payload."""
+        from fractions import Fraction
+
         tab: dict = {}
         try:
             for term in data:
@@ -465,6 +477,15 @@ class DiffPoly:
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise PolyParseError(f"malformed polynomial JSON: {type(exc).__name__}: {exc}") from exc
         return DiffPoly(tab)
+
+
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of an int or a Fraction; TypeError for
+    anything else, a float included, so that no value is silently rounded."""
+    n, d = getattr(x, "numerator", None), getattr(x, "denominator", None)
+    if not (isinstance(n, int) and isinstance(d, int) and d > 0):
+        raise TypeError(f"coefficient must be an int or a Fraction, got {type(x).__name__} {x!r}")
+    return n, d
 
 
 def _derivative(p: DiffPoly) -> DiffPoly:
@@ -637,9 +658,11 @@ def _peel_key(mono: int):
 # general identifier in place of ('b'|'c') index.  Factors must be joined by
 # '*': juxtaposition such as "2 3 b1" or "b1 c1" is an error.
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[A-Za-z][A-Za-z0-9]*'*)|(?P<op>[-+*^]))")
-_STDVAR = re.compile(r"^([bc])([1-9][0-9]*)('*)$")
-_EXTVAR = re.compile(r"^([A-Za-z][A-Za-z0-9]*?)('*)$")
+# Patterns, not compiled objects: re compiles each on first use and caches it,
+# so importing this module compiles no regex.
+_TOKEN = r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[A-Za-z][A-Za-z0-9]*'*)|(?P<op>[-+*^]))"
+_STDVAR = r"^([bc])([1-9][0-9]*)('*)$"
+_EXTVAR = r"^([A-Za-z][A-Za-z0-9]*?)('*)$"
 
 
 def _checked_var(kind, index, dorder) -> FieldVar:
@@ -669,10 +692,10 @@ def _checked_exp(exp) -> int:
 
 
 def parse_fieldvar(token: str) -> FieldVar:
-    m = _STDVAR.match(token)
+    m = re.match(_STDVAR, token)
     if m:
         return _checked_var(m.group(1), int(m.group(2)), len(m.group(3)))
-    m = _EXTVAR.match(token)
+    m = re.match(_EXTVAR, token)
     if m:
         return _checked_var(m.group(1), 0, len(m.group(2)))
     raise PolyParseError(f"bad field variable {token!r}")
@@ -708,8 +731,9 @@ def parse_poly(text: str) -> DiffPoly:
 def _tokenize(text: str):
     tokens = []
     pos = 0
+    match = re.compile(_TOKEN).match
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
+        m = match(text, pos)
         if m is None:
             if text[pos:].strip():
                 raise PolyParseError(f"cannot tokenize {text[pos:]!r}")
@@ -725,7 +749,7 @@ def _tokenize(text: str):
 
 
 def _parse_term(tokens, pos):
-    coeff = Fraction(1)
+    num, den = 1, 1
     factors: dict[FieldVar, int] = {}
     expect_factor = True
     while pos < len(tokens):
@@ -735,10 +759,10 @@ def _parse_term(tokens, pos):
         if kind in ("num", "var") and not expect_factor:
             raise PolyParseError(f"missing '*' before {value!r}")
         if kind == "num":
-            try:
-                coeff *= Fraction(value)
-            except ZeroDivisionError:
-                raise PolyParseError(f"zero denominator in {value!r}") from None
+            n, _, d = value.partition("/")
+            if d and not int(d):
+                raise PolyParseError(f"zero denominator in {value!r}")
+            num, den = num * int(n), den * int(d or 1)
             pos += 1
         elif kind == "var":
             v = parse_fieldvar(value)
@@ -761,4 +785,5 @@ def _parse_term(tokens, pos):
         expect_factor = False
     if expect_factor:
         raise PolyParseError("dangling '*'")
-    return DiffPoly({tuple(factors.items()): coeff}), pos
+    key = _pack(tuple(factors.items()))
+    return (_reduced({key: num}, den) if num else _ZERO), pos

@@ -26,15 +26,12 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Sequence
-from fractions import Fraction
 
 from .diffpoly import DiffPoly
 from .loopalg import LaurentMatrix, Sl2Poly, commutator_floor, project_plus, shift, trace_pair
 from .loopalg import _commutator_terms, _trace_terms
 from .records import FrozenRecord
 from .report import CheckReport
-
-_HALF = Fraction(1, 2)
 
 
 class PsiTable(FrozenRecord):
@@ -77,7 +74,7 @@ def casimir_closure_a(rows: Sequence[Sl2Poly], m: int) -> DiffPoly:
     if m % 2 == 0:
         mid = rows[m // 2]
         terms += ((1, mid.a, mid.a), (1, mid.bp, mid.cm))
-    return DiffPoly.dot(terms).scale(-_HALF)
+    return DiffPoly.dot(terms).scale(-1, 2)
 
 
 def extend_offdiagonal(rows: Sequence[Sl2Poly], p: int, k: int) -> tuple[DiffPoly, DiffPoly]:
@@ -94,8 +91,8 @@ def extend_offdiagonal(rows: Sequence[Sl2Poly], p: int, k: int) -> tuple[DiffPol
         lj, lo = rows[j], rows[p + k - j]
         b_terms += ((-1, lj.a, lo.bp), (1, lo.a, lj.bp))
         c_terms += ((-1, lj.a, lo.cm), (1, lo.a, lj.cm))
-    b_new = rows[p].bp.derive().scale(_HALF) + DiffPoly.dot(b_terms)
-    c_new = rows[p].cm.derive().scale(-_HALF) + DiffPoly.dot(c_terms)
+    b_new = rows[p].bp.derive().scale(1, 2) + DiffPoly.dot(b_terms)
+    c_new = rows[p].cm.derive().scale(-1, 2) + DiffPoly.dot(c_terms)
     return b_new, c_new
 
 

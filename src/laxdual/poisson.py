@@ -32,7 +32,6 @@ three scalar series that resolvent_check matches against the constrained series.
 from __future__ import annotations
 
 import threading
-from fractions import Fraction
 from itertools import combinations, product
 
 from .diffpoly import DiffPoly, FieldVar
@@ -42,11 +41,10 @@ from .records import FrozenRecord
 from .report import CheckReport
 from .zerocurv import PdeSystem, zero_curvature
 
-_HALF = Fraction(1, 2)
 _ONE = DiffPoly.const(1)
 # {b_1, c_1} = 4 delta at k = 1 fixes the global factor relative to the raw
 # component bracket 2 a_{m+n-k-1}.
-_NU = Fraction(2)
+_NU = 2
 
 
 class BracketTable(FrozenRecord):
@@ -80,8 +78,10 @@ class BracketTable(FrozenRecord):
 
     def gradient_bracket(self, dp: dict[FieldVar, DiffPoly], dq: dict[FieldVar, DiffPoly]) -> DiffPoly:
         """{p, q} from the gradients of p and q."""
+        # A unit partial (a linear p, or the {u: 1} of bracket_field and
+        # flow_from_hamiltonian) takes the entry unmultiplied.
         return DiffPoly.dot(
-            (1, du * p_uv, dv)
+            (1, p_uv if du == _ONE else du * p_uv, dv)
             for (u, v), p_uv in self.entries.items()
             if (du := dp.get(u)) is not None and (dv := dq.get(v)) is not None
         )
@@ -257,14 +257,14 @@ class _Riccati:
                     rhs_b, rhs_c = rhs_b - rows[j].bp, rhs_c - rows[j].cm
                 else:
                     rhs_b, rhs_c = rhs_b + betas[j - k].derive(), rhs_c + gammas[j - k].derive()
-                betas.append(rhs_b.scale(_HALF))
-                gammas.append(rhs_c.scale(-_HALF))
+                betas.append(rhs_b.scale(1, 2))
+                gammas.append(rhs_c.scale(-1, 2))
             for n in range(len(self.densities) + 1, depth + 1):
                 terms = []
                 for m in range(1, k + 1):
                     i = n + k - m
                     terms += ((1, rows[m].bp, gammas[i]), (-1, rows[m].cm, betas[i]))
-                self.densities.append(DiffPoly.dot(terms).scale(_HALF))
+                self.densities.append(DiffPoly.dot(terms).scale(1, 2))
             return WZExpansion(
                 k=k,
                 depth=depth,

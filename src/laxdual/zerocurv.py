@@ -15,8 +15,6 @@ polynomial in t_k-derivatives and extends d_n to composites by the chain rule.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .diffpoly import DiffPoly, FieldVar
 from .fnr import PsiTable, _memoized, build_psi, lax_matrix
 from .loopalg import lm_commutator
@@ -188,14 +186,14 @@ def dual_equivalence(n: int, k: int) -> DualityResult:
     psi: dict[FieldVar, DiffPoly] = {}
     for q in range(1, k - n + 1):
         j = n + q
-        for kind, coeff in (("b", Fraction(2)), ("c", Fraction(-2))):
+        for kind, coeff in (("b", 2), ("c", -2)):
             target = FieldVar(kind, j)
             rule = route_b.evolution[FieldVar(kind, q)]
             rest = rule - DiffPoly.from_var(target).scale(coeff)
             if not rest.partial(target).is_zero():
                 raise EliminationFailure(f"rule for d_{n} {kind}{q} is not linear in {kind}{j}")
             base = DiffPoly.var(kind, q) if q <= n else psi[FieldVar(kind, q)]
-            psi[target] = (base.derive() - rest.substitute(psi)).scale(1 / coeff)
+            psi[target] = (base.derive() - rest.substitute(psi)).scale(1, coeff)
 
     # The eliminated fields must coincide with the t_n constraint rows, and the
     # diagonal polynomials must map onto each other as well.

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -128,6 +129,35 @@ def ref_substitute(a, rules):
                 term = ref_mul(term, image)
         out = ref_add(out, term)
     return out
+
+
+def ref_canonical(pairs):
+    """The canonical (terms, den) of a sum of (Monomial, rational) pairs,
+    computed with Fraction: factors merged and sorted, equal monomials summed,
+    zero coefficients dropped, den the lcm of the reduced denominators.  The
+    oracle for the int-pair coefficient readers; compare with canonical(p)."""
+    terms = {}
+    for mono, c in pairs:
+        acc = {}
+        for v, e in mono:
+            acc[v] = acc.get(v, 0) + e
+        m = tuple(sorted(acc.items()))
+        terms[m] = terms.get(m, 0) + Fraction(c)
+    terms = {m: c for m, c in terms.items() if c}
+    return terms, lcm(*(c.denominator for c in terms.values()))
+
+
+def canonical(p: DiffPoly):
+    return p.terms, p.den
+
+
+def random_pair(rng: random.Random, nonzero: bool = False) -> tuple[int, int]:
+    """An int pair (n, d) for n/d, neither reduced nor sign-normalised: d != 0
+    may be negative, and n != 0 if nonzero."""
+    n = rng.randint(-30, 30)
+    while nonzero and not n:
+        n = rng.randint(-30, 30)
+    return n, rng.choice((-1, 1)) * rng.randint(1, 12)
 
 
 @pytest.fixture

@@ -365,13 +365,28 @@ class TestPlumbing:
                 "\nb1 = 1/0*c1\n",
                 "{path}:2: zero denominator in '1/0'",
             ),
+            (
+                ("--config", "{path}", "psi", "--k", "1"),
+                b"depth=\xff\n",
+                "cannot read config file: {path}: 'utf-8' codec can't decode byte 0xff in position 6: "
+                "invalid start byte",
+            ),
+            (
+                ("derive", "--k", "1", "--n", "2", "--sub", "{path}"),
+                b"b1 = c1\n# \xe9t\xe9\n",
+                "cannot read substitution file: {path}: 'utf-8' codec can't decode byte 0xe9 in position 10: "
+                "invalid continuation byte",
+            ),
         ],
-        ids=["config-line", "sub-line", "config-missing", "sub-missing", "sub-derived", "sub-zero-denominator"],
+        ids=[
+            "config-line", "sub-line", "config-missing", "sub-missing", "sub-derived", "sub-zero-denominator",
+            "config-not-utf8", "sub-not-utf8",
+        ],
     )
     def test_file_reader_errors(self, tmp_path, argv, text, error):
         path = str(tmp_path / "input.txt")
         if text is not None:
-            Path(path).write_text(text, encoding="utf-8")
+            Path(path).write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         code, out, err = run_cli(*(a.format(path=path) for a in argv))
         assert code == 2 and out == ""
         assert err.splitlines() == ["error: " + error.format(path=path)]
@@ -399,20 +414,34 @@ class TestPlumbing:
         ]
         assert runs[0] == runs[1]
 
-    def test_import_loads_no_dataclasses_inspect_or_json(self):
+    def test_import_loads_no_dataclasses_inspect_or_json(self, tmp_path):
+        # Nor fractions, decimal or numbers: not on import, and not on any
+        # subcommand's run either, substitution files included.
+        sub = tmp_path / "sub.txt"
+        sub.write_text("c1 = -3/4*e*b1s\n", encoding="utf-8")
+        runs = [
+            ["psi", "--k", "1", "--format", "json"],
+            ["derive", "--k", "1", "--n", "2", "--sub", str(sub)],
+            ["hamiltonian", "--k", "2", "--n", "1"],
+            ["verify", "duality", "--k", "3", "--n", "1"],
+            ["verify", "sklyanin", "--k", "2"],
+            ["verify", "flow", "--k", "1", "--n", "2"],
+        ]
         probe = (
             "import sys\n"
-            "import laxdual.cli\n"
-            "loaded = ('dataclasses', 'inspect', 'json', 'typing')\n"
-            "print(sorted(m for m in loaded if m in sys.modules), file=sys.stderr)\n"
-            "code = laxdual.cli.main(['psi', '--k', '1', '--format', 'json'])\n"
-            "print('json' in sys.modules, file=sys.stderr)\n"
-            "sys.exit(code)\n"
+            "import laxdual, laxdual.cli\n"
+            "never = ('dataclasses', 'inspect', 'typing', 'fractions', 'decimal', 'numbers')\n"
+            "def report():\n"
+            "    print(sorted(m for m in never + ('json',) if m in sys.modules), file=sys.stderr)\n"
+            "report()\n"
+            f"for argv in {runs!r}:\n"
+            "    assert laxdual.cli.main(argv) == 0, argv\n"
+            "    report()\n"
         )
         proc = run_process("-c", probe)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines() == ["[]", "True"]
-        assert proc.stdout == run_cli("psi", "--k", "1", "--format", "json")[1]
+        assert proc.stderr.splitlines() == ["[]"] + ["['json']"] * len(runs)
+        assert proc.stdout == "".join(run_cli(*argv)[1] for argv in runs)
 
     @pytest.mark.parametrize("cap", ["1", "0", "-5", "abc"])
     def test_memory_cap_faults_exit_2_with_one_error_line(self, cap):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import sys
 import threading
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -23,12 +24,15 @@ from laxdual.fnr import build_psi, casimir_closure_a
 from conftest import (
     EXT_POOL,
     P,
+    canonical,
     fv,
+    random_pair,
     random_poly,
     ref_add,
     ref_derive,
     ref_mul,
     ref_substitute,
+    ref_canonical,
     reference_closure_a,
     reference_rows,
 )
@@ -321,6 +325,65 @@ class TestParser:
 
     def test_latex_smoke(self):
         assert P("-1/2*b1''*c1^2").to_latex() == r"-\frac{1}{2} b_{1}'' {c_{1}}^{2}"
+
+
+class TestIntegerPairs:
+    """const, scale, the constructor and the parser read each coefficient as
+    an int pair; each agrees with the Fraction oracle ref_canonical, on
+    negative and unreduced inputs alike."""
+
+    def test_const(self, rng):
+        for _ in range(200):
+            n, d = random_pair(rng)
+            for value in (n, Fraction(n, d)):
+                assert canonical(DiffPoly.const(value)) == ref_canonical([((), value)])
+
+    def test_scale(self, rng):
+        for _ in range(60):
+            p = random_poly(rng, pool=EXT_POOL, max_den=9)
+            (n, d), (m, e) = random_pair(rng), random_pair(rng, nonzero=True)
+            for s, t in ((n, 1), (n, d), (Fraction(n, d), m), (n, Fraction(m, e)), (Fraction(n, d), Fraction(m, e))):
+                want = ref_canonical((mono, c * Fraction(s) / Fraction(t)) for mono, c in p.terms.items())
+                assert canonical(p.scale(s, t)) == want
+            assert p.scale(n) == p.scale(n, 1)
+        with pytest.raises(ZeroDivisionError):
+            P("b1").scale(1, 0)
+
+    def test_constructor(self, rng):
+        for _ in range(60):
+            pairs = []
+            for _ in range(rng.randint(0, 5)):
+                mono = tuple((rng.choice(EXT_POOL), rng.randint(1, 3)) for _ in range(rng.randint(0, 3)))
+                n, d = random_pair(rng)
+                pairs.append((mono, rng.choice((n, Fraction(n, d)))))
+                # the same monomial once more, its factors reversed: the two sum
+                pairs.append((mono[::-1], Fraction(-n, d) if rng.random() < 0.3 else d))
+            assert canonical(DiffPoly(dict(pairs))) == ref_canonical(dict(pairs).items())
+
+    def test_parsed_coefficients(self, rng):
+        for _ in range(60):
+            pieces, pairs = [], []
+            for _ in range(rng.randint(1, 5)):
+                mono = tuple((rng.choice(EXT_POOL[:7]), 1) for _ in range(rng.randint(0, 2)))
+                sign, n, d = rng.choice(("+", "-")), rng.randint(0, 30), rng.randint(1, 12)
+                number = f"{n}/{d}" if rng.random() < 0.7 else str(n)
+                factors = [number] + [str(v) for v, _ in mono]
+                pieces.append(f"{sign} {'*'.join(factors)}")
+                pairs.append((mono, Fraction(n if sign == "+" else -n, d if "/" in number else 1)))
+            assert canonical(parse_poly(" ".join(pieces))) == ref_canonical(pairs)
+
+    @pytest.mark.parametrize("bad", [0.1, "1/2", Decimal("0.1"), None], ids=["float", "str", "decimal", "none"])
+    def test_anything_but_an_int_or_a_fraction_is_a_type_error(self, bad):
+        p, name = P("b1"), type(bad).__name__
+        calls = (
+            lambda: DiffPoly.const(bad),
+            lambda: p.scale(bad),
+            lambda: p.scale(1, bad),
+            lambda: DiffPoly({((fv("b", 1), 1),): bad}),
+        )
+        for call in calls:
+            with pytest.raises(TypeError, match=f"got {name} "):
+                call()
 
 
 # -- the integer-numerator representation ----------------------------------------
