@@ -11,6 +11,11 @@ Output is deterministic byte-for-byte for a fixed invocation: every table is
 emitted in canonical order.  Exit codes: 0 success / all checks pass,
 1 verification failure, 2 usage or engine error.
 
+One table, _COMMANDS, holds every command's flags.  A flag is spelled in full
+and given at most once, as --flag value or --flag=value.  A usage error
+prints one `error: ...` line and exits 2; -h or --help prints the usage lines
+of the table and exits 0.
+
 A flat key=value config file (--config FILE or --config=FILE, given at most
 once) provides defaults that flags override; its keys are subcommand flags.
 verify renders text or json only.  The environment variable LAXDUAL_MAX_MB
@@ -20,9 +25,10 @@ is not a positive integer, and a run that exhausts the cap, exit 2.
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from .diffpoly import DiffPoly, FieldVar, parse_fieldvar, parse_poly
 from .fnr import PsiTable, build_psi, lax_matrix
@@ -276,138 +282,130 @@ def _cmd_verify(args) -> int:
 
 # -- argument plumbing ------------------------------------------------------------------
 
-
-def _at_least(name: str, low: int):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"{name} must be an integer") from exc
-        if value < low:
-            raise argparse.ArgumentTypeError(f"{name} must be >= {low}")
-        return value
-
-    return parse
+_FORMATS = ("text", "latex", "json")
+# Flags with no default: a command that defines one needs it.
+_REQUIRED = ("--k", "--n")
+_HELP = ("-h", "--help")
 
 
-def _add_common(
-    parser: argparse.ArgumentParser, *, n_flag: bool, formats: tuple = ("text", "latex", "json")
-) -> None:
-    """--k, --n if n_flag, --format (one of formats, the first by default) and --out."""
-    parser.add_argument("--k", type=_at_least("k", 1), required=True, help="distinguished time index")
-    if n_flag:
-        parser.add_argument("--n", type=_at_least("n", 1), required=True, help="partner time index")
-    parser.add_argument("--format", choices=formats, default=formats[0], help="output format")
-    parser.add_argument("--out", default=None, help="write output to a file instead of stdout")
+def _flags(n_flag: bool, formats: tuple = _FORMATS, **extra) -> dict:
+    """--k, --n if n_flag, --format (one of formats), --out, then the extra flags."""
+    kinds = {"k": 1, **({"n": 1} if n_flag else {}), "format": formats, "out": None, **extra}
+    return {f"--{name}": kind for name, kind in kinds.items()}
 
 
-class _Parser(argparse.ArgumentParser):
-    """Flags only in full, in every subcommand too: an abbreviation such as
-    --dep would escape _merge_config, and the config default would win."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, allow_abbrev=False, **kwargs)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="laxdual",
-        description="Integrable-hierarchy engine: constraint maps, Lax pairs, "
-        "zero-curvature PDEs, r-matrix and Hamiltonian verification.",
-    )
-    parser.add_argument("--config", default=None, help="flat key=value defaults file")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_psi = sub.add_parser("psi", help="emit the constraint-map table for t_k")
-    _add_common(p_psi, n_flag=False)
-    p_psi.add_argument(
-        "--depth", type=_at_least("depth", 1), default=None, help="last table row (default k + 2)"
-    )
-    p_psi.add_argument(
-        "--lax",
-        type=_at_least("lax", 0),
-        default=None,
-        metavar="N",
-        help="emit the Lax matrix V_k^(N) instead",
-    )
-    p_psi.set_defaults(func=_cmd_psi)
-
-    p_derive = sub.add_parser("derive", help="derive the PDE system for (k, n)")
-    _add_common(p_derive, n_flag=True)
-    p_derive.add_argument("--sub", default=None, help="substitution file (lhs = rhs per line)")
-    p_derive.add_argument(
-        "--style",
-        choices=("evolution", "zero"),
-        default="evolution",
-        help="emit d_n(u) = RHS or the zero-curvature form ... = 0",
-    )
-    p_derive.set_defaults(func=_cmd_derive)
-
-    p_ham = sub.add_parser("hamiltonian", help="emit the density generating the t_n flow")
-    _add_common(p_ham, n_flag=True)
-    p_ham.set_defaults(func=_cmd_hamiltonian)
-
-    p_verify = sub.add_parser("verify", help="run a verification and exit 0/1")
-    verify_sub = p_verify.add_subparsers(dest="what", required=True)
-    for what, needs_n in (("sklyanin", False), ("duality", True), ("flow", True)):
-        p = verify_sub.add_parser(what)
-        _add_common(p, n_flag=needs_n, formats=("json", "text"))
-        p.set_defaults(func=_cmd_verify, what=what)
-    return parser
+# Command words -> (handler, flags).  A flag's kind is an int, the least value
+# of an integer; a tuple, its choices, the first being the default; or None,
+# any text.  Parsing, config defaults and --help all read this table.
+_COMMANDS = {
+    ("psi",): (_cmd_psi, _flags(False, depth=1, lax=0)),
+    ("derive",): (_cmd_derive, _flags(True, sub=None, style=("evolution", "zero"))),
+    ("hamiltonian",): (_cmd_hamiltonian, _flags(True)),
+    **{
+        ("verify", what): (_cmd_verify, _flags(needs_n, ("json", "text")))
+        for what, needs_n in (("sklyanin", False), ("duality", True), ("flow", True))
+    },
+}
 
 
-def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
-    for action in parser._actions:
-        if isinstance(action.choices, dict):
-            return action.choices
-    return {}
+def _value(flag: str, kind, text: str):
+    """The value of a flag read from text, from the command line or a config file."""
+    if kind is None:
+        return text
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise CliError(f"argument {flag}: invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})")
+        return text
+    try:
+        value = int(text)
+    except ValueError:
+        raise CliError(f"argument {flag}: {flag[2:]} must be an integer") from None
+    if value < kind:
+        raise CliError(f"argument {flag}: {flag[2:]} must be >= {kind}")
+    return value
 
 
-def _flags(parser: argparse.ArgumentParser) -> set:
-    return {flag for action in parser._actions if action.dest != "help" for flag in action.option_strings}
+def _is_value(token: str) -> bool:
+    """Whether the token after a flag is its value and not another flag.  A
+    negative number is a value, so that `--lax -1` is told it is below 0."""
+    flag_like = token.startswith("-") and token != "-" and " " not in token
+    return not flag_like or re.fullmatch(r"-\d+|-\d*\.\d+", token) is not None
 
 
-def _all_flags(parser: argparse.ArgumentParser) -> set:
-    """Flags of the parser and of every subcommand below it."""
-    return _flags(parser).union(*map(_all_flags, _subcommands(parser).values()))
+def _cmd_help(args) -> int:
+    """Print the usage line of each command whose words start with args.words."""
+    lines = []
+    for words, (_, flags) in _COMMANDS.items():
+        if words[: len(args.words)] == args.words:
+            parts = ["laxdual [--config FILE]", *words]
+            for flag, kind in flags.items():
+                shown = f"{flag} {{{','.join(kind)}}}" if isinstance(kind, tuple) else f"{flag} {flag[2:].upper()}"
+                parts.append(shown if flag in _REQUIRED else f"[{shown}]")
+            lines.append(" ".join(parts))
+    print("usage: " + "\n       ".join(lines))
+    return 0
 
 
-def _merge_config(
-    parser: argparse.ArgumentParser, argv: list[str], config: dict[str, str], path: str | None
-) -> list[str]:
-    """Config values act as defaults: append them as flags unless given.
+def _parse(argv: list[str], config: dict[str, str], path: str | None):
+    """(handler, args) for a command line whose --config is taken off.
 
-    A key is passed on only if the chosen subcommand defines its flag, so one
-    file can serve every subcommand; a key no subcommand defines is an error.
-    """
-    if not config:
-        return argv
-    chosen = parser
-    for token in argv:
-        choices = _subcommands(chosen)
-        if token not in choices:
-            break
-        chosen = choices[token]
-    # The top-level --config is not a config key.
-    known = _all_flags(parser) - {"--config"}
-    accepted = _flags(chosen)
-    present = {token.split("=", 1)[0] for token in argv if token.startswith("--")}
-    extra: list[str] = []
-    for key, value in sorted(config.items()):
-        flag = f"--{key}"
-        if flag not in known:
+    The command words come first.  Each flag is given once, as `--flag value`
+    or `--flag=value`; a config value fills a flag the command defines and
+    the command line does not give.  args holds each flag's value under its
+    name and `what`, the last command word.  A usage error raises CliError."""
+    known = {flag for _, flags in _COMMANDS.values() for flag in flags}
+    for key in sorted(config):
+        if f"--{key}" not in known:
             raise CliError(f"{path}: unknown config key {key!r}")
-        if flag in accepted and flag not in present:
-            extra += [flag, value]
-    # appended after the subcommand tokens so argparse attaches them correctly
-    return argv + extra
+    words: tuple = ()
+    while words not in _COMMANDS:
+        choices = list(dict.fromkeys(c[len(words)] for c in _COMMANDS if c[: len(words)] == words))
+        token = argv[len(words)] if len(argv) > len(words) else None
+        if token in _HELP:
+            return _cmd_help, SimpleNamespace(words=words)
+        name = "check" if words else "command"
+        if token is None:
+            raise CliError(f"the following arguments are required: {name}")
+        if token not in choices:
+            raise CliError(f"argument {name}: invalid choice: {token!r} (choose from {', '.join(map(repr, choices))})")
+        words += (token,)
+    handler, flags = _COMMANDS[words]
+    values, extra = {}, []
+    tokens = iter(argv[len(words) :])
+    for token in tokens:
+        if token in _HELP:
+            return _cmd_help, SimpleNamespace(words=words)
+        flag, equals, text = token.partition("=")
+        if flag not in flags:
+            extra.append(token)
+            continue
+        if flag in values:
+            raise CliError(f"argument {flag}: given more than once")
+        if not equals:
+            text = next(tokens, None)
+            if text is None or not _is_value(text):
+                raise CliError(f"argument {flag}: expected one argument")
+        values[flag] = _value(flag, flags[flag], text)
+    for key, text in sorted(config.items()):
+        flag = f"--{key}"
+        if flag in flags and flag not in values:
+            values[flag] = _value(flag, flags[flag], text)
+    missing = [flag for flag in _REQUIRED if flag in flags and flag not in values]
+    if missing:
+        raise CliError(f"the following arguments are required: {', '.join(missing)}")
+    if extra:
+        raise CliError(f"unrecognized arguments: {' '.join(extra)}")
+    args = SimpleNamespace(what=words[-1])
+    for flag, kind in flags.items():
+        setattr(args, flag[2:], values.get(flag, kind[0] if isinstance(kind, tuple) else None))
+    return handler, args
 
 
 def _take_config(argv: list[str]) -> tuple[str | None, list[str]]:
     """The --config path, in either form, and the rest of argv.
 
-    --config must be peeled off before subcommand parsing so its values can
-    be injected as defaults; it may be given at most once."""
+    --config may stand anywhere, before or after the command words, and may
+    be given at most once; its values are defaults for _parse."""
     path, rest, tokens = None, [], iter(argv)
     for token in tokens:
         if token != "--config" and not token.startswith("--config="):
@@ -428,12 +426,8 @@ def main(argv: list[str] | None = None) -> int:
         _apply_memory_cap()
         argv = list(sys.argv[1:] if argv is None else argv)
         config_path, argv = _take_config(argv)
-        parser = build_parser()
-        try:
-            args = parser.parse_args(_merge_config(parser, argv, _read_config(config_path), config_path))
-        except SystemExit as exc:  # argparse reports usage errors via exit(2)
-            return int(exc.code or 0)
-        return args.func(args)
+        handler, args = _parse(argv, _read_config(config_path), config_path)
+        return handler(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -289,6 +289,69 @@ class TestPlumbing:
             assert code == 2 and out == ""
             assert "unrecognized arguments" in err or "invalid choice" in err
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (("psi", "--k", "x"), "argument --k: k must be an integer"),
+            (("psi", "--k", "1", "--lax", "-1"), "argument --lax: lax must be >= 0"),
+            (
+                ("verify", "flow", "--k", "1", "--n", "2", "--format", "latex"),
+                "argument --format: invalid choice: 'latex' (choose from 'json', 'text')",
+            ),
+            (
+                ("--config", "{latex}", "verify", "sklyanin", "--k", "1"),
+                "argument --format: invalid choice: 'latex' (choose from 'json', 'text')",
+            ),
+            (("psi", "--k", "1", "--dep", "2"), "unrecognized arguments: --dep 2"),
+            (("derive", "--k", "1"), "the following arguments are required: --n"),
+            (("derive",), "the following arguments are required: --k, --n"),
+            (("psi", "--k", "1", "--out"), "argument --out: expected one argument"),
+            (("psi", "--k", "--depth", "2"), "argument --k: expected one argument"),
+            (
+                ("frobnicate", "--k", "1"),
+                "argument command: invalid choice: 'frobnicate' (choose from 'psi', 'derive', 'hamiltonian', 'verify')",
+            ),
+            ((), "the following arguments are required: command"),
+            (("verify", "--k", "1"), "argument check: invalid choice: '--k' (choose from 'sklyanin', 'duality', 'flow')"),
+            (("psi", "--k", "1", "--k", "2", "--depth", "2"), "argument --k: given more than once"),
+            (("psi", "--k", "1", "--format", "json", "--format=text"), "argument --format: given more than once"),
+        ],
+        ids=[
+            "int", "floor", "choice", "config-choice", "unknown-flag", "missing-flag", "missing-flags",
+            "no-value-last", "no-value-before-flag", "unknown-command", "missing-command", "unknown-check",
+            "repeated-flag", "repeated-flag-equals",
+        ],
+    )
+    def test_usage_error_is_one_error_line(self, tmp_path, argv, error):
+        # A flag given twice used to let the last value win silently.
+        latex = tmp_path / "latex.cfg"
+        latex.write_text("format=latex\n", encoding="utf-8")
+        code, out, err = run_cli(*(a.format(latex=latex) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: " + error]
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (
+                ("--help",),
+                ("psi", "derive", "hamiltonian", "verify", "sklyanin", "duality", "flow", "--config",
+                 "--k", "--n", "--format", "--out", "--depth", "--lax", "--sub", "--style"),
+            ),
+            (("psi", "--help"), ("psi", "--config", "--k", "--format", "--out", "--depth", "--lax")),
+            (("verify", "flow", "-h"), ("verify", "flow", "--config", "--k", "--n", "--format", "--out")),
+        ],
+        ids=["top", "psi", "verify-flow"],
+    )
+    def test_help(self, argv, names):
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: laxdual ")
+        words = {word.strip("[]") for word in out.split()}
+        assert set(names) <= words
+        # and no flag that the chosen command does not take
+        assert {w for w in words if w.startswith("--")} == {n for n in names if n.startswith("--")}
+
     def test_config_key_no_subcommand_defines(self, tmp_path):
         cfg = tmp_path / "typo.cfg"
         cfg.write_text("k=1\ndepht=7\n", encoding="utf-8")
@@ -415,8 +478,8 @@ class TestPlumbing:
         assert runs[0] == runs[1]
 
     def test_import_loads_no_dataclasses_inspect_or_json(self, tmp_path):
-        # Nor fractions, decimal or numbers: not on import, and not on any
-        # subcommand's run either, substitution files included.
+        # Nor fractions, decimal, numbers, argparse or gettext: not on import,
+        # and not on any subcommand's run either, substitution files included.
         sub = tmp_path / "sub.txt"
         sub.write_text("c1 = -3/4*e*b1s\n", encoding="utf-8")
         runs = [
@@ -430,7 +493,7 @@ class TestPlumbing:
         probe = (
             "import sys\n"
             "import laxdual, laxdual.cli\n"
-            "never = ('dataclasses', 'inspect', 'typing', 'fractions', 'decimal', 'numbers')\n"
+            "never = ('dataclasses', 'inspect', 'typing', 'fractions', 'decimal', 'numbers', 'argparse', 'gettext')\n"
             "def report():\n"
             "    print(sorted(m for m in never + ('json',) if m in sys.modules), file=sys.stderr)\n"
             "report()\n"
