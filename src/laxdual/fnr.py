@@ -171,7 +171,7 @@ def diag_consistency(table: PsiTable) -> CheckReport:
             terms += _commutator_terms(m, series.coeff(-p - e))[0]
         flow = DiffPoly.dot(terms)
         residual = table.rows[p].a.derive() - flow
-        report.add(f"p={p}", residual.is_zero(), residual.to_text())
+        report.add_residual(f"p={p}", residual)
     return report
 
 
@@ -181,5 +181,5 @@ def trace_square_check(table: PsiTable) -> CheckReport:
     series = table.psi_series()
     for m in range(1, table.depth + 1):
         acc = trace_pair(series, series, m - 1)
-        report.add(f"lambda^-{m}", acc.is_zero(), acc.to_text())
+        report.add_residual(f"lambda^-{m}", acc)
     return report

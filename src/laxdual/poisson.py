@@ -96,7 +96,7 @@ class BracketTable(FrozenRecord):
                 for x, y, y2 in ((u, v, z), (v, z, u), (z, u, v))
                 for w, d in self.gradient(self.pair(y, y2)).items()
             )
-            report.add(f"({u},{v},{z})", acc.is_zero(), acc.to_text())
+            report.add_residual(f"({u},{v},{z})", acc)
         return report
 
 
@@ -297,7 +297,7 @@ def flow_matches_zc(table: PsiTable, n: int) -> CheckReport:
     report = CheckReport(f"flow_matches_zc(k={table.k}, n={n})")
     for u in sorted(zc.evolution):
         residual = ham.evolution[u] - zc.evolution[u]
-        report.add(f"d_{n} {u}", residual.is_zero(), residual.to_text())
+        report.add_residual(f"d_{n} {u}", residual)
     return report
 
 

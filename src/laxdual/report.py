@@ -1,7 +1,7 @@
 """Pass/fail reports produced by the verification operations.
 
 A report is a named list of labelled items; an item failing carries the
-residual it left behind (pretty-printed, plus structured payload for JSON).
+text of the residual it left behind.
 Failures are reported, never raised: a failing identity falsifies the engine
 and the caller decides what to do with that.
 """
@@ -37,6 +37,11 @@ class CheckReport(Record):
     def add(self, label: str, ok: bool, residual: str | None = None) -> None:
         self.items.append(CheckItem(label, ok, None if ok else residual))
 
+    def add_residual(self, label: str, residual) -> None:
+        """An item that passes iff the polynomial residual is zero."""
+        ok = residual.is_zero()
+        self.add(label, ok, None if ok else residual.to_text())
+
     @property
     def passed(self) -> bool:
         return all(item.ok for item in self.items)
@@ -50,7 +55,3 @@ class CheckReport(Record):
             "passed": self.passed,
             "items": [item.to_json() for item in self.items],
         }
-
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"{self.name}: {status} ({len(self.items)} checks, {len(self.failures())} failures)"

@@ -202,6 +202,14 @@ def unowned(table: PsiTable) -> PsiTable:
     return PsiTable(table.k, table.depth, tuple(Sl2Poly(r.a, r.bp, r.cm) for r in table.rows))
 
 
+def tampered(table: PsiTable) -> PsiTable:
+    """The table with b1*c1 added to a_k: every verifier must reject it."""
+    rows = list(table.rows)
+    row = rows[table.k]
+    rows[table.k] = Sl2Poly(a=row.a + DiffPoly.var("b", 1) * DiffPoly.var("c", 1), bp=row.bp, cm=row.cm)
+    return PsiTable(k=table.k, depth=table.depth, rows=tuple(rows))
+
+
 def tampered_above_k(k: int, attr: str) -> PsiTable:
     """build_psi(k, 6) with b1 added to the `attr` component of row k + 1."""
     rows = list(fnr.build_psi(k, 6).rows)

@@ -94,7 +94,7 @@ def test_criterion_2_pde_regression():
     assert direct.rhs("b", 1) == cmkdv_b and direct.rhs("c", 1) == cmkdv_c
     with timed(5.0):
         dual_route = dual_equivalence(1, 3)
-    assert dual_route.passed
+    assert dual_route.report.passed
     assert dual_route.common.rhs("b", 1) == cmkdv_b
     assert dual_route.common.rhs("c", 1) == cmkdv_c
 
@@ -161,7 +161,7 @@ def test_criterion_5_duality():
     for n, k in ((1, 2), (1, 3), (2, 4), (2, 3), (3, 4)):
         with timed(60.0):
             result = dual_equivalence(n, k)
-        assert result.passed, (n, k, result.report.failures())
+        assert result.report.passed, (n, k, result.report.failures())
     print("ACCEPTANCE 5 (dual-formulation equivalence): PASS")
 
 

@@ -8,12 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from laxdual import cli
 from laxdual.cli import main
 from laxdual.diffpoly import DiffPoly
 from laxdual.fnr import build_psi
 from laxdual.poisson import hamiltonian_density
 
-from conftest import P
+from conftest import P, digest, tampered
 
 
 def run_cli(*argv):
@@ -90,6 +91,13 @@ class TestDerive:
         assert (code, out) == (0, want)
         # the text form already wrote the substituted left side
         assert run_cli(*argv)[1].startswith("d2(2*b1) ")
+
+    def test_zero_style_of_a_vanishing_side(self, tmp_path):
+        # A right side that vanished used to leave two spaces before "= 0".
+        sub = tmp_path / "zero.sub"
+        sub.write_text("c1 = 0\n", encoding="utf-8")
+        code, out, _ = run_cli("derive", "--k", "1", "--n", "2", "--style", "zero", "--sub", str(sub))
+        assert (code, out) == (0, "d2(b1) - 1/2*b1'' = 0\nd2(0) = 0\n")
 
     def test_substitution_needs_explicit_star(self, tmp_path):
         sub = tmp_path / "implicit.sub"
@@ -205,6 +213,49 @@ class TestVerify:
         assert code == 0
         assert out.startswith("flow_matches_zc")
 
+    # SHA-256 of stdout (text, json) for each check on tampered tables.
+    @pytest.mark.parametrize(
+        "argv, name, keys, digests",
+        [
+            (
+                ("sklyanin", "--k", "2"),
+                "sklyanin(k=2)",
+                ["k"],
+                (
+                    "e86c9ffaf1843620731108c78a53f83282bc37af47e26740debe7691e27d89b6",
+                    "3a20cd8ac442b1b38dbf6b5a85b80c91fb4d84061bb0edbca7be12af26b34eb9",
+                ),
+            ),
+            (
+                ("flow", "--k", "2", "--n", "2"),
+                "flow_matches_zc(k=2, n=2)",
+                ["k", "n"],
+                (
+                    "bad6843cdb31c991c205f686128a1ce91fb1e375dbdbab567ce14cf416f6d9a5",
+                    "64544423d86c297158e59a4ff17506fa05122267c9beaacfe41b0f0b0d07a829",
+                ),
+            ),
+        ],
+        ids=["sklyanin", "flow"],
+    )
+    def test_tampered_table_fails_with_exit_1(self, monkeypatch, argv, name, keys, digests):
+        # The check looks cli.build_psi up when it runs, so it checks the tampered table.
+        build = cli.build_psi
+        monkeypatch.setattr(cli, "build_psi", lambda k, depth: tampered(build(k, depth)))
+        code, text, err = run_cli("verify", *argv, "--format", "text")
+        assert (code, err) == (1, "")
+        header, *items = text.splitlines()
+        assert header == f"{name}: FAIL"
+        failed = [line for line in items if line.startswith("  [FAIL] ")]
+        assert failed and all("  residual: " in line for line in failed)
+        assert all(line.startswith("  [ok  ] ") for line in items if line not in failed)
+        code, out, err = run_cli("verify", *argv, "--format", "json")
+        assert (code, err) == (1, "")
+        payload = json.loads(out)
+        assert list(payload) == ["check", "passed", "items", *keys]
+        assert (payload["check"], payload["passed"]) == (name, False)
+        assert (digest(text), digest(out)) == digests
+
 
 class TestPlumbing:
     def test_config_file_defaults(self, tmp_path):
@@ -315,18 +366,29 @@ class TestPlumbing:
             (("verify", "--k", "1"), "argument check: invalid choice: '--k' (choose from 'sklyanin', 'duality', 'flow')"),
             (("psi", "--k", "1", "--k", "2", "--depth", "2"), "argument --k: given more than once"),
             (("psi", "--k", "1", "--format", "json", "--format=text"), "argument --format: given more than once"),
+            (("derive", "--k", "1", "--n", "2", "--sub", ""), "argument --sub: needs a path"),
+            (("derive", "--k", "1", "--n", "2", "--sub="), "argument --sub: needs a path"),
+            (("--config", "{sub}", "derive", "--k", "1", "--n", "2"), "argument --sub: needs a path"),
+            (("psi", "--k", "1", "--out", ""), "argument --out: needs a path"),
+            (("psi", "--k", "1", "--out="), "argument --out: needs a path"),
+            (("--config", "{out}", "psi", "--k", "1"), "argument --out: needs a path"),
         ],
         ids=[
             "int", "floor", "choice", "config-choice", "unknown-flag", "missing-flag", "missing-flags",
             "no-value-last", "no-value-before-flag", "unknown-command", "missing-command", "unknown-check",
-            "repeated-flag", "repeated-flag-equals",
+            "repeated-flag", "repeated-flag-equals", "empty-sub", "empty-sub-equals", "empty-sub-config",
+            "empty-out", "empty-out-equals", "empty-out-config",
         ],
     )
     def test_usage_error_is_one_error_line(self, tmp_path, argv, error):
-        # A flag given twice used to let the last value win silently.
-        latex = tmp_path / "latex.cfg"
-        latex.write_text("format=latex\n", encoding="utf-8")
-        code, out, err = run_cli(*(a.format(latex=latex) for a in argv))
+        # A flag given twice used to let the last value win silently; an empty
+        # --sub used to leave the system unsubstituted, and an empty --out to
+        # print to stdout.
+        paths = {}
+        for name, text in (("latex", "format=latex\n"), ("sub", "sub =\n"), ("out", "out =\n")):
+            paths[name] = tmp_path / f"{name}.cfg"
+            paths[name].write_text(text, encoding="utf-8")
+        code, out, err = run_cli(*(a.format(**paths) for a in argv))
         assert (code, out) == (2, "")
         assert err.splitlines() == ["error: " + error]
 

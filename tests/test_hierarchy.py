@@ -8,8 +8,7 @@ import threading
 import pytest
 
 from laxdual.diffpoly import DiffPoly, equal_mod_total_derivative
-from laxdual.fnr import PsiTable, build_psi
-from laxdual.loopalg import Sl2Poly
+from laxdual.fnr import build_psi
 from laxdual.poisson import (
     flow_matches_zc,
     hamiltonian_density,
@@ -26,15 +25,7 @@ from laxdual.zerocurv import (
     zero_curvature,
 )
 
-from conftest import reference_rows, unowned
-
-
-def tampered(table):
-    """The table with b1*c1 added to a_k: every verifier must reject it."""
-    rows = list(table.rows)
-    row = rows[table.k]
-    rows[table.k] = Sl2Poly(a=row.a + DiffPoly.var("b", 1) * DiffPoly.var("c", 1), bp=row.bp, cm=row.cm)
-    return PsiTable(k=table.k, depth=table.depth, rows=tuple(rows))
+from conftest import reference_rows, tampered, unowned
 
 
 class TestRowReuse:

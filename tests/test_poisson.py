@@ -19,7 +19,7 @@ from laxdual.poisson import (
 )
 from laxdual.zerocurv import zero_curvature
 
-from conftest import P, fv, report_digest, unowned
+from conftest import P, fv, report_digest, tampered, unowned
 
 
 def bracket_value(table, m_kind, m_idx, n_kind, n_idx):
@@ -77,6 +77,7 @@ class TestBracketTable:
         entries[(c1, b1)] = good.pair(c1, b1) - P("b1")
         report = BracketTable(k=2, entries=entries, fields=good.fields).jacobi_check()
         assert [(item.label, item.residual) for item in report.failures()] == [("(b1,c1,c2)", "-4")]
+        assert report_digest(report) == "4db1dc3aeb031761d258727452beefcc0fef1efb46073f8202f399c1ddb5f746"
 
     def test_leibniz_against_raw_bracket(self):
         # {b_m, a_n} = -2 b_{m+n-k-1} and {c_m, a_n} = +2 c_{m+n-k-1} must
@@ -144,6 +145,22 @@ def test_failing_reports_are_byte_identical(k):
     sklyanin, resolvent = sklyanin_check(table), resolvent_check(table, 5)
     assert not sklyanin.passed and not resolvent.passed
     assert (report_digest(sklyanin), report_digest(resolvent)) == FAILING_REPORT_DIGESTS[k]
+
+
+# The same digest of flow_matches_zc at n = k on tampered(build_psi(k, k)),
+# recorded when each verifier turned its residuals into items by hand.
+FLOW_FAILING_DIGESTS = {
+    1: "b164a90c2c06cde8982f09fc2242457d793e98b4ff2c272cf77f4f38f7f2e665",
+    2: "861221e86f5aa91b4922079e4646245d97bc1e4f90f78d0413aeaa76d7dd4725",
+    3: "a02ef60bb483d87da2f1a8f50b54434089340ad54858656afa0b10b0d11c53eb",
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_failing_flow_report_is_byte_identical(k):
+    report = flow_matches_zc(tampered(build_psi(k, k)), k)
+    assert not report.passed
+    assert report_digest(report) == FLOW_FAILING_DIGESTS[k]
 
 
 class TestWZExpansion:

@@ -27,7 +27,7 @@ def test_three_routes_agree_on_the_wide_sweep():
     for k in range(2, 9):
         for n in range(1, k):
             result = dual_equivalence(n, k)
-            assert result.passed, ("duality", n, k, result.report.failures())
+            assert result.report.passed, ("duality", n, k, result.report.failures())
     for k in range(1, 7):
         for n in range(1, 11):
             report = flow_matches_zc(build_psi(k, max(k, n)), n)

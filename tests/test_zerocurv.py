@@ -183,7 +183,7 @@ class TestCommutingFlows:
 class TestDualEquivalence:
     def test_nls_pair(self):
         result = dual_equivalence(1, 2)
-        assert result.passed
+        assert result.report.passed
         assert result.common.rhs("b", 1) == P("1/2*b1'' - b1^2*c1")
         # the eliminated fields are the constraint-map rows of the t_1 table
         assert result.common.auxiliary[fv("b", 2)] == P("1/2*b1'")
@@ -191,22 +191,22 @@ class TestDualEquivalence:
 
     def test_cmkdv_pair(self):
         result = dual_equivalence(1, 3)
-        assert result.passed
+        assert result.report.passed
         assert result.common.rhs("b", 1) == P("1/4*b1''' - 3/2*b1*c1*b1'")
 
     def test_gi_pair(self):
         result = dual_equivalence(2, 4)
-        assert result.passed
+        assert result.report.passed
         assert result.common.rhs("b", 1) == zero_curvature(build_psi(2, 6), 4).rhs("b", 1)
 
     def test_remaining_acceptance_pairs(self):
-        assert dual_equivalence(2, 3).passed
-        assert dual_equivalence(3, 4).passed
+        assert dual_equivalence(2, 3).report.passed
+        assert dual_equivalence(3, 4).report.passed
 
     def test_all_pairs_up_to_five(self):
         for k in range(2, 6):
             for n in range(1, k):
-                assert dual_equivalence(n, k).passed, (n, k)
+                assert dual_equivalence(n, k).report.passed, (n, k)
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
