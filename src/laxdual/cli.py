@@ -195,7 +195,9 @@ def _render_system(
     if fmt == "latex":
         if style == "zero":
             lines = [
-                rf"\partial_{{t_{{{n}}}}} {_latex_lhs(lhs)} - \left( {rhs.to_latex()} \right) = 0"
+                rf"\partial_{{t_{{{n}}}}} {_latex_lhs(lhs)}"
+                + ("" if rhs.is_zero() else rf" - \left( {rhs.to_latex()} \right)")
+                + " = 0"
                 for lhs, rhs in pairs
             ]
         else:
@@ -311,7 +313,10 @@ def _value(flag: str, kind, text: str):
         if text not in kind:
             raise CliError(f"argument {flag}: invalid choice: {text!r} (choose from {', '.join(map(repr, kind))})")
         return text
+    digits = text.removeprefix("-")  # int() alone also takes '+1', ' 1', '1_0' and non-ASCII digits
     try:
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError
         value = int(text)
     except ValueError:
         raise CliError(f"argument {flag}: {flag[2:]} must be an integer") from None

@@ -16,12 +16,15 @@ over one `den: int`, canonical (den >= 1, no zero numerators, gcd(den, *num)
 == 1), so two polynomials are equal iff their (num, den) are.  Ids never show:
 `terms`, text, LaTeX and JSON sort by the public FieldVar order, and render
 from ints.  Coefficients come in as int pairs: the constructor, `const` and
-`scale` read `numerator`/`denominator` (an int or a Fraction, never a float)
-and the parser reads `n` or `n/d` as two ints.  Only `terms` and
-`constant_term` return a Fraction and only `from_json` builds one; they import
-`fractions` on first use, and the CLI calls none of them, so it never loads
-`fractions` (nor `decimal` and `numbers` with it).  Nothing in this module
-touches a float.
+`scale` read `numerator`/`denominator` (an int or a Fraction, never a float),
+and the parser and `from_json` read `n` or `n/d` in ASCII digits as two ints.
+Only `terms` and `constant_term` return a Fraction; they import `fractions` on
+first use, and the CLI calls neither, so it never loads `fractions` (nor
+`decimal` and `numbers` with it).  Nothing in this module touches a float.
+
+The constructor, the parser and `from_json` each turn their input into
+(packed monomial, n, d) items, one per term, and `_summed` adds the items in
+one table over the lcm of the denominators, reduced once.
 
 Exponents stay below EXP_LIMIT = 2^15.  Two such fields sum to less than 2^16,
 so no product carries into the next field, and a sum that reaches 2^15 sets the
@@ -174,12 +177,7 @@ class DiffPoly:
     __slots__ = ("num", "den", "_d")  # _d: the first derivative, once computed
 
     def __init__(self, terms: Mapping[tuple[tuple[FieldVar, int], ...], Fraction] | None = None):
-        items = [(_pack(mono), *_ratio(coeff)) for mono, coeff in (terms or {}).items()]
-        den = lcm(*(d for *_, d in items))
-        tab: dict[int, int] = {}
-        for key, n, d in items:
-            tab[key] = tab.get(key, 0) + n * (den // d)
-        p = _reduced(_nonzero(tab), den)
+        p = _summed([(_pack(mono), *_ratio(coeff)) for mono, coeff in (terms or {}).items()])
         self.num, self.den, self._d = p.num, p.den, None
 
     # -- constructors ------------------------------------------------------
@@ -459,24 +457,21 @@ class DiffPoly:
     @staticmethod
     def from_json(data: Iterable[dict]) -> "DiffPoly":
         """Inverse of to_json; raises PolyParseError on any malformed payload."""
-        from fractions import Fraction
-
-        tab: dict = {}
+        items = []
         try:
             for term in data:
-                mono = tuple(
-                    (_checked_var(v["kind"], v["index"], v["dorder"]), _checked_exp(v["exp"]))
-                    for v in term["vars"]
-                )
+                mono = [
+                    (_checked_var(v["kind"], v["index"], v["dorder"]), _checked_exp(v["exp"])) for v in term["vars"]
+                ]
                 coeff = term["coeff"]
                 if type(coeff) not in (str, int):
                     raise PolyParseError(f"coefficient must be a string or an integer, got {coeff!r}")
-                tab[mono] = tab.get(mono, 0) + Fraction(coeff)
+                items.append((_pack(mono), *_number(str(coeff))))
         except PolyParseError:
             raise
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise PolyParseError(f"malformed polynomial JSON: {type(exc).__name__}: {exc}") from exc
-        return DiffPoly(tab)
+        return _summed(items)
 
 
 def _ratio(x) -> tuple[int, int]:
@@ -552,6 +547,17 @@ def _reduced(num: dict[int, int], den: int) -> DiffPoly:
             den //= g
             num = {m: c // g for m, c in num.items()}
     return _wrap(num, den)
+
+
+def _summed(items: list[tuple[int, int, int]]) -> DiffPoly:
+    """The canonical DiffPoly of the (packed monomial, n, d) items, d >= 1:
+    one table over the lcm of the denominators, reduced once."""
+    den = lcm(*(d for *_, d in items))
+    tab: dict[int, int] = {}
+    get = tab.get
+    for key, n, d in items:
+        tab[key] = get(key, 0) + n * (den // d)
+    return _reduced(_nonzero(tab), den)
 
 
 def _nonzero(tab: dict[int, int]) -> dict[int, int]:
@@ -648,7 +654,7 @@ def _peel_key(mono: int):
 
 # -- text grammar --------------------------------------------------------------
 #
-#   rational := ['-'] digits ['/' digits]
+#   rational := ['-'] digits ['/' digits]   (digits are ASCII 0-9)
 #   fieldvar := ('b'|'c') index {'\''}      (each apostrophe = one derivative)
 #   monomial := fieldvar ['^' exp] {'*' fieldvar ['^' exp]}
 #   term     := rational ['*' monomial] | monomial
@@ -656,13 +662,26 @@ def _peel_key(mono: int):
 #
 # Extra symbols (CLI substitution files) follow the fieldvar syntax with a
 # general identifier in place of ('b'|'c') index.  Factors must be joined by
-# '*': juxtaposition such as "2 3 b1" or "b1 c1" is an error.
+# '*': juxtaposition such as "2 3 b1" or "b1 c1" is an error.  A JSON
+# coefficient is a rational as a string, or a JSON integer.
 
 # Patterns, not compiled objects: re compiles each on first use and caches it,
-# so importing this module compiles no regex.
-_TOKEN = r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[A-Za-z][A-Za-z0-9]*'*)|(?P<op>[-+*^]))"
+# so importing this module compiles no regex.  Text and JSON share _NUMBER.
+_NUMBER = r"[0-9]+(?:/[0-9]+)?"
+_TOKEN = rf"\s*(?:(?P<num>{_NUMBER})|(?P<var>[A-Za-z][A-Za-z0-9]*'*)|(?P<op>[-+*^]))"
 _STDVAR = r"^([bc])([1-9][0-9]*)('*)$"
 _EXTVAR = r"^([A-Za-z][A-Za-z0-9]*?)('*)$"
+
+
+def _number(text: str) -> tuple[int, int]:
+    """(n, d) of ['-'] digits ['/' digits], else PolyParseError.  A number
+    token never starts with '-' (in text that is a sign), a JSON string may."""
+    if not re.fullmatch("-?" + _NUMBER, text):
+        raise PolyParseError(f"bad coefficient {text!r}")
+    n, _, d = text.partition("/")
+    if d and not int(d):
+        raise PolyParseError(f"zero denominator in {text!r}")
+    return int(n), int(d or 1)
 
 
 def _checked_var(kind, index, dorder) -> FieldVar:
@@ -702,30 +721,51 @@ def parse_fieldvar(token: str) -> FieldVar:
 
 
 def parse_poly(text: str) -> DiffPoly:
-    """Parse the canonical text grammar back into a DiffPoly."""
+    """Parse the canonical text grammar back into a DiffPoly: each term
+    becomes one (packed monomial, n, d) item, and the items are summed once."""
     tokens = _tokenize(text)
+    items = []
+    sign, signed = 1, False  # the sign of the next term, and whether one was written
+    factors = None  # the open term's (FieldVar, exp) factors; None between terms
     pos = 0
-    total = _ZERO
-    sign = 1
-    first = True
-    pending_sign = False
     while pos < len(tokens):
         kind, value = tokens[pos]
-        if kind == "op" and value in "+-":
-            if pending_sign:
+        pos += 1
+        if kind == "op" and value in "+-" and (factors is None or not expect_factor):
+            if factors is not None:  # the sign ends the open term
+                items.append((_pack(factors), n, d))
+                factors = None
+            elif signed:
                 raise PolyParseError("two consecutive signs")
-            sign = sign if value == "+" else -sign
-            pending_sign = True
-            pos += 1
+            sign, signed = (1 if value == "+" else -1), True
             continue
-        term, pos = _parse_term(tokens, pos)
-        total = total + (term if sign > 0 else -term)
-        sign = 1
-        pending_sign = False
-        first = False
-    if first or pending_sign:
-        raise PolyParseError("empty polynomial text" if first else "dangling sign")
-    return total
+        if factors is None:
+            n, d, factors, expect_factor = sign, 1, [], True
+        if kind in ("num", "var") and not expect_factor:
+            raise PolyParseError(f"missing '*' before {value!r}")
+        elif kind == "num":
+            a, b = _number(value)
+            n, d = n * a, d * b
+        elif kind == "var":
+            v, exp = parse_fieldvar(value), 1
+            if pos + 1 < len(tokens) and tokens[pos] == ("op", "^"):
+                if tokens[pos + 1][0] != "num" or "/" in tokens[pos + 1][1]:
+                    raise PolyParseError("exponent must be an integer")
+                exp = _checked_exp(int(tokens[pos + 1][1]))
+                pos += 2
+            factors.append((v, exp))
+        elif kind == "op" and value == "*":
+            if expect_factor:
+                raise PolyParseError("misplaced '*'")
+        else:
+            raise PolyParseError(f"unexpected token {value!r}")
+        expect_factor = kind == "op"  # a factor follows '*' and no other token
+    if factors is None:
+        raise PolyParseError("dangling sign" if items else "empty polynomial text")
+    if expect_factor:
+        raise PolyParseError("dangling '*'")
+    items.append((_pack(factors), n, d))
+    return _summed(items)
 
 
 def _tokenize(text: str):
@@ -738,52 +778,6 @@ def _tokenize(text: str):
             if text[pos:].strip():
                 raise PolyParseError(f"cannot tokenize {text[pos:]!r}")
             break
-        if m.group("num"):
-            tokens.append(("num", m.group("num")))
-        elif m.group("var"):
-            tokens.append(("var", m.group("var")))
-        else:
-            tokens.append(("op", m.group("op")))
+        tokens.append((m.lastgroup, m[m.lastgroup]))
         pos = m.end()
     return tokens
-
-
-def _parse_term(tokens, pos):
-    num, den = 1, 1
-    factors: dict[FieldVar, int] = {}
-    expect_factor = True
-    while pos < len(tokens):
-        kind, value = tokens[pos]
-        if kind == "op" and value in "+-" and not expect_factor:
-            break
-        if kind in ("num", "var") and not expect_factor:
-            raise PolyParseError(f"missing '*' before {value!r}")
-        if kind == "num":
-            n, _, d = value.partition("/")
-            if d and not int(d):
-                raise PolyParseError(f"zero denominator in {value!r}")
-            num, den = num * int(n), den * int(d or 1)
-            pos += 1
-        elif kind == "var":
-            v = parse_fieldvar(value)
-            exp = 1
-            pos += 1
-            if pos + 1 < len(tokens) and tokens[pos] == ("op", "^"):
-                if tokens[pos + 1][0] != "num" or "/" in tokens[pos + 1][1]:
-                    raise PolyParseError("exponent must be an integer")
-                exp = _checked_exp(int(tokens[pos + 1][1]))
-                pos += 2
-            factors[v] = factors.get(v, 0) + exp
-        elif kind == "op" and value == "*":
-            if expect_factor:
-                raise PolyParseError("misplaced '*'")
-            pos += 1
-            expect_factor = True
-            continue
-        else:
-            raise PolyParseError(f"unexpected token {value!r}")
-        expect_factor = False
-    if expect_factor:
-        raise PolyParseError("dangling '*'")
-    key = _pack(tuple(factors.items()))
-    return (_reduced({key: num}, den) if num else _ZERO), pos

@@ -104,7 +104,7 @@ def field_bracket_table(table: PsiTable) -> BracketTable:
     """The ultralocal bracket of the 2k free fields, pushed through the table."""
     k = table.k
     if table.depth < k:
-        raise ValueError("bracket table needs depth >= k")
+        raise DepthExhausted("bracket table needs depth >= k")
     entries: dict[tuple[FieldVar, FieldVar], DiffPoly] = {}
     for m in range(1, k + 1):
         for n in range(1, k + 1):

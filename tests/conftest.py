@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,17 @@ from laxdual import fnr
 from laxdual.diffpoly import DiffPoly, FieldVar, parse_poly
 from laxdual.fnr import PsiTable
 from laxdual.loopalg import Sl2Poly
+
+
+def run_process(*args, **env):
+    """A fresh interpreter without site hooks, importing laxdual from src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-S", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src, **env},
+    )
 
 
 def P(text: str) -> DiffPoly:

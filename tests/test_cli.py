@@ -1,7 +1,6 @@
 """Command-line behaviour: formats, exit codes, determinism, substitutions."""
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +13,7 @@ from laxdual.diffpoly import DiffPoly
 from laxdual.fnr import build_psi
 from laxdual.poisson import hamiltonian_density
 
-from conftest import P, digest, tampered
+from conftest import P, digest, run_process, tampered
 
 
 def run_cli(*argv):
@@ -25,17 +24,6 @@ def run_cli(*argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
-
-
-def run_process(*args, **env):
-    """A fresh interpreter without site hooks, importing laxdual from src."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    return subprocess.run(
-        [sys.executable, "-S", *args],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src, **env},
-    )
 
 
 class TestDerive:
@@ -93,11 +81,18 @@ class TestDerive:
         assert run_cli(*argv)[1].startswith("d2(2*b1) ")
 
     def test_zero_style_of_a_vanishing_side(self, tmp_path):
-        # A right side that vanished used to leave two spaces before "= 0".
+        # A right side that vanished used to leave two spaces before "= 0" in
+        # text, and "- \left( 0 \right)" in LaTeX.
         sub = tmp_path / "zero.sub"
         sub.write_text("c1 = 0\n", encoding="utf-8")
-        code, out, _ = run_cli("derive", "--k", "1", "--n", "2", "--style", "zero", "--sub", str(sub))
+        argv = ("derive", "--k", "1", "--n", "2", "--style", "zero", "--sub", str(sub))
+        code, out, _ = run_cli(*argv)
         assert (code, out) == (0, "d2(b1) - 1/2*b1'' = 0\nd2(0) = 0\n")
+        code, out, _ = run_cli(*argv, "--format", "latex")
+        assert code == 0 and out.splitlines() == [
+            r"\partial_{t_{2}} b_{1} - \left( \frac{1}{2} b_{1}'' \right) = 0 \\",
+            r"\partial_{t_{2}} \left( 0 \right) = 0",
+        ]
 
     def test_substitution_needs_explicit_star(self, tmp_path):
         sub = tmp_path / "implicit.sub"
@@ -372,12 +367,18 @@ class TestPlumbing:
             (("psi", "--k", "1", "--out", ""), "argument --out: needs a path"),
             (("psi", "--k", "1", "--out="), "argument --out: needs a path"),
             (("--config", "{out}", "psi", "--k", "1"), "argument --out: needs a path"),
+            (("psi", "--k", "1_0"), "argument --k: k must be an integer"),
+            (("psi", "--k", "+1"), "argument --k: k must be an integer"),
+            (("psi", "--k", "1", "--depth", " 10"), "argument --depth: depth must be an integer"),
+            (("psi", "--k", "\u0662"), "argument --k: k must be an integer"),
+            (("psi", "--k", "-"), "argument --k: k must be an integer"),
         ],
         ids=[
             "int", "floor", "choice", "config-choice", "unknown-flag", "missing-flag", "missing-flags",
             "no-value-last", "no-value-before-flag", "unknown-command", "missing-command", "unknown-check",
             "repeated-flag", "repeated-flag-equals", "empty-sub", "empty-sub-equals", "empty-sub-config",
-            "empty-out", "empty-out-equals", "empty-out-config",
+            "empty-out", "empty-out-equals", "empty-out-config", "underscore-int", "plus-int",
+            "spaced-int", "non-ascii-int", "bare-minus",
         ],
     )
     def test_usage_error_is_one_error_line(self, tmp_path, argv, error):

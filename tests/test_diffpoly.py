@@ -35,6 +35,7 @@ from conftest import (
     ref_canonical,
     reference_closure_a,
     reference_rows,
+    run_process,
 )
 
 
@@ -297,7 +298,8 @@ class TestParser:
         assert P("2*b1 - 1/2") == DiffPoly.from_var(fv("b", 1)).scale(2) + DiffPoly.const(Fraction(-1, 2))
 
     def test_bad_input(self):
-        for text in ("", "b1 +", "b0", "b1^0", "*b1", "b1 ** c1"):
+        # Numbers are ASCII digits: "\u0663" is ARABIC-INDIC DIGIT THREE.
+        for text in ("", "b1 +", "b0", "b1^0", "*b1", "b1 ** c1", "\u0663*b1", "b1^\u0662"):
             with pytest.raises(PolyParseError):
                 parse_poly(text)
 
@@ -588,13 +590,15 @@ class TestFromJsonValidation:
             [{"coeff": "1/0", "vars": []}],
             [{"vars": []}],
             [{"coeff": "1", "vars": [{"kind": "b", "index": 1, "exp": 1}]}],
+            *([{"coeff": c, "vars": []}] for c in ("1.5", "1e3", "1_0", " 3/4 ", "+2", "\u0663/\u0664")),
         ],
         ids=[
             "negative-dorder", "str-dorder", "bool-dorder", "negative-index", "float-index",
             "bool-index", "zero-exp", "negative-exp", "float-exp", "bool-exp", "b-index-0",
             "c-index-0", "indexed-constant", "indexed-placeholder", "std-like-kind",
             "malformed-kind", "empty-kind", "int-kind", "derived-constant", "float-coeff",
-            "zero-denominator", "missing-coeff", "missing-dorder",
+            "zero-denominator", "missing-coeff", "missing-dorder", "decimal-coeff", "exponent-coeff",
+            "underscore-coeff", "spaced-coeff", "plus-coeff", "non-ascii-coeff",
         ],
     )
     def test_rejects(self, payload):
@@ -604,6 +608,18 @@ class TestFromJsonValidation:
     def test_accepts_extension_kinds(self):
         p = P("2/3*e*b1s''")
         assert DiffPoly.from_json(p.to_json()) == p
+
+    def test_loads_no_fractions(self):
+        # Coefficients are read as int pairs, JSON integers included.
+        probe = (
+            "import sys\n"
+            "from laxdual.diffpoly import DiffPoly\n"
+            "v = {'kind': 'b', 'index': 1, 'dorder': 2, 'exp': 1}\n"
+            "p = DiffPoly.from_json([{'coeff': '-6/4', 'vars': [v]}, {'coeff': 5, 'vars': []}])\n"
+            "print(p, sorted(m for m in ('fractions', 'decimal', 'numbers') if m in sys.modules))\n"
+        )
+        proc = run_process("-c", probe)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "5 - 3/2*b1'' []\n", "")
 
 
 def _render_corpus():

@@ -109,6 +109,15 @@ class TestSklyanin:
         report = sklyanin_check(build_psi(1, 1))
         assert len(report.items) == 16
 
+    def test_too_shallow_table_raises_depth_exhausted(self):
+        # The bracket table raised a plain ValueError here, while the flow
+        # check on the same table raised DepthExhausted.
+        table = PsiTable(3, 1, build_psi(3, 3).rows[:2])
+        with pytest.raises(DepthExhausted, match="bracket table needs depth >= k"):
+            sklyanin_check(table)
+        with pytest.raises(DepthExhausted):
+            flow_matches_zc(table, 1)
+
 
 # SHA-256 of json.dumps(report.to_json(), sort_keys=True) for the perturbed
 # tables below, recorded from the earlier implementation that built the 4x4

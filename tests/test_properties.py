@@ -12,7 +12,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from laxdual.diffpoly import DiffPoly, FieldVar, formal_integrate, parse_poly  # noqa: E402
+from laxdual.diffpoly import DiffPoly, FieldVar, PolyParseError, formal_integrate, parse_poly  # noqa: E402
 
 from conftest import ref_add, ref_derive, ref_euler, ref_mul, ref_partial, ref_substitute  # noqa: E402
 
@@ -71,6 +71,24 @@ def test_text_roundtrip(p):
 @given(polys())
 def test_json_roundtrip(p):
     assert DiffPoly.from_json(p.to_json()) == p
+
+
+# Coefficient strings in the number grammar, and strings near it.
+coeff_texts = st.one_of(
+    st.from_regex(r"-?[0-9]{1,4}(/[0-9]{1,3})?", fullmatch=True),
+    st.text("0123456789/-+._eE \t\u0663", max_size=8),
+)
+
+
+@settings(deadline=None)
+@given(coeff_texts)
+def test_json_coefficient_reads_as_text(s):
+    # from_json and parse_poly share one number grammar.
+    try:
+        p = DiffPoly.from_json([{"coeff": s, "vars": []}])
+    except PolyParseError:
+        return
+    assert parse_poly(s) == p and p.constant_term() == Fraction(s)
 
 
 @settings(deadline=None)
