@@ -183,11 +183,8 @@ def _cmd_psi(args) -> int:
 def _render_system(
     system: PdeSystem, fmt: str, subs: dict[FieldVar, DiffPoly], style: str = "evolution"
 ) -> str:
-    def rewrite(p: DiffPoly) -> DiffPoly:
-        return p.substitute(subs) if subs else p
-
     fields = sorted(system.evolution)
-    pairs = [(rewrite(DiffPoly.from_var(u)), rewrite(system.evolution[u])) for u in fields]
+    pairs = [(DiffPoly.from_var(u).substitute(subs), system.evolution[u].substitute(subs)) for u in fields]
     n = system.n
     if fmt == "json":
         evolution = [{"field": str(u), "rhs": rhs.to_json()} for u, (_, rhs) in zip(fields, pairs)]

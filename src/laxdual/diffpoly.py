@@ -22,7 +22,7 @@ Only `terms` and `constant_term` return a Fraction; they import `fractions` on
 first use, and the CLI calls neither, so it never loads `fractions` (nor
 `decimal` and `numbers` with it).  Nothing in this module touches a float.
 
-The constructor, the parser and `from_json` each turn their input into
+The constructor, the parser, `from_json` and `formal_integrate` each make
 (packed monomial, n, d) items, one per term, and `_summed` adds the items in
 one table over the lcm of the denominators, reduced once.
 
@@ -339,19 +339,18 @@ class DiffPoly:
             base_rules[(v.kind, v.index)] = rhs
         if not base_rules:
             return self
-        rule_of: dict[int, DiffPoly | None] = {}
+        # The rule for u^(l) is the l-th derivative of u's rule, read from the
+        # rule's chain of kept derivatives.
+        rule_of: dict[int, DiffPoly] = {}
+        for i in self._ids():
+            v = _VARS[i]
+            if (rhs := base_rules.get((v.kind, v.index))) is not None:
+                rule_of[i] = rhs.derive(v.dorder)
         powers: dict[tuple[int, int], DiffPoly] = {}
 
-        def rule_at(i: int) -> DiffPoly | None:
-            if i not in rule_of:
-                v = _VARS[i]
-                rhs = base_rules.get((v.kind, v.index))
-                rule_of[i] = rhs if rhs is None or not v.dorder else rule_at(_vid(v.derived(-1))).derive()
-            return rule_of[i]
-
         def power(i: int, e: int) -> DiffPoly:
-            """rule_at(i)^e; each power is multiplied out once per call."""
-            rule = p = rule_at(i)
+            """rule_of[i]^e; each power is multiplied out once per call."""
+            rule = p = rule_of[i]
             for j in range(2, e + 1):
                 q = powers.get((i, j))
                 if q is None:
@@ -365,7 +364,7 @@ class DiffPoly:
         for m, c in self.num.items():
             rest, prod = m, None
             for i, e in reversed(_fields(m)):  # ascending id
-                if rule_at(i) is not None:
+                if i in rule_of:
                     rest -= e << (_W * i)
                     prod = power(i, e) if prod is None else prod * power(i, e)
             if prod is None:
@@ -620,8 +619,7 @@ def formal_integrate(p: DiffPoly) -> DiffPoly:
     for u in p.generators():
         if not u.is_constant_symbol() and not p.euler(u).is_zero():
             raise NotATotalDerivative(f"euler derivative with respect to {u} does not vanish")
-    rem = p
-    result = _ZERO
+    rem, items = p, []  # items: the (packed monomial, n, d) terms of q, summed once
     while not rem.is_zero():
         mono = max(rem.num, key=_peel_key)
         if not mono:
@@ -635,10 +633,10 @@ def formal_integrate(p: DiffPoly) -> DiffPoly:
             raise NotATotalDerivative(f"leading derivative {v} occurs nonlinearly")
         low = _vid(v.derived(-1))
         key = mono - (1 << (_W * top)) + (1 << (_W * low))
-        piece = _reduced(_guarded({key: rem.num[mono]}), rem.den * ((key >> (_W * low)) & _MASK))
-        result = result + piece
-        rem = rem - piece.derive()
-    return result
+        n, d = rem.num[mono], rem.den * ((key >> (_W * low)) & _MASK)
+        items.append((key, n, d))
+        rem = rem - _reduced(_guarded({key: n}), d).derive()
+    return _summed(items)
 
 
 def _order_key(i: int):
@@ -679,9 +677,24 @@ def _number(text: str) -> tuple[int, int]:
     if not re.fullmatch("-?" + _NUMBER, text):
         raise PolyParseError(f"bad coefficient {text!r}")
     n, _, d = text.partition("/")
-    if d and not int(d):
+    if d and not d.strip("0"):
         raise PolyParseError(f"zero denominator in {text!r}")
-    return int(n), int(d or 1)
+    return _int(n), _int(d or "1")
+
+
+def _int(digits: str) -> int:
+    """int(digits); past the int-string limit, a PolyParseError that counts the digits."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise PolyParseError(f"a number of {len(digits.lstrip('-'))} digits is past the int-string limit") from None
+
+
+def _shown(x) -> str:
+    """repr(x), but an int past 1000 bits, which the int-string limit may refuse, by its size."""
+    if isinstance(x, int) and x.bit_length() > 1000:
+        return f"<an integer of {x.bit_length()} bits>"
+    return repr(x)
 
 
 def _checked_var(kind, index, dorder) -> FieldVar:
@@ -704,16 +717,16 @@ def _checked_var(kind, index, dorder) -> FieldVar:
 
 def _checked_exp(exp) -> int:
     if type(exp) is not int or exp < 1:
-        raise PolyParseError(f"exponent must be an integer >= 1, got {exp!r}")
+        raise PolyParseError(f"exponent must be an integer >= 1, got {_shown(exp)}")
     if exp >= EXP_LIMIT:
-        raise PolyParseError(f"exponent {exp} is not below the limit {EXP_LIMIT}")
+        raise PolyParseError(f"exponent {_shown(exp)} is not below the limit {EXP_LIMIT}")
     return exp
 
 
 def parse_fieldvar(token: str) -> FieldVar:
     m = re.match(_STDVAR, token)
     if m:
-        return _checked_var(m.group(1), int(m.group(2)), len(m.group(3)))
+        return _checked_var(m.group(1), _int(m.group(2)), len(m.group(3)))
     m = re.match(_EXTVAR, token)
     if m:
         return _checked_var(m.group(1), 0, len(m.group(2)))
@@ -751,7 +764,7 @@ def parse_poly(text: str) -> DiffPoly:
             if pos + 1 < len(tokens) and tokens[pos] == ("op", "^"):
                 if tokens[pos + 1][0] != "num" or "/" in tokens[pos + 1][1]:
                     raise PolyParseError("exponent must be an integer")
-                exp = _checked_exp(int(tokens[pos + 1][1]))
+                exp = _checked_exp(_int(tokens[pos + 1][1]))
                 pos += 2
             factors.append((v, exp))
         elif kind == "op" and value == "*":

@@ -83,16 +83,19 @@ def extend_offdiagonal(rows: Sequence[Sl2Poly], p: int, k: int) -> tuple[DiffPol
 
       b_{p+k} =  (1/2) d(b_p) - sum_{j=1}^{k} (a_j b_{p+k-j} - a_{p+k-j} b_j)
       c_{p+k} = -(1/2) d(c_p) - sum_{j=1}^{k} (a_j c_{p+k-j} - a_{p+k-j} c_j)
+
+    i.e. (1/2)(d(b_p) - S+) and -(1/2)(d(c_p) - S-), S = sum_{j=1}^{k} [l_j, l_{p+k-j}].
     """
     if p < 1:
         raise ValueError("extend_offdiagonal needs p >= 1")
-    b_terms, c_terms = [], []
+    # (1/2) S+ and (1/2) S-: each weight of a sigma+- part of [x, y] is +-2, so halving is exact.
+    half_plus, half_minus = [], []
     for j in range(1, k + 1):
-        lj, lo = rows[j], rows[p + k - j]
-        b_terms += ((-1, lj.a, lo.bp), (1, lo.a, lj.bp))
-        c_terms += ((-1, lj.a, lo.cm), (1, lo.a, lj.cm))
-    b_new = rows[p].bp.derive().scale(1, 2) + DiffPoly.dot(b_terms)
-    c_new = rows[p].cm.derive().scale(-1, 2) + DiffPoly.dot(c_terms)
+        _, plus, minus = _commutator_terms(rows[j], rows[p + k - j])
+        half_plus += ((w // 2, x, y) for w, x, y in plus)
+        half_minus += ((w // 2, x, y) for w, x, y in minus)
+    b_new = rows[p].bp.derive().scale(1, 2) - DiffPoly.dot(half_plus)
+    c_new = rows[p].cm.derive().scale(-1, 2) + DiffPoly.dot(half_minus)
     return b_new, c_new
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 
 from .diffpoly import DiffPoly
-from .records import FrozenRecord
+from .records import FrozenRecord, Record
 
 _DP_ZERO = DiffPoly.zero()
 
@@ -85,7 +85,7 @@ def _trace_terms(x: Sl2Poly, y: Sl2Poly):
     return (2, x.a, y.a), (1, x.bp, y.cm), (1, x.cm, y.bp)
 
 
-class LaurentMatrix:
+class LaurentMatrix(Record):
     """Finite-support Laurent object with an explicit validity floor."""
 
     __slots__ = ("coeffs", "floor")
@@ -113,17 +113,6 @@ class LaurentMatrix:
         if self.floor is not None and e < self.floor:
             raise DepthExhausted(f"coefficient at lambda^{e} is below the known floor {self.floor}")
         return self.coeffs.get(e, _SL2_ZERO)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LaurentMatrix)
-            and self.coeffs == other.coeffs
-            and self.floor == other.floor
-        )
-
-    def __repr__(self) -> str:
-        parts = [f"{e}: ({m.a}, {m.bp}, {m.cm})" for e, m in sorted(self.coeffs.items(), reverse=True)]
-        return f"LaurentMatrix({{{'; '.join(parts)}}}, floor={self.floor})"
 
     # -- arithmetic -------------------------------------------------------------
 

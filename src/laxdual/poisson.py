@@ -76,6 +76,10 @@ class BracketTable(FrozenRecord):
         names = {w for pair in self.entries for w in pair}
         return {w: d for w in names if not (d := p.partial(w)).is_zero()}
 
+    def variational_gradient(self, density: DiffPoly) -> dict[FieldVar, DiffPoly]:
+        """The nonzero Euler derivatives of a density by the free fields."""
+        return {u: e for u in self.fields if not (e := density.euler(u)).is_zero()}
+
     def gradient_bracket(self, dp: dict[FieldVar, DiffPoly], dq: dict[FieldVar, DiffPoly]) -> DiffPoly:
         """{p, q} from the gradients of p and q."""
         # A unit partial (a linear p, or the {u: 1} of bracket_field and
@@ -285,7 +289,7 @@ def flow_from_hamiltonian(table: PsiTable, n: int) -> PdeSystem:
     """d_n u = sum_v P[u, v] * (variational derivative of the density by v)."""
     density = hamiltonian_density(table, n)
     brackets = field_bracket_table(table)
-    variations = {v: density.euler(v) for v in brackets.fields}
+    variations = brackets.variational_gradient(density)
     evolution = {u: brackets.gradient_bracket({u: _ONE}, variations) for u in brackets.fields}
     return PdeSystem(k=table.k, n=n, evolution=evolution)
 
@@ -303,13 +307,9 @@ def flow_matches_zc(table: PsiTable, n: int) -> CheckReport:
 
 def hamiltonians_commute(table: PsiTable, n1: int, n2: int) -> DiffPoly:
     """Integrand of {H^(n1), H^(n2)}; vanishes mod total derivatives."""
-    d1 = hamiltonian_density(table, n1)
-    d2 = hamiltonian_density(table, n2)
+    d1, d2 = hamiltonian_density(table, n1), hamiltonian_density(table, n2)
     brackets = field_bracket_table(table)
-    # Each field's Euler derivative once per density, then one bracket of the
-    # two variational gradients.
-    e1, e2 = ({u: e for u in brackets.fields if not (e := d.euler(u)).is_zero()} for d in (d1, d2))
-    return brackets.gradient_bracket(e1, e2)
+    return brackets.gradient_bracket(brackets.variational_gradient(d1), brackets.variational_gradient(d2))
 
 
 # -- resolvent ---------------------------------------------------------------------
@@ -327,24 +327,21 @@ def resolvent_check(table: PsiTable, depth: int) -> CheckReport:
     if depth > table.depth:
         raise DepthExhausted(f"resolvent_check needs table depth >= {depth}")
     wz = wz_expand(table, depth)
-    zero = DiffPoly.zero()
-    beta = [zero] + [b for b, _ in wz.w]
-    gamma = [zero] + [c for _, c in wz.w]
-    s, g = [zero], [DiffPoly.const(1)]  # coefficients of lambda^{-j}
+    s, g = [DiffPoly.zero()], [_ONE]  # coefficients of lambda^{-j}
     report = CheckReport(f"resolvent(k={table.k})")
     for j in range(0, depth + 1):
         if j:
-            s.append(DiffPoly.dot((1, beta[i], gamma[j - i]) for i in range(1, j)))
+            s.append(DiffPoly.dot((1, wz.beta(i), wz.gamma(j - i)) for i in range(1, j)))
             g.append(DiffPoly.dot((1, s[i], g[j - i]) for i in range(1, j + 1)))
         a = g[j].scale(2) if j else g[0]  # 2 g_j - delta_{j0}
-        bp = DiffPoly.dot((-2, beta[i], g[j - i]) for i in range(1, j + 1))
-        cm = DiffPoly.dot((2, gamma[i], g[j - i]) for i in range(1, j + 1))
+        bp = DiffPoly.dot((-2, wz.beta(i), g[j - i]) for i in range(1, j + 1))
+        cm = DiffPoly.dot((2, wz.gamma(i), g[j - i]) for i in range(1, j + 1))
         row = table.rows[j]
         residual_parts = (a - row.a, bp - row.bp, cm - row.cm)
         report.add(
             f"order lambda^-{j}",
             all(p.is_zero() for p in residual_parts),
-            f"(1: {zero}; s3: {residual_parts[0]}; "
+            f"(1: 0; s3: {residual_parts[0]}; "
             f"s+: {residual_parts[1]}; s-: {residual_parts[2]})",
         )
     return report

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from laxdual import fnr
-from laxdual.diffpoly import DiffPoly, FieldVar, parse_poly
+from laxdual import diffpoly as dp, fnr
+from laxdual.diffpoly import DiffPoly, FieldVar, NotATotalDerivative, parse_poly
 from laxdual.fnr import PsiTable
 from laxdual.loopalg import Sl2Poly
 
@@ -146,6 +146,33 @@ def ref_substitute(a, rules):
     return out
 
 
+def ref_integrate(p: DiffPoly) -> DiffPoly:
+    """formal_integrate's peel with a running result: each peeled term is a
+    polynomial added to it in turn.  The oracle for the integrator, which sums
+    its terms once; the same checks raise the same messages."""
+    for u in p.generators():
+        if not u.is_constant_symbol() and not p.euler(u).is_zero():
+            raise NotATotalDerivative(f"euler derivative with respect to {u} does not vanish")
+    rem, result = p, DiffPoly.zero()
+    while not rem.is_zero():
+        mono = max(rem.num, key=dp._peel_key)
+        if not mono:
+            raise NotATotalDerivative("nonzero constant term has no antiderivative")
+        top, e = max(dp._fields(mono), key=lambda f: dp._order_key(f[0]))
+        v = dp._VARS[top]
+        if v.dorder == 0 or v.is_constant_symbol():
+            term = "*".join(dp._var_text(v, e) for v, e in dp._to_public(mono))
+            raise NotATotalDerivative(f"term {term} cannot be integrated")
+        if e != 1:
+            raise NotATotalDerivative(f"leading derivative {v} occurs nonlinearly")
+        low = dp._vid(v.derived(-1))
+        key = mono - (1 << (dp._W * top)) + (1 << (dp._W * low))
+        piece = dp._reduced(dp._guarded({key: rem.num[mono]}), rem.den * ((key >> (dp._W * low)) & dp._MASK))
+        result = result + piece
+        rem = rem - piece.derive()
+    return result
+
+
 def ref_canonical(pairs):
     """The canonical (terms, den) of a sum of (Monomial, rational) pairs,
     computed with Fraction: factors merged and sorted, equal monomials summed,
@@ -240,6 +267,16 @@ def digest(text: str) -> str:
 
 def report_digest(report) -> str:
     return digest(json.dumps(report.to_json(), sort_keys=True))
+
+
+@pytest.fixture
+def default_int_digit_limit():
+    """Python's default int-string limit of 4300 digits for one test, whatever
+    PYTHONINTMAXSTRDIGITS or -X int_max_str_digits set."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
 
 
 @pytest.fixture

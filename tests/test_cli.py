@@ -108,6 +108,13 @@ class TestDerive:
         assert code == 2 and out == ""
         assert f"{sub}:2:" in err
 
+    def test_substitution_rejects_a_number_past_the_int_string_limit(self, tmp_path, default_int_digit_limit):
+        sub = tmp_path / "long.sub"
+        sub.write_text("c1 = " + "7" * 5000 + "*b1\n", encoding="utf-8")
+        code, out, err = run_cli("derive", "--k", "1", "--n", "2", "--sub", str(sub))
+        assert code == 2 and out == ""
+        assert err == f"error: {sub}:1: a number of 5000 digits is past the int-string limit\n"
+
     def test_substitution_rejects_repeated_target(self, tmp_path):
         sub = tmp_path / "twice.sub"
         sub.write_text("b1 = c1\n# the second rule for b1 used to win silently\nb1 = 2*c1\n", encoding="utf-8")

@@ -297,10 +297,15 @@ class TestParser:
         assert P("-3/4") == DiffPoly.const(Fraction(-3, 4))
         assert P("2*b1 - 1/2") == DiffPoly.from_var(fv("b", 1)).scale(2) + DiffPoly.const(Fraction(-1, 2))
 
-    def test_bad_input(self):
+    def test_bad_input(self, default_int_digit_limit):
         # Numbers are ASCII digits: "\u0663" is ARABIC-INDIC DIGIT THREE.
         for text in ("", "b1 +", "b0", "b1^0", "*b1", "b1 ** c1", "\u0663*b1", "b1^\u0662"):
             with pytest.raises(PolyParseError):
+                parse_poly(text)
+        # Numbers past the int-string limit: the message counts the digits.
+        long = "7" * 5000
+        for text in (long, "b1^" + long, "b" + "1" * 5000, "1/" + "3" * 5000 + "*b1"):
+            with pytest.raises(PolyParseError, match="a number of 5000 digits"):
                 parse_poly(text)
 
     def test_rejects_implicit_multiplication(self):
@@ -541,6 +546,9 @@ class TestExponentLimit:
             DiffPoly.from_json(twice)
         with pytest.raises(ValueError, match="32768"):
             DiffPoly({((fv("c", 2), 40000),): 1})
+        # An exponent too long to write in decimal is named by its size.
+        with pytest.raises(PolyParseError, match="<an integer of 16610 bits> is not below the limit 32768"):
+            DiffPoly({((fv("b", 1), 10**5000),): 1})
 
     def test_cli_substitution_rejects(self, tmp_path):
         from test_cli import run_cli

@@ -12,9 +12,24 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from laxdual.diffpoly import DiffPoly, FieldVar, PolyParseError, formal_integrate, parse_poly  # noqa: E402
+from laxdual.diffpoly import (  # noqa: E402
+    DiffPoly,
+    FieldVar,
+    NotATotalDerivative,
+    PolyParseError,
+    formal_integrate,
+    parse_poly,
+)
 
-from conftest import ref_add, ref_derive, ref_euler, ref_mul, ref_partial, ref_substitute  # noqa: E402
+from conftest import (  # noqa: E402
+    ref_add,
+    ref_derive,
+    ref_euler,
+    ref_integrate,
+    ref_mul,
+    ref_partial,
+    ref_substitute,
+)
 
 BASES = [FieldVar(kind, index) for kind in ("b", "c") for index in (1, 2)]
 bases = st.sampled_from(BASES)
@@ -127,6 +142,24 @@ def test_substitute_matches_reference(p, r, v):
 def test_formal_integrate_inverts_derive(p):
     p = p - DiffPoly.const(p.constant_term())
     assert formal_integrate(p.derive()) == p
+
+
+def _integrated(integrate, p):
+    """integrate(p), or the message of its NotATotalDerivative."""
+    try:
+        return integrate(p)
+    except NotATotalDerivative as exc:
+        return f"NotATotalDerivative: {exc}"
+
+
+@settings(deadline=None)
+@given(polys(pool=ext_fields, max_terms=5), polys(pool=ext_fields, max_terms=2))
+def test_formal_integrate_matches_reference(p, q):
+    # p' is exact; p' + q is inexact unless q happens to be exact too.
+    exact = p.derive()
+    assert formal_integrate(exact) == ref_integrate(exact)
+    for r in (exact + q, q):
+        assert _integrated(formal_integrate, r) == _integrated(ref_integrate, r)
 
 
 @settings(deadline=None)

@@ -13,7 +13,7 @@ import pytest
 
 from laxdual.diffpoly import DiffPoly, FieldVar
 from laxdual.fnr import PsiTable
-from laxdual.loopalg import Sl2Poly
+from laxdual.loopalg import LaurentMatrix, Sl2Poly
 from laxdual.poisson import BracketTable, WZExpansion
 from laxdual.report import CheckItem, CheckReport
 from laxdual.zerocurv import DualityResult, PdeSystem
@@ -44,6 +44,10 @@ def _report():
 
 def _brackets():
     return BracketTable(k=1, entries={(B1, C1): P("4"), (C1, B1): P("-4")}, fields=(B1, C1))
+
+
+def _laurent(floor=-1):
+    return LaurentMatrix({1: Sl2Poly.sigma3(), 0: _sl2(), -1: Sl2Poly(bp=P("b1"))}, floor=floor)
 
 
 def _wz():
@@ -83,6 +87,7 @@ MUTABLE = {
         ("report", "common"),
         lambda: DualityResult(report=CheckReport("demo"), common=_system()),
     ),
+    "LaurentMatrix": (_laurent, ("coeffs", "floor"), lambda: _laurent(floor=-2)),
 }
 ALL = {**FROZEN, **MUTABLE}
 RECORDS = pytest.mark.parametrize("make, names, changed", ALL.values(), ids=ALL.keys())
@@ -163,6 +168,9 @@ def test_keyword_defaults():
 def test_repr_names_every_field():
     assert repr(CheckItem("x", True)) == "CheckItem(label='x', ok=True, residual=None)"
     assert repr(Sl2Poly(bp=P("b1"))) == "Sl2Poly(a=DiffPoly(0), bp=DiffPoly(b1), cm=DiffPoly(0))"
+    assert repr(LaurentMatrix({0: Sl2Poly(bp=P("b1"))})) == (
+        "LaurentMatrix(coeffs={0: Sl2Poly(a=DiffPoly(0), bp=DiffPoly(b1), cm=DiffPoly(0))}, floor=None)"
+    )
 
 
 def test_psi_table_rejects_a_wrong_row_count():

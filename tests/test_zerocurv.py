@@ -13,7 +13,9 @@ from laxdual.loopalg import (
     sl2_commutator,
 )
 from laxdual.fnr import lax_matrix
+from laxdual import zerocurv
 from laxdual.zerocurv import (
+    PdeSystem,
     ResidualNonZero,
     commuting_flows_check,
     dual_equivalence,
@@ -21,7 +23,7 @@ from laxdual.zerocurv import (
     zero_curvature,
 )
 
-from conftest import P, digest, fv, tampered_above_k
+from conftest import P, digest, fv, report_digest, tampered_above_k
 
 
 class TestZeroCurvature:
@@ -178,6 +180,45 @@ class TestGeneratingRecurrence:
 class TestCommutingFlows:
     def test_nls_cmkdv_flows_commute(self):
         assert commuting_flows_check(build_psi(1, 6), 2, 3).passed
+
+
+# A tampered table cannot make strong_zc_check or commuting_flows_check fail:
+# zero_curvature raises ResidualNonZero first.  A tampered system can: the
+# n = 3 system of k = 1 with b1*c1 added to d_3 b1.  Each check's failing
+# labels and the report_digest of its report are pinned.
+TAMPERED_FLOW_REPORTS = {
+    "strong_zc_check": (
+        strong_zc_check,
+        ["lambda^1", "lambda^0"],
+        "ded5622cb01c32300cbf2187435a47902040f7eb437d419f24a251518e63c147",
+    ),
+    "commuting_flows_check": (
+        commuting_flows_check,
+        ["[2,3] on b1", "[2,3] on c1"],
+        "f23a69863ebbaf55e7af363c594cffeb222803b43a493e770a7b6f7209255706",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERED_FLOW_REPORTS))
+def test_tampered_flow_fails_the_check(name, monkeypatch):
+    check, failing, want = TAMPERED_FLOW_REPORTS[name]
+    real = zerocurv.zero_curvature
+
+    def tampered_flow(table, n):
+        system = real(table, n)
+        if n != 3:
+            return system
+        # A fresh system: the memoized one is shared and must stay as it is.
+        evolution = dict(system.evolution)
+        evolution[fv("b", 1)] = evolution[fv("b", 1)] + P("b1*c1")
+        return PdeSystem(k=system.k, n=n, evolution=evolution, auxiliary=system.auxiliary)
+
+    monkeypatch.setattr(zerocurv, "zero_curvature", tampered_flow)
+    report = check(build_psi(1, 6), 2, 3)
+    assert not report.passed
+    assert [item.label for item in report.failures()] == failing
+    assert report_digest(report) == want
 
 
 class TestDualEquivalence:
