@@ -59,47 +59,3 @@ from .poisson import (
 from .report import CheckItem, CheckReport
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DiffPoly",
-    "FieldVar",
-    "NotATotalDerivative",
-    "equal_mod_total_derivative",
-    "formal_integrate",
-    "parse_poly",
-    "DepthExhausted",
-    "LaurentMatrix",
-    "Sl2Poly",
-    "lm_commutator",
-    "project_plus",
-    "shift",
-    "sl2_commutator",
-    "trace_pair",
-    "PsiTable",
-    "build_psi",
-    "casimir_closure_a",
-    "diag_consistency",
-    "extend_offdiagonal",
-    "lax_matrix",
-    "trace_square_check",
-    "DualityResult",
-    "EliminationFailure",
-    "PdeSystem",
-    "ResidualNonZero",
-    "commuting_flows_check",
-    "dual_equivalence",
-    "strong_zc_check",
-    "zero_curvature",
-    "BracketTable",
-    "WZExpansion",
-    "field_bracket_table",
-    "flow_from_hamiltonian",
-    "flow_matches_zc",
-    "hamiltonian_density",
-    "hamiltonians_commute",
-    "resolvent_check",
-    "sklyanin_check",
-    "wz_expand",
-    "CheckItem",
-    "CheckReport",
-]

@@ -125,7 +125,7 @@ def _vid(v: FieldVar) -> int:
             i = _VAR_ID.get(v)
             if i is None:
                 i = len(_VARS)
-                _VARS.append(FieldVar(*v))
+                _VARS.append(_checked_var(*v))  # a generator no text names is refused here, once
                 _GUARDS |= EXP_LIMIT << (_W * i)
                 _VAR_ID[v] = i  # published last: a reader that sees i sees the rest
     return i

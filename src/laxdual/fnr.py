@@ -173,7 +173,7 @@ def diag_consistency(table: PsiTable) -> CheckReport:
         for e, m in v.coeffs.items():
             terms += _commutator_terms(m, series.coeff(-p - e))[0]
         flow = DiffPoly.dot(terms)
-        residual = table.rows[p].a.derive() - flow
+        residual = series.coeff(-p).a.derive() - flow
         report.add_residual(f"p={p}", residual)
     return report
 

@@ -9,7 +9,8 @@ with a validity floor: exponents below `floor` are UNKNOWN (a truncated
 series), not zero, while missing exponents at or above the floor are exactly
 zero.  floor=None means the object is exact (a Laurent polynomial).  Every
 operation propagates the floor conservatively and access below it raises
-DepthExhausted -- silent truncation is the main correctness hazard here.
+DepthExhausted through the one guard _known -- silent truncation is the main
+correctness hazard here.
 """
 
 from __future__ import annotations
@@ -23,6 +24,12 @@ _DP_ZERO = DiffPoly.zero()
 
 class DepthExhausted(ValueError):
     """A requested coefficient lies below the known truncation depth."""
+
+
+def _known(floor: int | None, e: int, what: str) -> None:
+    """Raise DepthExhausted unless the coefficient at lambda^e lies at or above floor."""
+    if floor is not None and e < floor:
+        raise DepthExhausted(f"{what} needs the coefficient at lambda^{e}; the known floor is {floor}")
 
 
 class Sl2Poly(FrozenRecord):
@@ -101,17 +108,11 @@ class LaurentMatrix(Record):
 
     # -- queries --------------------------------------------------------------
 
-    @property
-    def depth(self) -> int | None:
-        """Spec view of the floor: exponents < -depth are unknown."""
-        return None if self.floor is None else -self.floor
-
     def top_degree(self) -> int | None:
         return max(self.coeffs) if self.coeffs else None
 
     def coeff(self, e: int) -> Sl2Poly:
-        if self.floor is not None and e < self.floor:
-            raise DepthExhausted(f"coefficient at lambda^{e} is below the known floor {self.floor}")
+        _known(self.floor, e, "the series")
         return self.coeffs.get(e, _SL2_ZERO)
 
     # -- arithmetic -------------------------------------------------------------
@@ -199,8 +200,7 @@ def shift(x: LaurentMatrix, k: int) -> LaurentMatrix:
 
 def project_plus(x: LaurentMatrix) -> LaurentMatrix:
     """P_+: the exact Laurent polynomial of the exponents >= 0."""
-    if x.floor is not None and x.floor > 0:
-        raise DepthExhausted(f"P_+ needs the coefficient at lambda^0; the known floor is {x.floor}")
+    _known(x.floor, 0, "P_+")
     return LaurentMatrix({e: m for e, m in x.coeffs.items() if e >= 0}, None)
 
 
@@ -210,9 +210,8 @@ def trace_pair(x: LaurentMatrix, y: LaurentMatrix, j: int = 0) -> DiffPoly:
     Raises DepthExhausted unless every potentially nonzero contribution at
     that exponent is known on both sides.
     """
-    target, floor = -1 - j, commutator_floor(x, y)
-    if floor is not None and floor > target:
-        raise DepthExhausted(f"trace_pair needs the coefficient at lambda^{target}; the known floor is {floor}")
+    target = -1 - j
+    _known(commutator_floor(x, y), target, "trace_pair")
     terms = []
     for e1, m1 in x.coeffs.items():
         m2 = y.coeffs.get(target - e1)
@@ -276,7 +275,7 @@ def matrix_to_json(x: LaurentMatrix) -> dict:
         }
         for e in sorted(x.coeffs, reverse=True)
     }
-    return {"depth": x.depth, "coeffs": coeffs}
+    return {"depth": None if x.floor is None else -x.floor, "coeffs": coeffs}
 
 
 def matrix_to_text(x: LaurentMatrix) -> str:

@@ -72,9 +72,8 @@ class BracketTable(FrozenRecord):
         return self.gradient_bracket(self.gradient(p), self.gradient(q))
 
     def gradient(self, p: DiffPoly) -> dict[FieldVar, DiffPoly]:
-        """The nonzero partials of p in the fields the entries name."""
-        names = {w for pair in self.entries for w in pair}
-        return {w: d for w in names if not (d := p.partial(w)).is_zero()}
+        """The nonzero partials of p in the free fields."""
+        return {w: d for w in self.fields if not (d := p.partial(w)).is_zero()}
 
     def variational_gradient(self, density: DiffPoly) -> dict[FieldVar, DiffPoly]:
         """The nonzero Euler derivatives of a density by the free fields."""
@@ -105,17 +104,16 @@ class BracketTable(FrozenRecord):
 
 
 def field_bracket_table(table: PsiTable) -> BracketTable:
-    """The ultralocal bracket of the 2k free fields, pushed through the table."""
-    k = table.k
-    if table.depth < k:
-        raise DepthExhausted("bracket table needs depth >= k")
+    """The ultralocal bracket of the 2k free fields, pushed through rows
+    0..k-1 of the table."""
+    k, series = table.k, table.psi_series()
     entries: dict[tuple[FieldVar, FieldVar], DiffPoly] = {}
     for m in range(1, k + 1):
         for n in range(1, k + 1):
             idx = m + n - k - 1
             if idx < 0:
                 continue
-            val = DiffPoly.const(2 * _NU) if idx == 0 else table.rows[idx].a.scale(2 * _NU)
+            val = DiffPoly.const(2 * _NU) if idx == 0 else series.coeff(-idx).a.scale(2 * _NU)
             if val.is_zero():
                 continue
             if val.max_dorder() != 0:
@@ -198,15 +196,21 @@ class WZExpansion(FrozenRecord):
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "zdot_densities", zdot_densities)
 
+    def _at(self, orders: tuple, j: int):
+        """Order j of a 1-based sequence of the expansion, known for 1..depth."""
+        if not 1 <= j <= self.depth:
+            raise DepthExhausted(f"order {j} of W or of dZ is outside the expanded orders 1..{self.depth}")
+        return orders[j - 1]
+
     def beta(self, j: int) -> DiffPoly:
-        return self.w[j - 1][0]
+        return self._at(self.w, j)[0]
 
     def gamma(self, j: int) -> DiffPoly:
-        return self.w[j - 1][1]
+        return self._at(self.w, j)[1]
 
     def density(self, n: int) -> DiffPoly:
-        """Coefficient of lambda^{-n}, n >= 1."""
-        return self.zdot_densities[n - 1]
+        """Coefficient of lambda^{-n}, 1 <= n <= depth."""
+        return self._at(self.zdot_densities, n)
 
 
 def wz_expand(table: PsiTable, depth: int) -> WZExpansion:
@@ -224,10 +228,7 @@ def wz_expand(table: PsiTable, depth: int) -> WZExpansion:
     """
     if depth < 1:
         raise DepthExhausted("wz_expand needs depth >= 1")
-    k = table.k
-    if table.depth < k:
-        raise DepthExhausted("wz_expand needs the table rows 0..k")
-    return _memoized(table, k, "riccati", lambda: _Riccati(table)).expansion(depth)
+    return _memoized(table, table.k, "riccati", lambda: _Riccati(table)).expansion(depth)
 
 
 class _Riccati:
@@ -237,7 +238,8 @@ class _Riccati:
     def __init__(self, table: PsiTable):
         self._lock = threading.Lock()
         self.k = table.k
-        self.rows = table.rows[: table.k + 1]
+        series = table.psi_series()
+        self.rows = [series.coeff(-j) for j in range(self.k + 1)]
         self.betas: list[DiffPoly] = [DiffPoly.zero()]  # index 0 unused
         self.gammas: list[DiffPoly] = [DiffPoly.zero()]
         self.densities: list[DiffPoly] = []
@@ -324,8 +326,8 @@ def hamiltonians_commute(table: PsiTable, n1: int, n2: int) -> DiffPoly:
 
 def resolvent_check(table: PsiTable, depth: int) -> CheckReport:
     """(1+W) sigma3 (1+W)^{-1} rebuilds the constrained series to the depth."""
-    if depth > table.depth:
-        raise DepthExhausted(f"resolvent_check needs table depth >= {depth}")
+    series = table.psi_series()
+    rows = [series.coeff(-j) for j in range(depth + 1)]
     wz = wz_expand(table, depth)
     s, g = [DiffPoly.zero()], [_ONE]  # coefficients of lambda^{-j}
     report = CheckReport(f"resolvent(k={table.k})")
@@ -336,7 +338,7 @@ def resolvent_check(table: PsiTable, depth: int) -> CheckReport:
         a = g[j].scale(2) if j else g[0]  # 2 g_j - delta_{j0}
         bp = DiffPoly.dot((-2, wz.beta(i), g[j - i]) for i in range(1, j + 1))
         cm = DiffPoly.dot((2, wz.gamma(i), g[j - i]) for i in range(1, j + 1))
-        row = table.rows[j]
+        row = rows[j]
         residual_parts = (a - row.a, bp - row.bp, cm - row.cm)
         report.add(
             f"order lambda^-{j}",

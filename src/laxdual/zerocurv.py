@@ -89,9 +89,9 @@ def zero_curvature(table: PsiTable, n: int) -> PdeSystem:
 
 def _derive_system(table: PsiTable, n: int) -> PdeSystem:
     k = table.k
-    v_n = lax_matrix(table, n)
+    v_n, v_k = lax_matrix(table, n), lax_matrix(table, k)
     # d_n V^(k) = d_k V^(n) + [V^(n), V^(k)]; d_n V^(k) is sum_q (d_n l_q) lambda^(k-q).
-    flow = v_n.map(DiffPoly.derive) + lm_commutator(v_n, lax_matrix(table, k))
+    flow = v_n.map(DiffPoly.derive) + lm_commutator(v_n, v_k)
 
     evolution: dict[FieldVar, DiffPoly] = {}
     for q in range(1, k + 1):
@@ -108,9 +108,9 @@ def _derive_system(table: PsiTable, n: int) -> PdeSystem:
         if not residual.is_zero():
             bad.append(f"lambda^{e}: ({residual.a}; {residual.bp}; {residual.cm})")
     # Diagonal components of the evolution rows must agree with the chain rule
-    # applied to the closure polynomials a_q.
+    # applied to the closure polynomials a_q, read off V^(k) at lambda^(k-q).
     for q in range(1, k + 1):
-        residual = system.derivative(table.rows[q].a) - flow.coeff(k - q).a
+        residual = system.derivative(v_k.coeff(k - q).a) - flow.coeff(k - q).a
         if not residual.is_zero():
             bad.append(f"sigma3 at lambda^{k - q}: {residual}")
     if bad:

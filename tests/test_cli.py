@@ -589,3 +589,29 @@ class TestPlumbing:
         proc = run_process("-m", "laxdual.cli", "psi", "--k", "1", LAXDUAL_MAX_MB="4096")
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == run_cli("psi", "--k", "1")[1]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(heading, fence):
+    """The lines of the first `fence` block after a README heading."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index(f"\n{heading}\n") :]
+    start = section.index(f"\n{fence}\n") + len(fence) + 2
+    return section[start : section.index("\n```\n", start)].splitlines()
+
+
+# Each line of README's CLI block, its comment dropped.
+README_COMMANDS = [line.split("#")[0].split() for line in readme_block("## CLI", "```")]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+    def test_cli_example_exits_0(self, argv):
+        assert argv[0] == "laxdual"
+        code, out, err = run_cli(*argv[1:])
+        assert (code, err) == (0, "") and out
+
+    def test_library_example_runs(self):
+        exec("\n".join(readme_block("## Library", "```python")), {})

@@ -12,6 +12,7 @@ import pytest
 
 from laxdual.diffpoly import (
     DiffPoly,
+    FieldVar,
     NotATotalDerivative,
     PolyParseError,
     equal_mod_total_derivative,
@@ -612,6 +613,38 @@ class TestFromJsonValidation:
     def test_rejects(self, payload):
         with pytest.raises(PolyParseError):
             DiffPoly.from_json(payload)
+
+    @pytest.mark.parametrize(
+        "kind, index, dorder",
+        [
+            ("b", 0, 0),
+            ("c", 0, 0),
+            ("b1", 0, 0),
+            ("x1y", 3, 0),
+            ("e", 2, 0),
+            ("e", 0, 1),
+            ("b", -1, 0),
+            ("b", 1, -1),
+            ("b-1", 0, 0),
+        ],
+        ids=[
+            "b0", "c0", "std-like-kind", "indexed-placeholder", "indexed-constant", "derived-constant",
+            "negative-index", "negative-dorder", "malformed-kind",
+        ],
+    )
+    def test_constructors_reject_what_no_text_names(self, kind, index, dorder):
+        # DiffPoly(...), var and from_var refuse a generator with from_json's own message.
+        with pytest.raises(PolyParseError) as from_json:
+            DiffPoly.from_json(_term(kind=kind, index=index, dorder=dorder))
+        v = FieldVar(kind, index, dorder)
+        for build in (
+            lambda: DiffPoly({((v, 1),): 1}),
+            lambda: DiffPoly.var(kind, index, dorder),
+            lambda: DiffPoly.from_var(v),
+        ):
+            with pytest.raises(PolyParseError) as built:
+                build()
+            assert str(built.value) == str(from_json.value)
 
     def test_accepts_extension_kinds(self):
         p = P("2/3*e*b1s''")

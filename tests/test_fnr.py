@@ -132,7 +132,7 @@ class TestLaxMatrix:
     def test_psi_series_truncation(self):
         table = build_psi(1, 3)
         series = table.psi_series()
-        assert series.depth == 3
+        assert series.floor == -3
         with pytest.raises(DepthExhausted):
             series.coeff(-4)
 

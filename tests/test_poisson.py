@@ -113,7 +113,7 @@ class TestSklyanin:
         # The bracket table raised a plain ValueError here, while the flow
         # check on the same table raised DepthExhausted.
         table = PsiTable(3, 1, build_psi(3, 3).rows[:2])
-        with pytest.raises(DepthExhausted, match="bracket table needs depth >= k"):
+        with pytest.raises(DepthExhausted, match=r"lambda\^-2; the known floor is -1"):
             sklyanin_check(table)
         with pytest.raises(DepthExhausted):
             flow_matches_zc(table, 1)
@@ -172,6 +172,26 @@ def test_failing_flow_report_is_byte_identical(k):
     assert report_digest(report) == FLOW_FAILING_DIGESTS[k]
 
 
+class TestShallowTables:
+    """Hand-built tables that stop short: each reader names the first row it
+    lacks, through the floor of the table's series."""
+
+    def test_bracket_table_reads_rows_below_k(self):
+        rows = build_psi(3, 3).rows
+        with pytest.raises(DepthExhausted, match=r"lambda\^-2; the known floor is -1$"):
+            field_bracket_table(PsiTable(3, 1, rows[:2]))
+        # rows 0..k-1 are all it reads
+        assert field_bracket_table(PsiTable(3, 2, rows[:3])) == field_bracket_table(build_psi(3, 3))
+
+    def test_wz_expand_reads_rows_to_k(self):
+        with pytest.raises(DepthExhausted, match=r"lambda\^-3; the known floor is -2$"):
+            wz_expand(PsiTable(3, 2, build_psi(3, 3).rows[:3]), 1)
+
+    def test_resolvent_check_reads_rows_to_its_depth(self):
+        with pytest.raises(DepthExhausted, match=r"lambda\^-3; the known floor is -2$"):
+            resolvent_check(PsiTable(1, 2, build_psi(1, 2).rows), 5)
+
+
 class TestWZExpansion:
     def test_k1_first_orders(self):
         wz = wz_expand(build_psi(1, 1), 3)
@@ -183,6 +203,14 @@ class TestWZExpansion:
     def test_depth_guard(self):
         with pytest.raises(DepthExhausted):
             wz_expand(build_psi(1, 1), 0)
+
+    @pytest.mark.parametrize("order", [0, -1, 4])
+    @pytest.mark.parametrize("read", ["beta", "gamma", "density"])
+    def test_orders_outside_the_expansion_raise(self, read, order):
+        wz = wz_expand(build_psi(1, 4), 3)
+        message = rf"^order {order} of W or of dZ is outside the expanded orders 1\.\.3$"
+        with pytest.raises(DepthExhausted, match=message):
+            getattr(wz, read)(order)
 
     def test_prefix_stability(self):
         # recomputing at a larger depth reproduces everything known before;

@@ -253,3 +253,42 @@ class TestDualEquivalence:
         with pytest.raises(ValueError):
             dual_equivalence(2, 2)
 
+
+
+# A tampered system of either route makes dual_equivalence(1, 3) fail: b1*c1
+# added to the rule for b1 of route A (the n = 3 system of k = 1) or of route B
+# (the n = 1 system of k = 3).  Each case's failing labels and the
+# report_digest of its report, recorded on the unchanged engine, are pinned.
+TAMPERED_DUALITY_REPORTS = {
+    "route A": (
+        (1, 3),
+        ["d_3 b1"],
+        "1cfb72a7f952cf7c7309b6e17c27bebbaf092a33bf16aa1fe1557c434f783341",
+    ),
+    "route B": (
+        (3, 1),
+        ["elimination b2", "elimination b3", "a_3 rewrite", "d_3 b1", "d_3 c1"],
+        "a27085c1586dabbdc8e92aa51f412ce4fcd078636556130c210de7531780a543",
+    ),
+}
+
+
+@pytest.mark.parametrize("route", sorted(TAMPERED_DUALITY_REPORTS))
+def test_tampered_route_fails_dual_equivalence(route, monkeypatch):
+    tampered_kn, failing, want = TAMPERED_DUALITY_REPORTS[route]
+    real = zerocurv.zero_curvature
+
+    def tampered_route(table, n):
+        system = real(table, n)
+        if (table.k, n) != tampered_kn:
+            return system
+        # A fresh system: the memoized one is shared and must stay as it is.
+        evolution = dict(system.evolution)
+        evolution[fv("b", 1)] = evolution[fv("b", 1)] + P("b1*c1")
+        return PdeSystem(k=system.k, n=n, evolution=evolution, auxiliary=system.auxiliary)
+
+    monkeypatch.setattr(zerocurv, "zero_curvature", tampered_route)
+    report = dual_equivalence(1, 3).report
+    assert not report.passed
+    assert [item.label for item in report.failures()] == failing
+    assert report_digest(report) == want
