@@ -433,25 +433,36 @@ class DiffPoly:
 
     def _render(self, fmt, mag_of, sep: str) -> str:
         pieces: list[str] = []
-        for factors, n, d in self._walk(fmt):
-            a = abs(n)
-            if not factors:
-                frag = mag_of(a, d)
-            elif a == d == 1:
-                frag = sep.join(factors)
-            else:
-                frag = f"{mag_of(a, d)}{sep}{sep.join(factors)}"
-            if not pieces:
-                pieces.append(frag if n > 0 else f"-{frag}")
-            else:
-                pieces.append(("+ " if n > 0 else "- ") + frag)
+        try:
+            for factors, n, d in self._walk(fmt):
+                a = abs(n)
+                if not factors:
+                    frag = mag_of(a, d)
+                elif a == d == 1:
+                    frag = sep.join(factors)
+                else:
+                    frag = f"{mag_of(a, d)}{sep}{sep.join(factors)}"
+                if not pieces:
+                    pieces.append(frag if n > 0 else f"-{frag}")
+                else:
+                    pieces.append(("+ " if n > 0 else "- ") + frag)
+        except ValueError:  # only str() of a number past the int-string limit raises here
+            raise self._past_limit() from None
         return " ".join(pieces) or "0"
 
     def to_json(self) -> list[dict]:
-        return [
-            {"coeff": _ratio_text(n, d), "vars": list(map(dict, factors))}
-            for factors, n, d in self._walk(_var_json)
-        ]
+        try:
+            return [
+                {"coeff": _ratio_text(n, d), "vars": list(map(dict, factors))}
+                for factors, n, d in self._walk(_var_json)
+            ]
+        except ValueError:  # only str() of a number past the int-string limit raises here
+            raise self._past_limit() from None
+
+    def _past_limit(self) -> ValueError:
+        """The error of a failed write: it names the largest number in lowest terms."""
+        big = max(max(abs(c), self.den) // gcd(c, self.den) for c in self.num.values())
+        return ValueError(f"the coefficient {_shown(big)} is past the int-string limit")
 
     @staticmethod
     def from_json(data: Iterable[dict]) -> "DiffPoly":
@@ -703,7 +714,11 @@ def _checked_var(kind, index, dorder) -> FieldVar:
         raise PolyParseError(f"bad field kind {kind!r}")
     for name, value in (("index", index), ("dorder", dorder)):
         if type(value) is not int or value < 0:
-            raise PolyParseError(f"{name} must be an integer >= 0, got {value!r}")
+            raise PolyParseError(f"{name} must be an integer >= 0, got {_shown(value)}")
+    try:
+        str(index)
+    except ValueError:
+        raise PolyParseError(f"index {_shown(index)} is past the int-string limit") from None
     standard = kind in ("b", "c")
     if (standard and index < 1) or (kind[0] in "bc" and kind[1:].isdigit()):
         raise PolyParseError(f"standard field {kind!r} needs an index >= 1")

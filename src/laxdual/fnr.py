@@ -27,8 +27,8 @@ from __future__ import annotations
 import threading
 from collections.abc import Sequence
 
-from .diffpoly import DiffPoly
-from .loopalg import LaurentMatrix, Sl2Poly, commutator_floor, project_plus, shift, trace_pair
+from .diffpoly import DiffPoly, FieldVar
+from .loopalg import LaurentMatrix, Sl2Poly, lm_commutator, project_plus, shift, trace_pair
 from .loopalg import _commutator_terms, _trace_terms
 from .records import FrozenRecord
 from .report import CheckReport
@@ -48,8 +48,6 @@ class PsiTable(FrozenRecord):
 
     def free_fields(self):
         """The 2k free generators, b first, in index order."""
-        from .diffpoly import FieldVar
-
         return [FieldVar(kind, i) for kind in ("b", "c") for i in range(1, self.k + 1)]
 
     def psi_series(self) -> LaurentMatrix:
@@ -166,14 +164,10 @@ def diag_consistency(table: PsiTable) -> CheckReport:
     """Check the sigma3 component of the flow d_k L = [V_k^(k), L] on every
     row the table determines: d(a_p) = a-part of its lambda^{-p} coefficient."""
     report = CheckReport(f"diag_consistency(k={table.k})")
-    v, series = lax_matrix(table, table.k), table.psi_series()
-    for p in range(1, -commutator_floor(v, series) + 1):
-        # The sigma3 part of [v, L] at lambda^-p.
-        terms = []
-        for e, m in v.coeffs.items():
-            terms += _commutator_terms(m, series.coeff(-p - e))[0]
-        flow = DiffPoly.dot(terms)
-        residual = series.coeff(-p).a.derive() - flow
+    series = table.psi_series()
+    flow = lm_commutator(lax_matrix(table, table.k), series)
+    for p in range(1, -flow.floor + 1):
+        residual = series.coeff(-p).a.derive() - flow.coeff(-p).a
         report.add_residual(f"p={p}", residual)
     return report
 

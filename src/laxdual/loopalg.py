@@ -48,9 +48,6 @@ class Sl2Poly(FrozenRecord):
     def __add__(self, other: "Sl2Poly") -> "Sl2Poly":
         return Sl2Poly(self.a + other.a, self.bp + other.bp, self.cm + other.cm)
 
-    def __sub__(self, other: "Sl2Poly") -> "Sl2Poly":
-        return Sl2Poly(self.a - other.a, self.bp - other.bp, self.cm - other.cm)
-
     def __neg__(self) -> "Sl2Poly":
         return Sl2Poly(-self.a, -self.bp, -self.cm)
 
@@ -108,9 +105,6 @@ class LaurentMatrix(Record):
 
     # -- queries --------------------------------------------------------------
 
-    def top_degree(self) -> int | None:
-        return max(self.coeffs) if self.coeffs else None
-
     def coeff(self, e: int) -> Sl2Poly:
         _known(self.floor, e, "the series")
         return self.coeffs.get(e, _SL2_ZERO)
@@ -146,12 +140,9 @@ def _max_floor(f1: int | None, f2: int | None) -> int | None:
 
 
 def _possible_top(x: LaurentMatrix) -> int | None:
-    """Largest exponent where x could be nonzero (None: provably zero)."""
-    t = x.top_degree()
-    if x.floor is not None:
-        unknown_top = x.floor - 1
-        t = unknown_top if t is None else max(t, unknown_top)
-    return t
+    """Largest exponent where x could be nonzero (None: provably zero): the top
+    stored one, which lies at or above the floor, else the top unknown one."""
+    return max(x.coeffs, default=None if x.floor is None else x.floor - 1)
 
 
 def commutator_floor(x: LaurentMatrix, y: LaurentMatrix) -> int | None:

@@ -109,11 +109,8 @@ def field_bracket_table(table: PsiTable) -> BracketTable:
     k, series = table.k, table.psi_series()
     entries: dict[tuple[FieldVar, FieldVar], DiffPoly] = {}
     for m in range(1, k + 1):
-        for n in range(1, k + 1):
-            idx = m + n - k - 1
-            if idx < 0:
-                continue
-            val = DiffPoly.const(2 * _NU) if idx == 0 else series.coeff(-idx).a.scale(2 * _NU)
+        for n in range(k + 1 - m, k + 1):
+            val = series.coeff(k + 1 - m - n).a.scale(2 * _NU)
             if val.is_zero():
                 continue
             if val.max_dorder() != 0:
@@ -191,6 +188,8 @@ class WZExpansion(FrozenRecord):
         w: tuple[tuple[DiffPoly, DiffPoly], ...],
         zdot_densities: tuple[DiffPoly, ...],
     ):
+        if not len(w) == len(zdot_densities) == depth:
+            raise ValueError(f"depth {depth} needs {depth} orders, got {len(w)} of W and {len(zdot_densities)} of dZ")
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "w", w)

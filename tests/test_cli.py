@@ -115,6 +115,14 @@ class TestDerive:
         assert code == 2 and out == ""
         assert err == f"error: {sub}:1: a number of 5000 digits is past the int-string limit\n"
 
+    def test_output_past_the_int_string_limit_is_one_named_error(self, tmp_path, default_int_digit_limit):
+        # 2200 digits parse, but the square the flow takes of them does not print.
+        sub = tmp_path / "grows.sub"
+        sub.write_text("b1 = " + "7" * 2200 + "*b1\n", encoding="utf-8")
+        code, out, err = run_cli("derive", "--k", "1", "--n", "2", "--sub", str(sub))
+        assert code == 2 and out == ""
+        assert err == "error: ValueError: the coefficient <an integer of 14616 bits> is past the int-string limit\n"
+
     def test_substitution_rejects_repeated_target(self, tmp_path):
         sub = tmp_path / "twice.sub"
         sub.write_text("b1 = c1\n# the second rule for b1 used to win silently\nb1 = 2*c1\n", encoding="utf-8")

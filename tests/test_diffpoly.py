@@ -10,6 +10,7 @@ from math import gcd
 
 import pytest
 
+from laxdual import diffpoly
 from laxdual.diffpoly import (
     DiffPoly,
     FieldVar,
@@ -453,6 +454,43 @@ class TestRepresentation:
             assert p.derive().terms == ref_derive(a)
             assert (p * q).derive().terms == ref_derive(ref_mul(a, b))
             assert p.scale(Fraction(-5, 3)).terms == {m: c * Fraction(-5, 3) for m, c in a.items()}
+
+
+class TestIntStringLimit:
+    """A number past Python's int-string limit is refused where it comes in
+    and named by its size where it goes out."""
+
+    HUGE = 10**5000  # 16610 bits, 5001 digits
+
+    @pytest.mark.parametrize("write", ["to_text", "to_latex", "to_json", "__repr__", "__str__"])
+    @pytest.mark.parametrize(
+        "coeff", [HUGE, Fraction(-1, HUGE), Fraction(3, HUGE + 1)], ids=["numerator", "denominator", "odd-denominator"]
+    )
+    def test_output_names_the_number(self, default_int_digit_limit, write, coeff):
+        p = DiffPoly.const(coeff) + P("b1*c1 - 1/2*b1'")
+        message = r"^the coefficient <an integer of 16610 bits> is past the int-string limit$"
+        with pytest.raises(ValueError, match=message):
+            getattr(p, write)()
+
+    def test_output_within_the_limit_is_unchanged(self, default_int_digit_limit):
+        p = DiffPoly.const(Fraction(10**4000, 3)) - P("b1")
+        assert p.to_text() == f"{10**4000}/3 - b1"
+        assert p.to_latex() == rf"\frac{{{10**4000}}}{{3}} - b_{{1}}"
+        assert DiffPoly.from_json(p.to_json()) == p
+
+    @pytest.mark.parametrize("index", [HUGE, HUGE + 7], ids=["even", "odd"])
+    def test_constructor_refuses_an_index_no_text_can_name(self, default_int_digit_limit, index):
+        interned = len(diffpoly._VARS)
+        with pytest.raises(PolyParseError, match=r"^index <an integer of 16610 bits> is past the int-string limit$"):
+            DiffPoly.var("b", index)
+        with pytest.raises(PolyParseError, match="past the int-string limit"):
+            DiffPoly({((FieldVar("c", index), 1),): 1})
+        with pytest.raises(PolyParseError, match="past the int-string limit"):
+            DiffPoly.from_json([{"coeff": "1", "vars": [{"kind": "b", "index": index, "dorder": 0, "exp": 1}]}])
+        for negative in (FieldVar("b", -index), FieldVar("b", 1, -index)):
+            with pytest.raises(PolyParseError, match=r"must be an integer >= 0, got <an integer of 16610 bits>$"):
+                DiffPoly.from_var(negative)
+        assert len(diffpoly._VARS) == interned
 
 
 class TestInternTable:

@@ -7,6 +7,7 @@ from laxdual.loopalg import (
     DepthExhausted,
     LaurentMatrix,
     Sl2Poly,
+    commutator_floor,
     lm_commutator,
     matrix_to_json,
     project_plus,
@@ -97,6 +98,21 @@ class TestLaurent:
         assert out.coeff(0).is_zero()
         with pytest.raises(DepthExhausted):
             out.coeff(-2)
+
+    def test_exact_against_floored_operand(self, rng):
+        # diag_consistency's pairing: an exact V against a truncated L.  Above
+        # the floor every exponent is the sum of its stored pairs, below it
+        # every read raises.
+        for _ in range(12):
+            x, y = random_laurent(rng, exact=True), random_laurent(rng)
+            out, floor = lm_commutator(x, y), commutator_floor(x, y)
+            assert out.floor == floor
+            for e in range(floor, max(x.coeffs) + max(y.coeffs) + 2):
+                pairs = [(m1, y.coeffs[e - e1]) for e1, m1 in x.coeffs.items() if e - e1 in y.coeffs]
+                assert out.coeff(e) == sum((sl2_commutator(m1, m2) for m1, m2 in pairs), Sl2Poly())
+            for e in range(floor - 3, floor):
+                with pytest.raises(DepthExhausted, match=rf"lambda\^{e}; the known floor is {floor}$"):
+                    out.coeff(e)
 
 
 class TestProjections:

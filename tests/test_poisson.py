@@ -8,6 +8,7 @@ from laxdual.fnr import PsiTable, build_psi
 from laxdual.loopalg import DepthExhausted, Sl2Poly
 from laxdual.poisson import (
     BracketTable,
+    WZExpansion,
     field_bracket_table,
     flow_from_hamiltonian,
     flow_matches_zc,
@@ -211,6 +212,12 @@ class TestWZExpansion:
         message = rf"^order {order} of W or of dZ is outside the expanded orders 1\.\.3$"
         with pytest.raises(DepthExhausted, match=message):
             getattr(wz, read)(order)
+
+    @pytest.mark.parametrize("orders, densities", [(1, 1), (2, 1), (1, 2), (3, 3)])
+    def test_record_checks_its_shape(self, orders, densities):
+        # a short record used to build, and then beta(2) raised IndexError
+        with pytest.raises(ValueError, match=rf"^depth 2 needs 2 orders, got {orders} of W and {densities} of dZ$"):
+            WZExpansion(k=1, depth=2, w=((P("b1"), P("c1")),) * orders, zdot_densities=(P("b1"),) * densities)
 
     def test_prefix_stability(self):
         # recomputing at a larger depth reproduces everything known before;
