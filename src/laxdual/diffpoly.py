@@ -28,8 +28,8 @@ one table over the lcm of the denominators, reduced once.
 
 Exponents stay below EXP_LIMIT = 2^15.  Two such fields sum to less than 2^16,
 so no product carries into the next field, and a sum that reaches 2^15 sets the
-field's top (guard) bit.  Products, derivations, substitutions and
-integration steps check the guard bits of their result keys and raise
+field's top (guard) bit.  Products (formal_integrate's dot too), derivations
+and substitutions check the guard bits of their result keys and raise
 ValueError; parsing, JSON and the constructor reject larger exponents with
 PolyParseError.
 
@@ -48,11 +48,13 @@ stay too), and an equal polynomial built afresh derives afresh.  A derivation
 that raises keeps nothing.
 
 The Euler operator sum_l (-d)^l P_l, P_l the partial by u^(l), is evaluated in
-Horner form P_0 - d(P_1 - d(P_2 - ...)): one derivation per order, not l of
-them for each P_l.  substitute computes each power rule^e it needs once per
-call, multiplies each monomial's powers in ascending id order, and sums every
-image into one {monomial: int} table over the common denominator of the
-images, guarded (cancelled terms included) and reduced once, as dot does.
+Horner form P_0 - d(P_1 - d(P_2 - ...)) from u's top order down: one derivation
+per order, not l of them for each P_l.  formal_integrate reads the same chain
+by the homotopy operator (Olver, Applications of Lie Groups to Differential
+Equations, 5.4) in one dot.  substitute computes each power rule^e it needs
+once per call, multiplies each monomial's powers in ascending id order, and
+sums every image into one {monomial: int} table over the common denominator of
+the images, guarded (cancelled terms included) and reduced once, as dot does.
 
 Besides ring arithmetic the module provides the distinguished derivation
 (Leibniz rule, raising dorder), substitution of dorder-0 generators (extended
@@ -68,6 +70,7 @@ constant symbol killed by the derivation; a kind containing digits (e.g.
 from __future__ import annotations
 
 import re
+import sys
 import threading
 from collections import namedtuple
 from collections.abc import Iterable, Mapping
@@ -384,18 +387,11 @@ class DiffPoly:
         return _reduced(_nonzero(_guarded(tab)), den * self.den)
 
     def euler(self, target: FieldVar) -> "DiffPoly":
-        """Variational derivative: sum_l (-d)^l of d(self)/d(target^(l)).
-
-        Evaluated in Horner form P_0 - d(P_1 - d(P_2 - ...)), P_l the partial
-        by target^(l): one derivation per order."""
+        """Variational derivative: sum_l (-d)^l of d(self)/d(target^(l)), in
+        Horner form P_0 - d(P_1 - d(P_2 - ...)): the last of its _euler_chain."""
         if target.dorder != 0:
             raise ValueError("euler target must be a dorder-0 generator")
-        out = _ZERO
-        for order in range(self.max_dorder(), -1, -1):
-            part = self.partial(FieldVar(target.kind, target.index, order))
-            # A zero is never derived, so the shared _ZERO keeps no derivative.
-            out = part - out.derive() if out.num else part
-        return out
+        return _euler_chain(self, target)[-1]
 
     # -- output --------------------------------------------------------------
 
@@ -619,35 +615,40 @@ def equal_mod_total_derivative(p: DiffPoly, q: DiffPoly) -> bool:
     return all(d.euler(u).is_zero() for u in d.generators() if not u.is_constant_symbol())
 
 
-def formal_integrate(p: DiffPoly) -> DiffPoly:
-    """Antiderivative q with dq = p and zero constant term.
+def _euler_chain(p: DiffPoly, u: FieldVar) -> list[DiffPoly]:
+    """[Q_{M-1}, ..., Q_0, Q_{-1}] for u's top order M in p: Q_{M-1} = P_M and
+    Q_{l-1} = P_l - d Q_l, P_l the partial by u^(l), so Q_{-1} is E_u(p)."""
+    kind, index, _ = u
+    top = max((v.dorder for v in map(_VARS.__getitem__, p._ids()) if v.kind == kind and v.index == index), default=0)
+    chain = [p.partial(FieldVar(kind, index, top))]
+    for order in range(top - 1, -1, -1):
+        part, q = p.partial(FieldVar(kind, index, order)), chain[-1]
+        # A zero is never derived, so the shared _ZERO keeps no derivative.
+        chain.append(part - q.derive() if q.num else part)
+    return chain
 
-    Works by peeling the leading monomial: the generator of highest derivative
-    order in the lexicographically largest term of an exact p always occurs
-    linearly, and lowering it by one order reconstructs one term of q.  The
-    Euler-operator precondition guarantees termination.
-    """
+
+def formal_integrate(p: DiffPoly) -> DiffPoly:
+    """Antiderivative q with dq = p and zero constant term: by the homotopy
+    operator, sum_u sum_l u^(l) Q_l over each field's _euler_chain with each
+    monomial divided by its degree in the fields (constant symbols do not scale)."""
+    def degree(mono: int) -> int:
+        return sum(e for i, e in _fields(mono) if not _VARS[i].is_constant_symbol())
+
+    triples = []
     for u in p.generators():
-        if not u.is_constant_symbol() and not p.euler(u).is_zero():
-            raise NotATotalDerivative(f"euler derivative with respect to {u} does not vanish")
-    rem, items = p, []  # items: the (packed monomial, n, d) terms of q, summed once
-    while not rem.is_zero():
-        mono = max(rem.num, key=_peel_key)
-        if not mono:
+        if not u.is_constant_symbol():
+            *chain, eu = _euler_chain(p, u)
+            if eu.num:
+                raise NotATotalDerivative(f"euler derivative with respect to {u} does not vanish")
+            triples += ((1, DiffPoly.from_var(u.derived(l)), q) for l, q in enumerate(reversed(chain)))
+    if free := [m for m in p.num if not degree(m)]:  # the formula needs p to vanish with the fields
+        if not (mono := max(free, key=_peel_key)):
             raise NotATotalDerivative("nonzero constant term has no antiderivative")
-        top, e = max(_fields(mono), key=lambda f: _order_key(f[0]))
-        v = _VARS[top]
-        if v.dorder == 0 or v.is_constant_symbol():
-            term = "*".join(_var_text(v, e) for v, e in _to_public(mono))
-            raise NotATotalDerivative(f"term {term} cannot be integrated")
-        if e != 1:
-            raise NotATotalDerivative(f"leading derivative {v} occurs nonlinearly")
-        low = _vid(v.derived(-1))
-        key = mono - (1 << (_W * top)) + (1 << (_W * low))
-        n, d = rem.num[mono], rem.den * ((key >> (_W * low)) & _MASK)
-        items.append((key, n, d))
-        rem = rem - _reduced(_guarded({key: n}), d).derive()
-    return _summed(items)
+        term = "*".join(_var_text(v, e) for v, e in _to_public(mono))
+        raise NotATotalDerivative(f"term {term} cannot be integrated")
+    f = DiffPoly.dot(triples)
+    return _summed([(m, c, f.den * degree(m)) for m, c in f.num.items()])
 
 
 def _order_key(i: int):
@@ -656,8 +657,8 @@ def _order_key(i: int):
 
 
 def _peel_key(mono: int):
-    # Sorted-descending sequence of generator keys, exponent-expanded: the
-    # derivation maps the maximal monomial of q to the maximal monomial of dq.
+    # Sorted-descending sequence of generator keys, exponent-expanded: a peel's
+    # order, so formal_integrate names the field-free term a peel stops at.
     return sorted((_order_key(i) for i, e in _fields(mono) for _ in range(e)), reverse=True)
 
 
@@ -704,7 +705,7 @@ def _int(digits: str) -> int:
 def _shown(x) -> str:
     """repr(x), but an int past 1000 bits, which the int-string limit may refuse, by its size."""
     if isinstance(x, int) and x.bit_length() > 1000:
-        return f"<an integer of {x.bit_length()} bits>"
+        return f"<{'a negative' if x < 0 else 'an'} integer of {x.bit_length()} bits>"
     return repr(x)
 
 
@@ -715,6 +716,8 @@ def _checked_var(kind, index, dorder) -> FieldVar:
     for name, value in (("index", index), ("dorder", dorder)):
         if type(value) is not int or value < 0:
             raise PolyParseError(f"{name} must be an integer >= 0, got {_shown(value)}")
+    if dorder > sys.maxsize:  # past this, "'" * dorder raises OverflowError
+        raise PolyParseError(f"dorder {_shown(dorder)} is past sys.maxsize: no text holds that many apostrophes")
     try:
         str(index)
     except ValueError:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import sys
 import threading
 from decimal import Decimal
@@ -258,6 +259,36 @@ class TestFormalIntegrate:
         p = P("b1''*c1' + 3*b1*b1'^2 - c2'*c2'")
         assert formal_integrate(p.derive()) == p
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("b1' + e", "term e cannot be integrated"),
+            ("b1' + 3", "nonzero constant term has no antiderivative"),
+            ("b1' + 2*e^2 + e", "term e^2 cannot be integrated"),
+        ],
+    )
+    def test_field_free_terms_are_refused(self, text, message):
+        # The homotopy formula needs p to vanish with the fields, so terms
+        # without fields are refused first: the largest in the peel order is
+        # named, and the constant term only when it is the last one.
+        with pytest.raises(NotATotalDerivative, match=f"^{re.escape(message)}$"):
+            formal_integrate(P(text))
+
+    @pytest.mark.parametrize(
+        "text, antiderivative",
+        [("e*b1'", "e*b1"), ("b1'*b1s + b1*b1s'", "b1*b1s"), ("b1^2*b1'' + 2*b1*b1'^2", "b1^2*b1'")],
+    )
+    def test_constant_symbols_and_placeholders(self, text, antiderivative):
+        # A constant symbol is a coefficient, so it does not count in a term's degree.
+        assert formal_integrate(P(text)) == P(antiderivative)
+
+    def test_inverts_derive_on_table_rows(self):
+        for k, depth in ((1, 16), (2, 14), (3, 14)):
+            for row in build_psi(k, depth).rows[1:]:
+                for x in (row.a, row.bp, row.cm):
+                    if not x.is_zero():
+                        assert formal_integrate(x.derive()) == x, (k, x.to_text())
+
 
 class TestEqualModTotalDerivative:
     def test_shift_by_total_derivative(self):
@@ -488,7 +519,7 @@ class TestIntStringLimit:
         with pytest.raises(PolyParseError, match="past the int-string limit"):
             DiffPoly.from_json([{"coeff": "1", "vars": [{"kind": "b", "index": index, "dorder": 0, "exp": 1}]}])
         for negative in (FieldVar("b", -index), FieldVar("b", 1, -index)):
-            with pytest.raises(PolyParseError, match=r"must be an integer >= 0, got <an integer of 16610 bits>$"):
+            with pytest.raises(PolyParseError, match=r"must be an integer >= 0, got <a negative integer of 16610 bits>$"):
                 DiffPoly.from_var(negative)
         assert len(diffpoly._VARS) == interned
 
@@ -664,10 +695,12 @@ class TestFromJsonValidation:
             ("b", -1, 0),
             ("b", 1, -1),
             ("b-1", 0, 0),
+            ("b", 1, 10**20),
+            ("b", 1, sys.maxsize + 1),
         ],
         ids=[
             "b0", "c0", "std-like-kind", "indexed-placeholder", "indexed-constant", "derived-constant",
-            "negative-index", "negative-dorder", "malformed-kind",
+            "negative-index", "negative-dorder", "malformed-kind", "huge-dorder", "dorder-past-maxsize",
         ],
     )
     def test_constructors_reject_what_no_text_names(self, kind, index, dorder):

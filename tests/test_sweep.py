@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from laxdual.diffpoly import DiffPoly, equal_mod_total_derivative
+from laxdual.diffpoly import DiffPoly, equal_mod_total_derivative, formal_integrate
 from laxdual.fnr import build_psi
 from laxdual.poisson import flow_matches_zc, hamiltonians_commute, sklyanin_check
 from laxdual.zerocurv import dual_equivalence
@@ -45,6 +45,15 @@ def test_hamiltonians_commute_on_the_wide_sweep():
             for n1 in range(1, n2):
                 acc = hamiltonians_commute(table, n1, n2)
                 assert equal_mod_total_derivative(acc, DiffPoly.zero()), (k, n1, n2, acc.to_text())
+
+
+@pytest.mark.slow
+def test_formal_integrate_inverts_derive_on_deep_rows():
+    for k in (1, 2):
+        for row in build_psi(k, 20).rows[1:]:
+            for x in (row.a, row.bp, row.cm):
+                if not x.is_zero():
+                    assert formal_integrate(x.derive()) == x, (k, x.to_text())
 
 
 @pytest.mark.slow
