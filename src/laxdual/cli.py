@@ -30,9 +30,9 @@ import re
 import sys
 from types import SimpleNamespace
 
-from .diffpoly import DiffPoly, FieldVar, parse_fieldvar, parse_poly
+from .diffpoly import DiffPoly, FieldVar, _ratio_text, _var_json, parse_fieldvar, parse_poly
 from .fnr import PsiTable, build_psi, lax_matrix
-from .loopalg import matrix_to_json, matrix_to_latex, matrix_to_text
+from .loopalg import LaurentMatrix, matrix_to_latex, matrix_to_text
 from .poisson import flow_matches_zc, hamiltonian_density, sklyanin_check
 from .zerocurv import PdeSystem, dual_equivalence, zero_curvature
 
@@ -112,11 +112,104 @@ def _read_substitutions(path: str) -> dict[FieldVar, DiffPoly]:
     return rules
 
 
-def _json_text(payload) -> str:
-    # json is imported here: only the JSON format pays for loading it.
-    import json
+# -- JSON ------------------------------------------------------------------------
+# json.dumps(payload, indent=2) runs json's pure-Python encoder whatever the
+# payload, so the CLI writes the same bytes itself and no run loads json.
 
-    return json.dumps(payload, indent=2)
+_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _escaped(c: str) -> str:
+    """One character as json.encoder.encode_basestring_ascii writes it."""
+    short = _ESCAPES.get(c)
+    if short:
+        return short
+    if " " <= c <= "~":
+        return c
+    n = ord(c)
+    if n < 0x10000:
+        return f"\\u{n:04x}"
+    n -= 0x10000  # an astral character as its UTF-16 surrogate pair
+    return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+
+
+def _quoted(s: str) -> str:
+    """s as a JSON string literal in ASCII, as json.dumps writes it."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    return '"' + "".join(map(_escaped, s)) + '"'
+
+
+def _json_text(payload, nl: str = "\n") -> str:
+    """payload as json.dumps(payload, indent=2) writes it, byte for byte.
+
+    payload is a tree of dict (str keys), list, str, int, bool, None and
+    DiffPoly, a DiffPoly written as its to_json list; any other type raises
+    TypeError.  nl is the newline and indent of the line payload starts on."""
+    out: list[str] = []
+    _put(payload, nl, out.append)
+    return "".join(out)
+
+
+def _put(o, nl: str, put) -> None:
+    if isinstance(o, str):
+        put(_quoted(o))
+    elif o is None:
+        put("null")
+    elif o is True:
+        put("true")
+    elif o is False:
+        put("false")
+    elif isinstance(o, int):
+        put(int.__repr__(o))
+    elif isinstance(o, DiffPoly):
+        _put_poly(o, nl, put)
+    elif isinstance(o, list):
+        if not o:
+            put("[]")
+            return
+        inner = nl + "  "
+        lead = "[" + inner
+        for item in o:
+            put(lead)
+            _put(item, inner, put)
+            lead = "," + inner
+        put(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
+        inner = nl + "  "
+        lead = "{" + inner
+        for key, value in o.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            put(lead + _quoted(key) + ": ")
+            _put(value, inner, put)
+            lead = "," + inner
+        put(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _put_poly(p: DiffPoly, nl: str, put) -> None:
+    """p.to_json() written from p._walk: no term dicts are built, and each
+    distinct factor's object is written once per polynomial."""
+    if p.is_zero():
+        put("[]")
+        return
+    term, key, field = nl + "  ", nl + "    ", nl + "      "
+    head, tail, join = f'{{{key}"coeff": "', f'",{key}"vars": ', ("," + field).join
+    lead = "[" + term
+    try:
+        for factors, n, d in p._walk(lambda v, e: _json_text(_var_json(v, e), field)):
+            # A coefficient's text is digits, '-' and '/': nothing to escape.
+            put(f"{lead}{head}{_ratio_text(n, d)}{tail}")
+            put(f"[{field}{join(factors)}{key}]{term}}}" if factors else f"[]{term}}}")
+            lead = "," + term
+    except ValueError:  # only str() of a number past the int-string limit raises here
+        raise p._past_limit() from None
+    put(nl + "]")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -134,15 +227,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _render_psi(table: PsiTable, fmt: str) -> str:
     if fmt == "json":
-        rows = [
-            {
-                "j": j,
-                "a": table.rows[j].a.to_json(),
-                "b": table.rows[j].bp.to_json(),
-                "c": table.rows[j].cm.to_json(),
-            }
-            for j in range(table.depth + 1)
-        ]
+        rows = [{"j": j, "a": row.a, "b": row.bp, "c": row.cm} for j, row in enumerate(table.rows)]
         return _json_text({"k": table.k, "depth": table.depth, "rows": rows})
     if fmt == "latex":
         lines = [rf"% constraint map for $t_{{{table.k}}}$, depth {table.depth}"]
@@ -161,6 +246,11 @@ def _render_psi(table: PsiTable, fmt: str) -> str:
     return "\n".join(lines)
 
 
+def _lax_payload(x: LaurentMatrix) -> dict:
+    coeffs = {str(e): {"a": m.a, "bp": m.bp, "cm": m.cm} for e, m in sorted(x.coeffs.items(), reverse=True)}
+    return {"depth": None if x.floor is None else -x.floor, "coeffs": coeffs}
+
+
 def _cmd_psi(args) -> int:
     if args.lax is not None:
         # V_k^(N) reads rows 0..N; the table must reach row k as well.
@@ -168,7 +258,7 @@ def _cmd_psi(args) -> int:
         rendered = {
             "text": matrix_to_text,
             "latex": matrix_to_latex,
-            "json": lambda m: _json_text(matrix_to_json(m)),
+            "json": lambda m: _json_text(_lax_payload(m)),
         }[args.format](matrix)
     else:
         depth = args.depth if args.depth is not None else args.k + 2
@@ -187,7 +277,7 @@ def _render_system(
     pairs = [(DiffPoly.from_var(u).substitute(subs), system.evolution[u].substitute(subs)) for u in fields]
     n = system.n
     if fmt == "json":
-        evolution = [{"field": str(u), "rhs": rhs.to_json()} for u, (_, rhs) in zip(fields, pairs)]
+        evolution = [{"field": str(u), "rhs": rhs} for u, (_, rhs) in zip(fields, pairs)]
         return _json_text({"k": system.k, "n": n, "evolution": evolution, "auxiliary": []})
     if fmt == "latex":
         if style == "zero":
@@ -238,7 +328,7 @@ def _cmd_hamiltonian(args) -> int:
     table = build_psi(args.k, args.k)
     density = hamiltonian_density(table, args.n)
     if args.format == "json":
-        text = _json_text({"k": args.k, "n": args.n, "density": density.to_json()})
+        text = _json_text({"k": args.k, "n": args.n, "density": density})
     elif args.format == "latex":
         text = rf"H_{{{args.k}}}^{{({args.n})}} = \int \left( {density.to_latex()} \right) dt_{{{args.k}}}"
     else:

@@ -257,18 +257,6 @@ def matrix_to_latex(x: LaurentMatrix) -> str:
     )
 
 
-def matrix_to_json(x: LaurentMatrix) -> dict:
-    coeffs = {
-        str(e): {
-            "a": x.coeffs[e].a.to_json(),
-            "bp": x.coeffs[e].bp.to_json(),
-            "cm": x.coeffs[e].cm.to_json(),
-        }
-        for e in sorted(x.coeffs, reverse=True)
-    }
-    return {"depth": None if x.floor is None else -x.floor, "coeffs": coeffs}
-
-
 def matrix_to_text(x: LaurentMatrix) -> str:
     lines = []
     for e in sorted(x.coeffs, reverse=True):

@@ -4,14 +4,17 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from laxdual import cli
 from laxdual.cli import main
-from laxdual.diffpoly import DiffPoly
-from laxdual.fnr import build_psi
-from laxdual.poisson import hamiltonian_density
+from laxdual.diffpoly import DiffPoly, parse_fieldvar
+from laxdual.fnr import build_psi, lax_matrix
+from laxdual.poisson import flow_matches_zc, hamiltonian_density, sklyanin_check
+from laxdual.report import CheckReport
+from laxdual.zerocurv import zero_curvature
 
 from conftest import P, digest, run_process, tampered
 
@@ -177,6 +180,13 @@ class TestPsi:
         assert code == 0
         assert "depth=4" in out.splitlines()[0]
 
+    def test_lax_json_shape(self):
+        data = json.loads(run_cli("psi", "--k", "1", "--lax", "1", "--format", "json")[1])
+        assert data["depth"] is None
+        assert list(data["coeffs"]) == ["1", "0"]
+        assert data["coeffs"]["1"] == {"a": P("1").to_json(), "bp": [], "cm": []}
+        assert data["coeffs"]["0"] == {"a": [], "bp": P("b1").to_json(), "cm": P("c1").to_json()}
+
     def test_lax_ignores_depth(self):
         # V_1^(6) needs rows 0..6, beyond the default depth k + 2
         plain = run_cli("psi", "--k", "1", "--lax", "6")
@@ -265,6 +275,140 @@ class TestVerify:
         assert list(payload) == ["check", "passed", "items", *keys]
         assert (payload["check"], payload["passed"]) == (name, False)
         assert (digest(text), digest(out)) == digests
+
+
+# The payloads the CLI wrote with json.dumps(payload, indent=2), each
+# polynomial as its to_json list: the reference for the CLI's own writer.
+
+
+def psi_payload(k, depth):
+    rows = build_psi(k, depth).rows
+    return {
+        "k": k,
+        "depth": depth,
+        "rows": [
+            {"j": j, "a": rows[j].a.to_json(), "b": rows[j].bp.to_json(), "c": rows[j].cm.to_json()}
+            for j in range(depth + 1)
+        ],
+    }
+
+
+def lax_payload(k, order):
+    x = lax_matrix(build_psi(k, max(k, order)), order)
+    coeffs = {
+        str(e): {"a": x.coeffs[e].a.to_json(), "bp": x.coeffs[e].bp.to_json(), "cm": x.coeffs[e].cm.to_json()}
+        for e in sorted(x.coeffs, reverse=True)
+    }
+    return {"depth": None if x.floor is None else -x.floor, "coeffs": coeffs}
+
+
+def derive_payload(k, n, rules=""):
+    subs = {}
+    for line in rules.splitlines():
+        lhs, _, rhs = line.partition("=")
+        subs[parse_fieldvar(lhs.strip())] = P(rhs.strip())
+    system = zero_curvature(build_psi(k, max(k, n)), n)
+    evolution = [
+        {"field": str(u), "rhs": system.evolution[u].substitute(subs).to_json()} for u in sorted(system.evolution)
+    ]
+    return {"k": k, "n": n, "evolution": evolution, "auxiliary": []}
+
+
+def dumped(payload):
+    return json.dumps(payload, indent=2) + "\n"
+
+
+# Rules that bring the constant symbol e and the placeholder field b1s in.
+SUB_RULES = "c1 = -3/4*e*b1s\nb1 = 2*b1s' - 1/3*e^2*b1\n"
+
+
+class TestJson:
+    """Every JSON payload is json.dumps(payload, indent=2) byte for byte."""
+
+    @pytest.mark.parametrize("depth", [None, 12], ids=["default", "12"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_psi(self, k, depth):
+        flags = () if depth is None else ("--depth", str(depth))
+        want = dumped(psi_payload(k, k + 2 if depth is None else depth))
+        assert run_cli("psi", "--k", str(k), *flags, "--format", "json") == (0, want, "")
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_psi_lax(self, k):
+        want = dumped(lax_payload(k, k + 1))
+        assert run_cli("psi", "--k", str(k), "--lax", str(k + 1), "--format", "json") == (0, want, "")
+
+    @pytest.mark.parametrize("k, n", [(1, 2), (2, 4), (3, 1)])
+    @pytest.mark.parametrize("rules", ["", SUB_RULES], ids=["plain", "sub"])
+    def test_derive(self, tmp_path, k, n, rules):
+        flags = ()
+        want = dumped(derive_payload(k, n, rules))
+        if rules:
+            sub = tmp_path / "rules.sub"
+            sub.write_text(rules, encoding="utf-8")
+            flags = ("--sub", str(sub))
+            assert '"b1s"' in want and '"e"' in want
+        assert run_cli("derive", "--k", str(k), "--n", str(n), *flags, "--format", "json") == (0, want, "")
+
+    @pytest.mark.parametrize("k, n", [(1, 2), (2, 3), (3, 1)])
+    def test_hamiltonian(self, k, n):
+        want = dumped({"k": k, "n": n, "density": hamiltonian_density(build_psi(k, k), n).to_json()})
+        assert run_cli("hamiltonian", "--k", str(k), "--n", str(n), "--format", "json") == (0, want, "")
+
+    @pytest.mark.parametrize("tamper", [False, True], ids=["pass", "fail"])
+    @pytest.mark.parametrize(
+        "argv, keys, check",
+        [
+            (("sklyanin", "--k", "2"), {"k": 2}, lambda build, dual: sklyanin_check(build(2, 2))),
+            (("duality", "--n", "1", "--k", "3"), {"n": 1, "k": 3}, lambda build, dual: dual(1, 3).report),
+            (("flow", "--k", "2", "--n", "2"), {"k": 2, "n": 2}, lambda build, dual: flow_matches_zc(build(2, 2), 2)),
+        ],
+        ids=["sklyanin", "duality", "flow"],
+    )
+    def test_verify(self, monkeypatch, argv, keys, check, tamper):
+        if tamper:
+            build, dual = cli.build_psi, cli.dual_equivalence
+            monkeypatch.setattr(cli, "build_psi", lambda k, depth: tampered(build(k, depth)))
+
+            # dual_equivalence builds its own tables: its report gains a failing
+            # item whose label and residual need escaping.
+            def failing_dual(n, k):
+                report = dual(n, k).report
+                report = CheckReport(report.name, list(report.items))
+                report.add('tampered "\\" \u03bb\x7f\U0001d53b', False, "b1*c1\u2028")
+                return SimpleNamespace(report=report)
+
+            monkeypatch.setattr(cli, "dual_equivalence", failing_dual)
+        report = check(cli.build_psi, cli.dual_equivalence)
+        assert report.passed is not tamper
+        want = dumped({**report.to_json(), **keys})
+        assert run_cli("verify", *argv, "--format", "json") == (1 if tamper else 0, want, "")
+
+    def test_out_file(self, tmp_path):
+        target = tmp_path / "lax.json"
+        assert run_cli("psi", "--k", "2", "--lax", "2", "--format", "json", "--out", str(target)) == (0, "", "")
+        assert target.read_text(encoding="utf-8") == dumped(lax_payload(2, 2))
+
+    def test_coefficient_past_the_int_string_limit(self, tmp_path, default_int_digit_limit):
+        # As in text: the square the flow takes of 2200 digits does not print.
+        sub = tmp_path / "grows.sub"
+        sub.write_text("b1 = " + "7" * 2200 + "*b1\n", encoding="utf-8")
+        code, out, err = run_cli("derive", "--k", "1", "--n", "2", "--sub", str(sub), "--format", "json")
+        assert code == 2 and out == ""
+        assert err == "error: ValueError: the coefficient <an integer of 14616 bits> is past the int-string limit\n"
+
+    def test_escapes_as_json(self):
+        # Every character of the BMP, surrogates included, and astral ones across their range.
+        text = "".join(map(chr, [*range(0x10000), *range(0x10000, 0x110000, 97), 0x10FFFF]))
+        assert cli._quoted(text) == json.encoder.encode_basestring_ascii(text)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [1.5, (1, 2), {1, 2}, {1: "a"}, {None: 1}, {"a": [0.5]}, [{"b": (1,)}], {"c": {True: 1}}],
+        ids=["float", "tuple", "set", "int-key", "none-key", "nested-float", "nested-tuple", "bool-key"],
+    )
+    def test_types_the_cli_never_builds_raise(self, payload):
+        with pytest.raises(TypeError):
+            cli._json_text(payload)
 
 
 class TestPlumbing:
@@ -557,13 +701,17 @@ class TestPlumbing:
 
     def test_import_loads_no_dataclasses_inspect_or_json(self, tmp_path):
         # Nor fractions, decimal, numbers, argparse or gettext: not on import,
-        # and not on any subcommand's run either, substitution files included.
+        # and not on any subcommand's run either, in any format, substitution
+        # files included.
         sub = tmp_path / "sub.txt"
         sub.write_text("c1 = -3/4*e*b1s\n", encoding="utf-8")
         runs = [
             ["psi", "--k", "1", "--format", "json"],
+            ["psi", "--k", "2", "--lax", "2", "--format", "json"],
             ["derive", "--k", "1", "--n", "2", "--sub", str(sub)],
+            ["derive", "--k", "1", "--n", "2", "--sub", str(sub), "--format", "json"],
             ["hamiltonian", "--k", "2", "--n", "1"],
+            ["hamiltonian", "--k", "2", "--n", "1", "--format", "json"],
             ["verify", "duality", "--k", "3", "--n", "1"],
             ["verify", "sklyanin", "--k", "2"],
             ["verify", "flow", "--k", "1", "--n", "2"],
@@ -571,9 +719,10 @@ class TestPlumbing:
         probe = (
             "import sys\n"
             "import laxdual, laxdual.cli\n"
-            "never = ('dataclasses', 'inspect', 'typing', 'fractions', 'decimal', 'numbers', 'argparse', 'gettext')\n"
+            "never = ('dataclasses', 'inspect', 'typing', 'fractions', 'decimal', 'numbers', 'argparse', 'gettext',\n"
+            "         'json')\n"
             "def report():\n"
-            "    print(sorted(m for m in never + ('json',) if m in sys.modules), file=sys.stderr)\n"
+            "    print(sorted(m for m in never if m in sys.modules), file=sys.stderr)\n"
             "report()\n"
             f"for argv in {runs!r}:\n"
             "    assert laxdual.cli.main(argv) == 0, argv\n"
@@ -581,7 +730,7 @@ class TestPlumbing:
         )
         proc = run_process("-c", probe)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines() == ["[]"] + ["['json']"] * len(runs)
+        assert proc.stderr.splitlines() == ["[]"] * (1 + len(runs))
         assert proc.stdout == "".join(run_cli(*argv)[1] for argv in runs)
 
     @pytest.mark.parametrize("cap", ["1", "0", "-5", "abc"])

@@ -9,7 +9,6 @@ from laxdual.loopalg import (
     Sl2Poly,
     commutator_floor,
     lm_commutator,
-    matrix_to_json,
     project_plus,
     shift,
     sl2_commutator,
@@ -168,11 +167,3 @@ class TestTracePair:
         y = LaurentMatrix({0: SIGMA3}, floor=0)
         with pytest.raises(DepthExhausted, match=r"lambda\^-1; the known floor is 0"):
             trace_pair(x, y, 0)  # needs the lambda^-1 coefficient of both
-
-
-def test_json_emitter_shape():
-    x = LaurentMatrix({1: SIGMA3, 0: Sl2Poly(bp=P("b1"), cm=P("c1"))})
-    data = matrix_to_json(x)
-    assert data["depth"] is None
-    assert set(data["coeffs"]) == {"1", "0"}
-    assert data["coeffs"]["0"]["bp"] == P("b1").to_json()

@@ -1,10 +1,12 @@
-"""Property tests of the DiffPoly boundary and calculus over generated polynomials.
+"""Property tests of the DiffPoly boundary and calculus over generated
+polynomials, and of the CLI's JSON writer against json.dumps.
 
 Polynomials are drawn over the fields b1, b2, c1, c2 with derivative orders up
 to 2 and rational coefficients with denominators up to 7; some also draw the
 constant symbol e and the placeholder field b1s, or odd denominators up to 15.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from laxdual import cli  # noqa: E402
 from laxdual.diffpoly import (  # noqa: E402
     DiffPoly,
     FieldVar,
@@ -180,3 +183,53 @@ def test_kernel_matches_reference(p, q, v, w):
     assert DiffPoly.dot(zip(w, (p, q, p), (q, q, p))).terms == want
     assert p.derive().terms == ref_derive(a)
     assert (p * q).partial(v).terms == ref_partial(ref_mul(a, b), v)
+
+
+# Strings from the whole of Unicode, with lone surrogates and the characters
+# json escapes in its own ways drawn often.
+any_text = st.text(
+    st.one_of(
+        st.characters(exclude_categories=()),
+        st.characters(categories=["Cs"]),
+        st.sampled_from('"\\\b\f\n\r\t\x00\x1f\x7f\u2028\U0001d53b'),
+    )
+)
+json_leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-(2**300), 2**300), any_text)
+
+
+def json_trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(st.lists(kids, max_size=4), st.dictionaries(any_text, kids, max_size=4)),
+        max_leaves=12,
+    )
+
+
+def to_json_tree(o):
+    """o with each DiffPoly replaced by its to_json list."""
+    if isinstance(o, DiffPoly):
+        return o.to_json()
+    if isinstance(o, list):
+        return [to_json_tree(x) for x in o]
+    if isinstance(o, dict):
+        return {k: to_json_tree(v) for k, v in o.items()}
+    return o
+
+
+@settings(deadline=None)
+@given(any_text)
+def test_json_escaper_matches_encode_basestring_ascii(s):
+    assert cli._quoted(s) == json.encoder.encode_basestring_ascii(s)
+
+
+@settings(deadline=None)
+@given(json_trees(json_leaves))
+def test_json_writer_matches_json_dumps(tree):
+    assert cli._json_text(tree) == json.dumps(tree, indent=2)
+
+
+@settings(deadline=None)
+@given(json_trees(st.one_of(json_leaves, polys(pool=ext_fields, max_terms=3))))
+def test_json_writer_writes_polynomials_as_to_json(tree):
+    # A polynomial at any depth is written as its to_json list.
+    assert cli._json_text(tree) == json.dumps(to_json_tree(tree), indent=2)
