@@ -7,9 +7,12 @@ Commands
   hamiltonian  emit the Hamiltonian density generating the t_n flow
   verify       run a verification (sklyanin | duality | flow) and exit 0/1
 
-Output is deterministic byte-for-byte for a fixed invocation: every table is
-emitted in canonical order.  Exit codes: 0 success / all checks pass,
-1 verification failure, 2 usage or engine error.
+This module lays out every object in every format; the engine writes only
+polynomials (DiffPoly.to_text, to_latex and to_json, and the DiffPoly._walk
+they share with the JSON writer here).  Output is deterministic byte-for-byte
+for a fixed invocation: every table is emitted in canonical order.  Exit
+codes: 0 success / all checks pass, 1 verification failure, 2 usage or engine
+error.
 
 One table, _COMMANDS, holds every command's flags.  A flag is spelled in full
 and given at most once, as --flag value or --flag=value.  A usage error
@@ -32,7 +35,7 @@ from types import SimpleNamespace
 
 from .diffpoly import DiffPoly, FieldVar, _ratio_text, _var_json, parse_fieldvar, parse_poly
 from .fnr import PsiTable, build_psi, lax_matrix
-from .loopalg import LaurentMatrix, matrix_to_latex, matrix_to_text
+from .loopalg import LaurentMatrix, entry_polynomials
 from .poisson import flow_matches_zc, hamiltonian_density, sklyanin_check
 from .zerocurv import PdeSystem, dual_equivalence, zero_curvature
 
@@ -96,16 +99,20 @@ def _read_config(path: str | None) -> dict[str, str]:
     return values
 
 
-def _read_substitutions(path: str) -> dict[FieldVar, DiffPoly]:
-    """One `lhs = rhs` per line in the polynomial grammar; lhs a bare field."""
+def _read_substitutions(path: str, fields) -> dict[FieldVar, DiffPoly]:
+    """One `lhs = rhs` per line in the polynomial grammar; lhs a bare field
+    among `fields`, since the rules act once, on polynomials in those alone."""
     rules: dict[FieldVar, DiffPoly] = {}
     for lineno, lhs_text, rhs_text in _read_pairs(path, "substitution", "lhs = rhs"):
         try:
             lhs = parse_fieldvar(lhs_text)
             if lhs.dorder != 0:
-                raise CliError(f"{path}:{lineno}: substitution target must be underived")
+                raise ValueError("substitution target must be underived")
+            if lhs not in fields:
+                names = ", ".join(map(str, sorted(fields)))
+                raise ValueError(f"substitution target {lhs_text!r} is not a field of the system: {names}")
             if lhs in rules:
-                raise CliError(f"{path}:{lineno}: repeated substitution target {lhs_text!r}")
+                raise ValueError(f"repeated substitution target {lhs_text!r}")
             rules[lhs] = parse_poly(rhs_text)
         except ValueError as exc:
             raise CliError(f"{path}:{lineno}: {exc}") from exc
@@ -201,14 +208,11 @@ def _put_poly(p: DiffPoly, nl: str, put) -> None:
     term, key, field = nl + "  ", nl + "    ", nl + "      "
     head, tail, join = f'{{{key}"coeff": "', f'",{key}"vars": ', ("," + field).join
     lead = "[" + term
-    try:
-        for factors, n, d in p._walk(lambda v, e: _json_text(_var_json(v, e), field)):
-            # A coefficient's text is digits, '-' and '/': nothing to escape.
-            put(f"{lead}{head}{_ratio_text(n, d)}{tail}")
-            put(f"[{field}{join(factors)}{key}]{term}}}" if factors else f"[]{term}}}")
-            lead = "," + term
-    except ValueError:  # only str() of a number past the int-string limit raises here
-        raise p._past_limit() from None
+    for factors, negative, size in p._walk(lambda v, e: _json_text(_var_json(v, e), field), _ratio_text):
+        # A coefficient's text is digits, '-' and '/': nothing to escape.
+        put(f"{lead}{head}{'-' if negative else ''}{size}{tail}")
+        put(f"[{field}{join(factors)}{key}]{term}}}" if factors else f"[]{term}}}")
+        lead = "," + term
     put(nl + "]")
 
 
@@ -246,20 +250,49 @@ def _render_psi(table: PsiTable, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _lax_payload(x: LaurentMatrix) -> dict:
-    coeffs = {str(e): {"a": m.a, "bp": m.bp, "cm": m.cm} for e, m in sorted(x.coeffs.items(), reverse=True)}
-    return {"depth": None if x.floor is None else -x.floor, "coeffs": coeffs}
+def _render_lax(x: LaurentMatrix, fmt: str) -> str:
+    coeffs = sorted(x.coeffs.items(), reverse=True)
+    if fmt == "json":
+        entries = {str(e): {"a": m.a, "bp": m.bp, "cm": m.cm} for e, m in coeffs}
+        return _json_text({"depth": None if x.floor is None else -x.floor, "coeffs": entries})
+    if fmt == "latex":
+        # the 2x2 form ((A, B), (C, -A)) as a pmatrix
+        a, b, c = entry_polynomials(x)
+        minus_a = {e: -p for e, p in a.items()}
+        return (
+            "\\begin{pmatrix}\n"
+            f"{_entry_latex(a)} & {_entry_latex(b)} \\\\\n"
+            f"{_entry_latex(c)} & {_entry_latex(minus_a)}\n"
+            "\\end{pmatrix}"
+        )
+    lines = [f"lambda^{e}: a = {m.a} | b = {m.bp} | c = {m.cm}" for e, m in coeffs]
+    return "\n".join(lines) or "0"
+
+
+def _entry_latex(table: dict[int, DiffPoly]) -> str:
+    """sum_e p_e lambda^e, highest e first, a unit p_e written as its sign."""
+    parts: list[str] = []
+    for e in sorted(table, reverse=True):
+        p = table[e]
+        body = p.to_latex()
+        if e != 0:
+            lam = r"\lambda" if e == 1 else rf"\lambda^{{{e}}}"
+            if len(p.num) > 1:
+                body = rf"\left({body}\right){lam}"
+            elif body in ("1", "-1"):
+                body = body[:-1] + lam
+            else:
+                body = f"{body} {lam}"
+        if parts and not body.startswith("-"):
+            parts.append("+")
+        parts.append(body)
+    return " ".join(parts) or "0"
 
 
 def _cmd_psi(args) -> int:
     if args.lax is not None:
         # V_k^(N) reads rows 0..N; the table must reach row k as well.
-        matrix = lax_matrix(build_psi(args.k, max(args.k, args.lax)), args.lax)
-        rendered = {
-            "text": matrix_to_text,
-            "latex": matrix_to_latex,
-            "json": lambda m: _json_text(_lax_payload(m)),
-        }[args.format](matrix)
+        rendered = _render_lax(lax_matrix(build_psi(args.k, max(args.k, args.lax)), args.lax), args.format)
     else:
         depth = args.depth if args.depth is not None else args.k + 2
         rendered = _render_psi(build_psi(args.k, depth), args.format)
@@ -315,7 +348,7 @@ def _negated_tail(rhs: DiffPoly) -> str:
 
 def _cmd_derive(args) -> int:
     system = zero_curvature(build_psi(args.k, max(args.k, args.n)), args.n)
-    subs = _read_substitutions(args.sub) if args.sub else {}
+    subs = _read_substitutions(args.sub, system.evolution) if args.sub else {}
     _emit(_render_system(system, args.format, subs, args.style), args.out)
     return 0
 

@@ -395,10 +395,11 @@ class DiffPoly:
 
     # -- output --------------------------------------------------------------
 
-    def _walk(self, fmt):
-        """Each term as (factors, n, d) in the public monomial order: the
-        factors rendered by fmt(FieldVar, exp), each distinct one once, and
-        the coefficient n/d in lowest terms, d >= 1."""
+    def _walk(self, fmt, mag):
+        """Each term as (factors, negative, size) in the public monomial order:
+        the factors rendered by fmt(FieldVar, exp), each distinct one once, and
+        the coefficient's sign and its size, mag(|n|, d) of n/d in lowest
+        terms.  A size past the int-string limit raises _past_limit()."""
         num, den = self.num, self.den
         ids = sorted(self._ids(), key=_VARS.__getitem__)
         # A factor's code is rank << 16 | exp, rank being its place in ids, so
@@ -419,7 +420,11 @@ class DiffPoly:
         for codes in sorted(keyed):
             c = num[keyed[codes]]
             g = gcd(c, den)
-            yield list(map(factor, codes)), c // g, den // g
+            try:
+                size = mag(abs(c) // g, den // g)
+            except ValueError:  # only str() of a number past the int-string limit raises here
+                raise self._past_limit() from None
+            yield list(map(factor, codes)), c < 0, size
 
     def to_text(self) -> str:
         return self._render(_var_text, _ratio_text, "*")
@@ -427,33 +432,27 @@ class DiffPoly:
     def to_latex(self) -> str:
         return self._render(_var_latex, _ratio_latex, " ")
 
-    def _render(self, fmt, mag_of, sep: str) -> str:
-        pieces: list[str] = []
-        try:
-            for factors, n, d in self._walk(fmt):
-                a = abs(n)
-                if not factors:
-                    frag = mag_of(a, d)
-                elif a == d == 1:
-                    frag = sep.join(factors)
-                else:
-                    frag = f"{mag_of(a, d)}{sep}{sep.join(factors)}"
-                if not pieces:
-                    pieces.append(frag if n > 0 else f"-{frag}")
-                else:
-                    pieces.append(("+ " if n > 0 else "- ") + frag)
-        except ValueError:  # only str() of a number past the int-string limit raises here
-            raise self._past_limit() from None
-        return " ".join(pieces) or "0"
+    def _render(self, fmt, mag, sep: str) -> str:
+        out: list[str] = []
+        put = out.append
+        for factors, negative, size in self._walk(fmt, mag):
+            put(" - " if negative else " + ")
+            if not factors:
+                put(size)
+            elif size == "1":
+                put(sep.join(factors))
+            else:
+                put(f"{size}{sep}{sep.join(factors)}")
+        if not out:
+            return "0"
+        out[0] = "-" if out[0] == " - " else ""  # the first term's sign, and no '+'
+        return "".join(out)
 
     def to_json(self) -> list[dict]:
-        try:
-            return [
-                {"coeff": _ratio_text(n, d), "vars": list(map(dict, factors))}
-                for factors, n, d in self._walk(_var_json)
-            ]
-        except ValueError:  # only str() of a number past the int-string limit raises here
-            raise self._past_limit() from None
+        return [
+            {"coeff": "-" + size if negative else size, "vars": list(map(dict, factors))}
+            for factors, negative, size in self._walk(_var_json, _ratio_text)
+        ]
 
     def _past_limit(self) -> ValueError:
         """The error of a failed write: it names the largest number in lowest terms."""

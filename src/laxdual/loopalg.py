@@ -11,6 +11,9 @@ zero.  floor=None means the object is exact (a Laurent polynomial).  Every
 operation propagates the floor conservatively and access below it raises
 DepthExhausted through the one guard _known -- silent truncation is the main
 correctness hazard here.
+
+The module is algebra only: every text, LaTeX and JSON layout of these objects
+lives in the CLI.
 """
 
 from __future__ import annotations
@@ -211,9 +214,6 @@ def trace_pair(x: LaurentMatrix, y: LaurentMatrix, j: int = 0) -> DiffPoly:
     return DiffPoly.dot(terms)
 
 
-# -- emitters ---------------------------------------------------------------------
-
-
 def entry_polynomials(x: LaurentMatrix) -> tuple[dict[int, DiffPoly], dict[int, DiffPoly], dict[int, DiffPoly]]:
     """Matrix entries (A, B, C) as exponent -> DiffPoly tables; the 2x2 form
     is ((A, B), (C, -A))."""
@@ -221,45 +221,3 @@ def entry_polynomials(x: LaurentMatrix) -> tuple[dict[int, DiffPoly], dict[int, 
     b = {e: m.bp for e, m in x.coeffs.items() if not m.bp.is_zero()}
     c = {e: m.cm for e, m in x.coeffs.items() if not m.cm.is_zero()}
     return a, b, c
-
-
-def _entry_latex(table: dict[int, DiffPoly], negate: bool = False) -> str:
-    if not table:
-        return "0"
-    parts: list[str] = []
-    for e in sorted(table, reverse=True):
-        p = table[e].scale(-1) if negate else table[e]
-        body = p.to_latex()
-        if e != 0:
-            lam = r"\lambda" if e == 1 else rf"\lambda^{{{e}}}"
-            if len(p.num) > 1:
-                body = rf"\left({body}\right){lam}"
-            elif body == "1":
-                body = lam
-            elif body == "-1":
-                body = f"-{lam}"
-            else:
-                body = f"{body} {lam}"
-        if parts and not body.startswith("-"):
-            parts.append("+")
-        parts.append(body)
-    return " ".join(parts)
-
-
-def matrix_to_latex(x: LaurentMatrix) -> str:
-    """2x2 pmatrix layout reconstructing the entries (a, b; c, -a)."""
-    a, b, c = entry_polynomials(x)
-    return (
-        "\\begin{pmatrix}\n"
-        f"{_entry_latex(a)} & {_entry_latex(b)} \\\\\n"
-        f"{_entry_latex(c)} & {_entry_latex(a, negate=True)}\n"
-        "\\end{pmatrix}"
-    )
-
-
-def matrix_to_text(x: LaurentMatrix) -> str:
-    lines = []
-    for e in sorted(x.coeffs, reverse=True):
-        m = x.coeffs[e]
-        lines.append(f"lambda^{e}: a = {m.a.to_text()} | b = {m.bp.to_text()} | c = {m.cm.to_text()}")
-    return "\n".join(lines) if lines else "0"

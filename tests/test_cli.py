@@ -97,6 +97,18 @@ class TestDerive:
             r"\partial_{t_{2}} \left( 0 \right) = 0",
         ]
 
+    def test_substitution_targets_the_fields_of_its_k(self, tmp_path):
+        # b2 is a field at k = 2 only.  A rule no polynomial of the system can
+        # meet used to print the system unsubstituted and exit 0.
+        sub = tmp_path / "b2.sub"
+        sub.write_text("b2 = c1\n", encoding="utf-8")
+        code, out, err = run_cli("derive", "--k", "2", "--n", "1", "--sub", str(sub))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "d1(b1) = 2*c1"
+        code, out, err = run_cli("derive", "--k", "1", "--n", "2", "--sub", str(sub))
+        assert (code, out) == (2, "")
+        assert err == f"error: {sub}:1: substitution target 'b2' is not a field of the system: b1, c1\n"
+
     def test_substitution_needs_explicit_star(self, tmp_path):
         sub = tmp_path / "implicit.sub"
         sub.write_text("b1 = 2 3 c1\n", encoding="utf-8")
@@ -209,6 +221,59 @@ class TestHamiltonian:
         code, _, err = run_cli("hamiltonian", "--k", "1", "--n", "2", "--depth", "5")
         assert code == 2
         assert "--depth" in err
+
+
+# SHA-256 of stdout in (text, latex).  Every V_k^(N) holds sigma3 at lambda^N,
+# which LaTeX writes as a bare \lambda^{N} and -\lambda^{N}.
+LAYOUT_DIGESTS = {
+    "psi --k 1": (
+        "d8397a0d6431175f10ee3470830f83c788f492b29b03e5eb4867001bbc051ca6",
+        "97618d9cf1cf4e2a2fb217a1973ba87a8ba23c86fc5e55933a36aebfa7d8be49",
+    ),
+    "psi --k 2": (
+        "ff713067b615546b39608b0ff817e64a20d9a909c44379d5c3d2c764ae28e9b6",
+        "859c6485c783e8a947609f9dfc2cf8f8d846f48719a8458fbcb0f64cddba4dd0",
+    ),
+    "psi --k 3": (
+        "7f7427d53c5465536aa3b32c09f4952cc707a5674e7ec2f8b4a98a0624b20672",
+        "0f9a17a95a6945838eae316862d1a4de048ea53ddc3f29c7ffc8505673766c72",
+    ),
+    "psi --k 2 --lax 3": (
+        "1ca57024ab2be1a0f730864817a1f4b910fa123468c72e7c9a3ffe05b8e749bd",
+        "0f08f5cd2f1bdc5882b87a0e6f87cbb25a52efbc05c31ef79e3e4d621e752dfd",
+    ),
+    "psi --k 2 --lax 4": (
+        "4baafa89bb9ecc72ac8a41773e2995ee8644c2888b0be7a0c8c97d7948112479",
+        "d547844771262507e5444dd24fbc71d0ff3ae72745729b7291d43a9d369c425a",
+    ),
+    "psi --k 3 --lax 3": (
+        "7bd64ae36e000a11b9449a48825296f53854259c9a473fb9ea8443f7ecedace4",
+        "18c98fc18cdfbaff3f32da5b90bf0089b608d774a198fcbbb241cf685cf1f341",
+    ),
+    "psi --k 3 --lax 4": (
+        "d63e5f38b0436ada46b503bba197ae92e39e3e4d3827f248967c8ce354e0df9e",
+        "4dfecf253c05044c1c2f485541011eae1cc4a8834b0c6ab7c3c950beae03b24a",
+    ),
+    "hamiltonian --k 1 --n 2": (
+        "372692937aa84aaa245448e55538447d813a2a65f654473d6fdd4ff64ec07b9f",
+        "2d746a2992d9b12411c237fe3a46ccc8179e750c6999a39d5e9d8418de5c2fa6",
+    ),
+    "hamiltonian --k 2 --n 3": (
+        "1ccea97726fc1a8fa19e55b234be926cd11fed554cf67b82b3823b7662092094",
+        "fb6e574180430b7b51b58953ffc1cde39de0e4dee36617beda2ef64a32f40bfe",
+    ),
+    "hamiltonian --k 3 --n 1": (
+        "03def2f4a1ff1f3ea52d122233f34d3c4d15d0da8363c5d3c703347cb7edd926",
+        "3af26df13c916b7847450060aa503e3d4fdc7219cb8630ce7fbe8fd7c3ce2116",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", LAYOUT_DIGESTS)
+def test_layout_is_pinned(argv):
+    outs = [run_cli(*argv.split(), "--format", fmt) for fmt in ("text", "latex")]
+    assert [(code, err) for code, _, err in outs] == [(0, ""), (0, "")]
+    assert tuple(digest(out) for _, out, _ in outs) == LAYOUT_DIGESTS[argv]
 
 
 class TestVerify:
@@ -647,6 +712,21 @@ class TestPlumbing:
             ),
             (
                 ("derive", "--k", "1", "--n", "2", "--sub", "{path}"),
+                "b5 = c1\n",
+                "{path}:1: substitution target 'b5' is not a field of the system: b1, c1",
+            ),
+            (
+                ("derive", "--k", "1", "--n", "2", "--sub", "{path}"),
+                "c1 = b1\n# a constant never occurs in a derived system\ne = 2\n",
+                "{path}:3: substitution target 'e' is not a field of the system: b1, c1",
+            ),
+            (
+                ("derive", "--k", "2", "--n", "1", "--sub", "{path}"),
+                "b1s = c1\n",
+                "{path}:1: substitution target 'b1s' is not a field of the system: b1, b2, c1, c2",
+            ),
+            (
+                ("derive", "--k", "1", "--n", "2", "--sub", "{path}"),
                 "\nb1 = 1/0*c1\n",
                 "{path}:2: zero denominator in '1/0'",
             ),
@@ -664,7 +744,8 @@ class TestPlumbing:
             ),
         ],
         ids=[
-            "config-line", "sub-line", "config-missing", "sub-missing", "sub-derived", "sub-zero-denominator",
+            "config-line", "sub-line", "config-missing", "sub-missing", "sub-derived", "sub-no-such-field",
+            "sub-constant", "sub-placeholder", "sub-zero-denominator",
             "config-not-utf8", "sub-not-utf8",
         ],
     )

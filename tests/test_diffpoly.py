@@ -335,6 +335,15 @@ class TestParser:
         for text in ("", "b1 +", "b0", "b1^0", "*b1", "b1 ** c1", "\u0663*b1", "b1^\u0662"):
             with pytest.raises(PolyParseError):
                 parse_poly(text)
+        for text, message in (
+            ("--b1", "two consecutive signs"),
+            ("b1^x", "exponent must be an integer"),
+            ("b1^1/2", "exponent must be an integer"),
+            ("^b1", "unexpected token '^'"),
+            ("b1*", "dangling '*'"),
+        ):
+            with pytest.raises(PolyParseError, match=f"^{re.escape(message)}$"):
+                parse_poly(text)
         # Numbers past the int-string limit: the message counts the digits.
         long = "7" * 5000
         for text in (long, "b1^" + long, "b" + "1" * 5000, "1/" + "3" * 5000 + "*b1"):

@@ -98,6 +98,27 @@ class TestLaurent:
         with pytest.raises(DepthExhausted):
             out.coeff(-2)
 
+    def test_floored_sum_is_known_above_the_larger_floor(self):
+        x = LaurentMatrix({1: SIGMA3, -1: SIGMA_P, -3: SIGMA_M}, floor=-3)
+        y = LaurentMatrix({0: SIGMA_M}, floor=-1)
+        for total, sign in ((x + y, 1), (x - y, -1), (y + x, 1)):
+            assert total.floor == -1
+            # x's lambda^-3 lies below y's floor, so the sum drops it
+            assert total.coeffs == {1: SIGMA3, 0: SIGMA_M.scale(sign), -1: SIGMA_P}
+            message = r"^the series needs the coefficient at lambda\^-2; the known floor is -1$"
+            with pytest.raises(DepthExhausted, match=message):
+                total.coeff(-2)
+
+    def test_exact_and_floored_sum_keeps_the_floor(self):
+        exact = LaurentMatrix({2: SIGMA3, -5: SIGMA_P})
+        floored = LaurentMatrix({0: SIGMA_M}, floor=-2)
+        for total in (exact + floored, floored + exact, floored - exact):
+            assert total.floor == -2
+            assert set(total.coeffs) == {2, 0}
+            with pytest.raises(DepthExhausted, match=r"lambda\^-5; the known floor is -2$"):
+                total.coeff(-5)
+        assert (exact + exact).floor is None
+
     def test_exact_against_floored_operand(self, rng):
         # diag_consistency's pairing: an exact V against a truncated L.  Above
         # the floor every exponent is the sum of its stored pairs, below it

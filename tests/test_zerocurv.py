@@ -88,6 +88,12 @@ class TestZeroCurvature:
         got = system.derivative(P("b1'^2"))
         assert got == P("2*b1'") * system.rhs("b", 1).derive()
 
+    def test_chain_rule_skips_constant_symbols(self):
+        # e has no evolution rule and none is needed: d_n e = 0.
+        system = zero_curvature(build_psi(1, 4), 2)
+        assert system.derivative(P("e*b1")) == P("e") * system.derivative(P("b1"))
+        assert system.derivative(P("e^2")).is_zero()
+
     def test_unknown_field_rejected(self):
         system = zero_curvature(build_psi(1, 4), 2)
         with pytest.raises(KeyError):
