@@ -347,8 +347,9 @@ def _negated_tail(rhs: DiffPoly) -> str:
 
 
 def _cmd_derive(args) -> int:
+    # The rules are checked against the fields of t_k before anything is derived.
+    subs = _read_substitutions(args.sub, build_psi(args.k, args.k).free_fields()) if args.sub else {}
     system = zero_curvature(build_psi(args.k, max(args.k, args.n)), args.n)
-    subs = _read_substitutions(args.sub, system.evolution) if args.sub else {}
     _emit(_render_system(system, args.format, subs, args.style), args.out)
     return 0
 

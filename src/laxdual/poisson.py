@@ -175,45 +175,10 @@ def sklyanin_check(table: PsiTable) -> CheckReport:
 # -- monodromy factorization -----------------------------------------------------
 
 
-class WZExpansion(FrozenRecord):
-    """Riccati data: w_j = beta_j sigma+ + gamma_j sigma- and the diagonal
-    densities (coefficient of lambda^{-n} in (1/2) Tr(sigma3 dZ))."""
-
-    __slots__ = ("k", "depth", "w", "zdot_densities")
-
-    def __init__(
-        self,
-        k: int,
-        depth: int,
-        w: tuple[tuple[DiffPoly, DiffPoly], ...],
-        zdot_densities: tuple[DiffPoly, ...],
-    ):
-        if not len(w) == len(zdot_densities) == depth:
-            raise ValueError(f"depth {depth} needs {depth} orders, got {len(w)} of W and {len(zdot_densities)} of dZ")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "zdot_densities", zdot_densities)
-
-    def _at(self, orders: tuple, j: int):
-        """Order j of a 1-based sequence of the expansion, known for 1..depth."""
-        if not 1 <= j <= self.depth:
-            raise DepthExhausted(f"order {j} of W or of dZ is outside the expanded orders 1..{self.depth}")
-        return orders[j - 1]
-
-    def beta(self, j: int) -> DiffPoly:
-        return self._at(self.w, j)[0]
-
-    def gamma(self, j: int) -> DiffPoly:
-        return self._at(self.w, j)[1]
-
-    def density(self, n: int) -> DiffPoly:
-        """Coefficient of lambda^{-n}, 1 <= n <= depth."""
-        return self._at(self.zdot_densities, n)
-
-
-def wz_expand(table: PsiTable, depth: int) -> WZExpansion:
-    """Solve the Riccati recursion to the requested depth.
+class WZExpansion:
+    """The Riccati data of one table, solved on demand: w_j = beta_j sigma+ +
+    gamma_j sigma- and the diagonal densities (coefficient of lambda^{-n} in
+    (1/2) Tr(sigma3 dZ)), every order from 1 up to the highest one read.
 
     Order lambda^(k-j) of dW = O + DW - WD - WOW reads
 
@@ -223,27 +188,43 @@ def wz_expand(table: PsiTable, depth: int) -> WZExpansion:
     and ad(sigma3) is inverted on off-diagonal matrices (eigenvalues +-2).
     Only rows 0..k of the table enter; integration constants are zero.  The
     recursion is prefix-stable, so for a table whose rows 0..k are the shared
-    ones of build_psi one growing expansion per k serves every depth.
+    ones of build_psi one expansion per k, grown under its own lock, serves
+    every depth.
     """
-    if depth < 1:
-        raise DepthExhausted("wz_expand needs depth >= 1")
-    return _memoized(table, table.k, "riccati", lambda: _Riccati(table)).expansion(depth)
-
-
-class _Riccati:
-    """The w_j and densities of wz_expand computed so far, resumable; a shared
-    one grows under its own lock."""
 
     def __init__(self, table: PsiTable):
         self._lock = threading.Lock()
         self.k = table.k
         series = table.psi_series()
         self.rows = [series.coeff(-j) for j in range(self.k + 1)]
-        self.betas: list[DiffPoly] = [DiffPoly.zero()]  # index 0 unused
+        # 1-based orders; index 0 unused
+        self.betas: list[DiffPoly] = [DiffPoly.zero()]
         self.gammas: list[DiffPoly] = [DiffPoly.zero()]
-        self.densities: list[DiffPoly] = []
+        self.densities: list[DiffPoly] = [DiffPoly.zero()]
 
-    def expansion(self, depth: int) -> WZExpansion:
+    @property
+    def depth(self) -> int:
+        """The highest order of W and of the densities solved so far."""
+        return len(self.densities) - 1
+
+    def beta(self, j: int) -> DiffPoly:
+        return self._grown(j).betas[j]
+
+    def gamma(self, j: int) -> DiffPoly:
+        return self._grown(j).gammas[j]
+
+    def density(self, n: int) -> DiffPoly:
+        """Coefficient of lambda^{-n}, n >= 1."""
+        return self._grown(n).densities[n]
+
+    def _grown(self, depth: int) -> WZExpansion:
+        """The expansion, with every order 1..depth of W and of dZ solved."""
+        if depth < 1:
+            raise DepthExhausted(f"order {depth} of W or of dZ is below 1")
+        # Orders are only appended, the densities last, so a depth already
+        # reached needs no lock.
+        if depth <= self.depth:
+            return self
         with self._lock:
             k, rows, betas, gammas = self.k, self.rows, self.betas, self.gammas
             for j in range(len(betas), depth + k):
@@ -264,18 +245,23 @@ class _Riccati:
                     rhs_b, rhs_c = rhs_b + betas[j - k].derive(), rhs_c + gammas[j - k].derive()
                 betas.append(rhs_b.scale(1, 2))
                 gammas.append(rhs_c.scale(-1, 2))
-            for n in range(len(self.densities) + 1, depth + 1):
+            for n in range(len(self.densities), depth + 1):
                 terms = []
                 for m in range(1, k + 1):
                     i = n + k - m
                     terms += ((1, rows[m].bp, gammas[i]), (-1, rows[m].cm, betas[i]))
                 self.densities.append(DiffPoly.dot(terms).scale(1, 2))
-            return WZExpansion(
-                k=k,
-                depth=depth,
-                w=tuple(zip(betas[1 : depth + 1], gammas[1 : depth + 1])),
-                zdot_densities=tuple(self.densities[:depth]),
-            )
+        return self
+
+
+def _expansion(table: PsiTable) -> WZExpansion:
+    return _memoized(table, table.k, "riccati", lambda: WZExpansion(table))
+
+
+def wz_expand(table: PsiTable, depth: int) -> WZExpansion:
+    """The table's Riccati expansion, solved to at least the depth: shared by
+    the tables that own rows 0..k, fresh for any other."""
+    return _expansion(table)._grown(depth)
 
 
 def hamiltonian_density(table: PsiTable, n: int) -> DiffPoly:
@@ -283,7 +269,7 @@ def hamiltonian_density(table: PsiTable, n: int) -> DiffPoly:
     coefficient of (1/2) Tr(sigma3 dZ).  Compare mod total derivatives."""
     if n < 0:
         raise DepthExhausted("hamiltonian_density needs n >= 0")
-    return wz_expand(table, n + 1).density(n + 1)
+    return _expansion(table).density(n + 1)
 
 
 def flow_from_hamiltonian(table: PsiTable, n: int) -> PdeSystem:
@@ -325,9 +311,11 @@ def hamiltonians_commute(table: PsiTable, n1: int, n2: int) -> DiffPoly:
 
 def resolvent_check(table: PsiTable, depth: int) -> CheckReport:
     """(1+W) sigma3 (1+W)^{-1} rebuilds the constrained series to the depth."""
+    if depth < 1:
+        raise DepthExhausted("resolvent_check needs depth >= 1")
     series = table.psi_series()
     rows = [series.coeff(-j) for j in range(depth + 1)]
-    wz = wz_expand(table, depth)
+    wz = _expansion(table)
     s, g = [DiffPoly.zero()], [_ONE]  # coefficients of lambda^{-j}
     report = CheckReport(f"resolvent(k={table.k})")
     for j in range(0, depth + 1):

@@ -244,6 +244,11 @@ def unowned(table: PsiTable) -> PsiTable:
     return PsiTable(table.k, table.depth, tuple(Sl2Poly(r.a, r.bp, r.cm) for r in table.rows))
 
 
+def riccati_orders(wz, depth: int) -> list:
+    """(beta_j, gamma_j, density_j) of a Riccati expansion for j = 1..depth."""
+    return [(wz.beta(j), wz.gamma(j), wz.density(j)) for j in range(1, depth + 1)]
+
+
 def tampered(table: PsiTable) -> PsiTable:
     """The table with b1*c1 added to a_k: every verifier must reject it."""
     rows = list(table.rows)

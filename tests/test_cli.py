@@ -109,6 +109,26 @@ class TestDerive:
         assert (code, out) == (2, "")
         assert err == f"error: {sub}:1: substitution target 'b2' is not a field of the system: b1, c1\n"
 
+    @pytest.mark.parametrize(
+        "k, rule, error",
+        [
+            ("1", "b1 = 1/0*c1", "zero denominator in '1/0'"),
+            ("2", "b3 = c1", "substitution target 'b3' is not a field of the system: b1, b2, c1, c2"),
+        ],
+    )
+    def test_substitution_file_is_read_before_the_system_is_derived(self, tmp_path, monkeypatch, k, rule, error):
+        # A bad rule used to be refused only after the whole derivation.
+        sub = tmp_path / "bad.sub"
+        sub.write_text(rule + "\n", encoding="utf-8")
+
+        def derive_nothing(*args):
+            raise AssertionError("the system was derived before the rules were read")
+
+        monkeypatch.setattr(cli, "zero_curvature", derive_nothing)
+        code, out, err = run_cli("derive", "--k", k, "--n", "20", "--sub", str(sub))
+        assert (code, out) == (2, "")
+        assert err == f"error: {sub}:1: {error}\n"
+
     def test_substitution_needs_explicit_star(self, tmp_path):
         sub = tmp_path / "implicit.sub"
         sub.write_text("b1 = 2 3 c1\n", encoding="utf-8")

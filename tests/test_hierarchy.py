@@ -25,7 +25,7 @@ from laxdual.zerocurv import (
     zero_curvature,
 )
 
-from conftest import reference_rows, tampered, unowned
+from conftest import reference_rows, riccati_orders, tampered, unowned
 
 
 class TestRowReuse:
@@ -75,10 +75,10 @@ class TestRowReuse:
 
     def test_concurrent_riccati_growth(self, fresh_store):
         # In each round eight threads grow the one shared expansion per k of an
-        # empty store to shuffled depths; a growth step that two threads race
-        # through shifts every later order.  Without the lock, 30 rounds fail
-        # in nearly every run.
-        want = {(k, d): wz_expand(unowned(build_psi(k, k)), d) for k in (1, 2, 3) for d in range(1, 10)}
+        # empty store to shuffled depths and read it back; a growth step that
+        # two threads race through shifts every later order.  Without the
+        # lock, 30 rounds fail in nearly every run.
+        want = {k: riccati_orders(wz_expand(unowned(build_psi(k, k)), 9), 9) for k in (1, 2, 3)}
         results, errors = [], []
         rounds = 30
 
@@ -88,7 +88,7 @@ class TestRowReuse:
             try:
                 start.wait()
                 for k, d in order:
-                    results.append((k, d, wz_expand(build_psi(k, k), d)))
+                    results.append((k, d, riccati_orders(wz_expand(build_psi(k, k), d), d)))
             except Exception as exc:  # pragma: no cover - reported below
                 errors.append(exc)
 
@@ -108,8 +108,9 @@ class TestRowReuse:
             sys.setswitchinterval(old)
         assert not errors
         assert len(results) == rounds * 8 * 3 * 9
-        for k, d, wz in results:
-            assert wz == want[k, d]
+        for k, d, orders in results:
+            for j, got in enumerate(orders, 1):
+                assert got == want[k][j - 1], (k, d, j)
 
 
 class TestMemos:
@@ -123,13 +124,14 @@ class TestMemos:
         assert zero_curvature(copy, 3).evolution == zero_curvature(table, 3).evolution
 
     def test_shallow_expansion_is_an_exact_truncation(self):
+        # a table served after a deeper request gets the deeper expansion,
+        # whose first orders are those of a fresh, shallower one
         table = build_psi(3, 3)
         deep = wz_expand(table, 9)
         for depth in (1, 4, 9):
             fresh = wz_expand(unowned(table), depth)
-            served = wz_expand(table, depth)
-            assert served.w == fresh.w == deep.w[:depth]
-            assert served.zdot_densities == fresh.zdot_densities == deep.zdot_densities[:depth]
+            assert wz_expand(table, depth) is deep and fresh.depth == depth
+            assert riccati_orders(fresh, depth) == riccati_orders(deep, depth)
 
     def test_density_served_after_a_deeper_expansion(self):
         table = build_psi(2, 2)

@@ -1,5 +1,7 @@
 """Bracket tables, Sklyanin relation, W-Z expansion, Hamiltonian flows."""
 
+import random
+
 import pytest
 
 from laxdual import poisson
@@ -8,7 +10,6 @@ from laxdual.fnr import PsiTable, build_psi
 from laxdual.loopalg import DepthExhausted, Sl2Poly
 from laxdual.poisson import (
     BracketTable,
-    WZExpansion,
     field_bracket_table,
     flow_from_hamiltonian,
     flow_matches_zc,
@@ -20,7 +21,7 @@ from laxdual.poisson import (
 )
 from laxdual.zerocurv import zero_curvature
 
-from conftest import P, fv, report_digest, tampered, unowned
+from conftest import P, fv, report_digest, riccati_orders, tampered, unowned
 
 
 def bracket_value(table, m_kind, m_idx, n_kind, n_idx):
@@ -205,27 +206,33 @@ class TestWZExpansion:
         with pytest.raises(DepthExhausted):
             wz_expand(build_psi(1, 1), 0)
 
-    @pytest.mark.parametrize("order", [0, -1, 4])
+    @pytest.mark.parametrize("order", [0, -1])
     @pytest.mark.parametrize("read", ["beta", "gamma", "density"])
     def test_orders_outside_the_expansion_raise(self, read, order):
         wz = wz_expand(build_psi(1, 4), 3)
-        message = rf"^order {order} of W or of dZ is outside the expanded orders 1\.\.3$"
-        with pytest.raises(DepthExhausted, match=message):
+        with pytest.raises(DepthExhausted, match=rf"^order {order} of W or of dZ is below 1$"):
             getattr(wz, read)(order)
 
-    @pytest.mark.parametrize("orders, densities", [(1, 1), (2, 1), (1, 2), (3, 3)])
-    def test_record_checks_its_shape(self, orders, densities):
-        # a short record used to build, and then beta(2) raised IndexError
-        with pytest.raises(ValueError, match=rf"^depth 2 needs 2 orders, got {orders} of W and {densities} of dZ$"):
-            WZExpansion(k=1, depth=2, w=((P("b1"), P("c1")),) * orders, zdot_densities=(P("b1"),) * densities)
-
-    def test_prefix_stability(self):
-        # recomputing at a larger depth reproduces everything known before;
-        # unowned copies keep the shared expansion out of both sides
+    @pytest.mark.parametrize("read", ["beta", "gamma", "density"])
+    def test_reads_past_the_depth_grow_the_expansion(self, read):
         table = build_psi(2, 2)
-        shallow, deep = wz_expand(unowned(table), 3), wz_expand(unowned(table), 7)
-        assert shallow.w == deep.w[:3]
-        assert shallow.zdot_densities == deep.zdot_densities[:3]
+        wz = wz_expand(unowned(table), 3)
+        assert wz.depth == 3
+        getattr(wz, read)(7)
+        assert wz.depth == 7
+        assert riccati_orders(wz, 7) == riccati_orders(wz_expand(unowned(table), 7), 7)
+
+    def test_prefix_stability(self, fresh_store):
+        # every order reads the same whatever was requested before it, in the
+        # shared expansion of an empty store and in a fresh one
+        want = riccati_orders(wz_expand(unowned(build_psi(2, 2)), 9), 9)
+        requests = [(read, j) for read in range(3) for j in range(1, 10)]
+        for seed in range(3):
+            random.Random(seed).shuffle(requests)
+            fresh_store.clear()
+            for wz in (wz_expand(build_psi(2, 2), 1), wz_expand(unowned(build_psi(2, 2)), 1)):
+                for read, j in requests:
+                    assert (wz.beta, wz.gamma, wz.density)[read](j) == want[j - 1][read], (seed, read, j)
 
 
 class TestRiccatiResidual:
@@ -374,3 +381,8 @@ class TestResolvent:
     def test_depth_guard(self):
         with pytest.raises(DepthExhausted):
             resolvent_check(build_psi(1, 2), 5)
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_is_refused_by_name(self, depth):
+        with pytest.raises(DepthExhausted, match=r"^resolvent_check needs depth >= 1$"):
+            resolvent_check(build_psi(1, 3), depth)

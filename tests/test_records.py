@@ -14,7 +14,7 @@ import pytest
 from laxdual.diffpoly import DiffPoly, FieldVar
 from laxdual.fnr import PsiTable
 from laxdual.loopalg import LaurentMatrix, Sl2Poly
-from laxdual.poisson import BracketTable, WZExpansion
+from laxdual.poisson import BracketTable
 from laxdual.report import CheckItem, CheckReport
 from laxdual.zerocurv import DualityResult, PdeSystem
 
@@ -50,10 +50,6 @@ def _laurent(floor=-1):
     return LaurentMatrix({1: Sl2Poly.sigma3(), 0: _sl2(), -1: Sl2Poly(bp=P("b1"))}, floor=floor)
 
 
-def _wz():
-    return WZExpansion(k=1, depth=1, w=((P("1/2*b1"), P("-1/2*c1")),), zdot_densities=(P("-1/2*b1*c1"),))
-
-
 # name: (maker, field names in constructor order, a record one field away).
 # Each maker builds an equal record from fresh objects on every call.
 FROZEN = {
@@ -63,11 +59,6 @@ FROZEN = {
         lambda: CheckItem(label="x", ok=False, residual="b1"),
         ("label", "ok", "residual"),
         lambda: CheckItem(label="x", ok=False, residual="b2"),
-    ),
-    "WZExpansion": (
-        _wz,
-        ("k", "depth", "w", "zdot_densities"),
-        lambda: WZExpansion(k=1, depth=1, w=_wz().w, zdot_densities=(P("b1*c1"),)),
     ),
     "BracketTable": (
         _brackets,
@@ -118,7 +109,7 @@ def test_never_equal_to_a_tuple_or_a_record_of_another_class(make, names, change
     assert all(record != other() for other, *_ in ALL.values() if other is not make)
 
 
-HASHABLE = {name: FROZEN[name][0] for name in ("Sl2Poly", "PsiTable", "CheckItem", "WZExpansion")}
+HASHABLE = {name: FROZEN[name][0] for name in ("Sl2Poly", "PsiTable", "CheckItem")}
 
 
 @pytest.mark.parametrize("make", HASHABLE.values(), ids=HASHABLE.keys())
