@@ -41,6 +41,7 @@ from .zerocurv import (
     ResidualNonZero,
     commuting_flows_check,
     dual_equivalence,
+    dual_table_map_check,
     strong_zc_check,
     zero_curvature,
 )

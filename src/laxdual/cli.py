@@ -12,7 +12,8 @@ polynomials (DiffPoly.to_text, to_latex and to_json, and the DiffPoly._walk
 they share with the JSON writer here).  Output is deterministic byte-for-byte
 for a fixed invocation: every table is emitted in canonical order.  Exit
 codes: 0 success / all checks pass, 1 verification failure, 2 usage or engine
-error.
+error, 141 a reader that closed stdout before the output ended (no `error:`
+line).
 
 One table, _COMMANDS, holds every command's flags.  A flag is spelled in full
 and given at most once, as --flag value or --flag=value.  A usage error
@@ -41,6 +42,7 @@ from .zerocurv import PdeSystem, dual_equivalence, zero_curvature
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
+CLOSED_STDOUT = 141  # 128 + SIGPIPE, what a shell reports for a writer its reader left
 
 
 class CliError(Exception):
@@ -548,7 +550,13 @@ def main(argv: list[str] | None = None) -> int:
         argv = list(sys.argv[1:] if argv is None else argv)
         config_path, argv = _take_config(argv)
         handler, args = _parse(argv, _read_config(config_path), config_path)
-        return handler(args)
+        status = handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_STDOUT
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

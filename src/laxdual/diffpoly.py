@@ -73,7 +73,7 @@ import re
 import sys
 import threading
 from collections import namedtuple
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from functools import reduce
 from math import gcd, lcm
 from operator import or_
@@ -329,62 +329,13 @@ class DiffPoly:
         return _reduced({m - one: c * e for m, c in self.num.items() if (e := (m >> s) & _MASK)}, self.den)
 
     def substitute(self, rules: Mapping[FieldVar, "DiffPoly"]) -> "DiffPoly":
-        """Replace dorder-0 generators by polynomials.
-
-        An occurrence at derivative order l is replaced by the l-th derivative
-        of the rule, so substitution commutes with the derivation.  Generators
-        without a rule are untouched.
-        """
-        base_rules: dict[tuple[str, int], DiffPoly] = {}
-        for v, rhs in rules.items():
+        """Replace dorder-0 generators by polynomials, an occurrence at order l
+        by the l-th derivative of the rule, so that substitution commutes with
+        the derivation.  Generators without a rule are untouched."""
+        for v in rules:
             if v.dorder != 0:
                 raise ValueError(f"substitution rules must target dorder-0 generators, got {v}")
-            base_rules[(v.kind, v.index)] = rhs
-        if not base_rules:
-            return self
-        # The rule for u^(l) is the l-th derivative of u's rule, read from the
-        # rule's chain of kept derivatives.
-        rule_of: dict[int, DiffPoly] = {}
-        for i in self._ids():
-            v = _VARS[i]
-            if (rhs := base_rules.get((v.kind, v.index))) is not None:
-                rule_of[i] = rhs.derive(v.dorder)
-        powers: dict[tuple[int, int], DiffPoly] = {}
-
-        def power(i: int, e: int) -> DiffPoly:
-            """rule_of[i]^e; each power is multiplied out once per call."""
-            rule = p = rule_of[i]
-            for j in range(2, e + 1):
-                q = powers.get((i, j))
-                if q is None:
-                    q = powers[i, j] = p * rule
-                p = q
-            return p
-
-        # Each monomial becomes (rest, c, product of its rules' powers); the
-        # products are then summed into one table over their common denominator.
-        images = []
-        for m, c in self.num.items():
-            rest, prod = m, None
-            for i, e in reversed(_fields(m)):  # ascending id
-                if i in rule_of:
-                    rest -= e << (_W * i)
-                    prod = power(i, e) if prod is None else prod * power(i, e)
-            if prod is None:
-                images.append((m, c, 1, {0: 1}))
-            elif prod.num:
-                images.append((rest, c, prod.den, prod.num))
-        if not images:
-            return _ZERO
-        den = lcm(*(d for _, _, d, _ in images))
-        tab: dict[int, int] = {}
-        get = tab.get
-        for rest, c, d, num in images:
-            c *= den // d
-            for m2, c2 in num.items():
-                m = rest + m2
-                tab[m] = get(m, 0) + c * c2
-        return _reduced(_nonzero(_guarded(tab)), den * self.den)
+        return _mapped(self, rules)
 
     def euler(self, target: FieldVar) -> "DiffPoly":
         """Variational derivative: sum_l (-d)^l of d(self)/d(target^(l)), in
@@ -506,6 +457,60 @@ def _derivative(p: DiffPoly) -> DiffPoly:
                 key = m + step
                 tab[key] = get(key, 0) + c * e
     return _reduced(_nonzero(_guarded(tab)), p.den)
+
+
+def _mapped(
+    p: DiffPoly, images: Mapping[FieldVar, DiffPoly], derivation: Callable[[DiffPoly], DiffPoly] | None = None
+) -> DiffPoly:
+    """p under the ring map sending each dorder-0 generator u to images[u], and
+    u^(l) to the l-th derivative of u's image: by the distinguished derivation
+    (the image's kept chain), or else by `derivation`, from u itself if it has
+    no image.  Other generators are fixed.  p, and a bare generator's image,
+    come back as they are, so that their kept derivatives are reused."""
+    by_base = {(u.kind, u.index): rhs for u, rhs in images.items()}
+    step = DiffPoly.derive if derivation is None else derivation
+    image_of: dict[int, DiffPoly] = {}
+    chains: dict[tuple[str, int], list[DiffPoly]] = {}
+    for i in p._ids():
+        v = _VARS[i]
+        rhs = by_base.get(key := (v.kind, v.index))
+        if rhs is None and (derivation is None or not v.dorder):
+            continue
+        chain = chains.setdefault(key, [DiffPoly.from_var(v.base()) if rhs is None else rhs])
+        while len(chain) <= v.dorder:
+            chain.append(step(chain[-1]))
+        image_of[i] = chain[v.dorder]
+    if not image_of:
+        return p
+    if len(image_of) == 1 and p.den == 1 and p.num == {1 << (_W * min(image_of)): 1}:
+        return image_of[min(image_of)]
+    # Each monomial becomes (rest, c, product of its images' powers), each
+    # power multiplied out once per call; the products are then summed into
+    # one table over their common denominator.
+    powers = {i: [image] for i, image in image_of.items()}  # image^1, image^2, ...
+    terms = []
+    for m, c in p.num.items():
+        rest, prod = m, None
+        for i, e in reversed(_fields(m)):  # ascending id
+            if i in image_of:
+                rest -= e << (_W * i)
+                up = powers[i]
+                while len(up) < e:
+                    up.append(up[-1] * up[0])
+                prod = up[e - 1] if prod is None else prod * up[e - 1]
+        if prod is None:
+            terms.append((m, c, 1, {0: 1}))
+        elif prod.num:
+            terms.append((rest, c, prod.den, prod.num))
+    den = lcm(*(d for _, _, d, _ in terms))
+    tab: dict[int, int] = {}
+    get = tab.get
+    for rest, c, d, num in terms:
+        c *= den // d
+        for m2, c2 in num.items():
+            m = rest + m2
+            tab[m] = get(m, 0) + c * c2
+    return _reduced(_nonzero(_guarded(tab)), den * p.den)
 
 
 def _merge(a: DiffPoly, b: DiffPoly, sign: int) -> DiffPoly:

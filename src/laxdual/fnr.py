@@ -12,7 +12,8 @@ c_1..c_k.  A PsiTable holds those rows up to a chosen depth:
                 a_j again from the closure.
 
 The diagonal component of the flow is NOT used in the construction; it is the
-independent consistency check diag_consistency.
+independent consistency check diag_consistency, which reads the off-diagonal
+components as well, so that a table not built by this construction is caught.
 
 Rows are prefix-stable (row j reads only rows below it), so each k has one
 process-wide store of rows that build_psi extends lazily and hands out
@@ -161,14 +162,19 @@ def lax_matrix(table: PsiTable, n: int) -> LaurentMatrix:
 
 
 def diag_consistency(table: PsiTable) -> CheckReport:
-    """Check the sigma3 component of the flow d_k L = [V_k^(k), L] on every
-    row the table determines: d(a_p) = a-part of its lambda^{-p} coefficient."""
+    """Check the flow d_k L = [V_k^(k), L] on every row the table determines:
+    d(l_p) = the lambda^{-p} coefficient, in its sigma3, sigma+ and sigma-
+    parts, labelled p=P, p=P sigma+ and p=P sigma-.  On a built table the
+    sigma+- parts restate the construction; they catch a hand-built or
+    tampered table, and guard the shared commutator when loopalg changes."""
     report = CheckReport(f"diag_consistency(k={table.k})")
     series = table.psi_series()
     flow = lm_commutator(lax_matrix(table, table.k), series)
     for p in range(1, -flow.floor + 1):
-        residual = series.coeff(-p).a.derive() - flow.coeff(-p).a
-        report.add_residual(f"p={p}", residual)
+        row, want = series.coeff(-p), flow.coeff(-p)
+        report.add_residual(f"p={p}", row.a.derive() - want.a)
+        report.add_residual(f"p={p} sigma+", row.bp.derive() - want.bp)
+        report.add_residual(f"p={p} sigma-", row.cm.derive() - want.cm)
     return report
 
 

@@ -15,7 +15,7 @@ polynomial in t_k-derivatives and extends d_n to composites by the chain rule.
 
 from __future__ import annotations
 
-from .diffpoly import DiffPoly, FieldVar
+from .diffpoly import DiffPoly, FieldVar, _mapped
 from .fnr import PsiTable, _memoized, build_psi, lax_matrix
 from .loopalg import lm_commutator
 from .records import Record
@@ -34,23 +34,15 @@ class PdeSystem(Record):
     """Evolution rules d_n(u) = RHS for the free fields of a t_k table.
 
     RHS entries are differential polynomials in the free fields and their
-    t_k-derivatives.  `auxiliary` carries defining relations for eliminated
-    fields where a computation produces them (dual_equivalence does).
+    t_k-derivatives.
     """
 
-    __slots__ = ("k", "n", "evolution", "auxiliary")
+    __slots__ = ("k", "n", "evolution")
 
-    def __init__(
-        self,
-        k: int,
-        n: int,
-        evolution: dict[FieldVar, DiffPoly],
-        auxiliary: dict[FieldVar, DiffPoly] | None = None,
-    ):
+    def __init__(self, k: int, n: int, evolution: dict[FieldVar, DiffPoly]):
         self.k = k
         self.n = n
         self.evolution = evolution
-        self.auxiliary = {} if auxiliary is None else auxiliary
 
     def rhs(self, kind: str, index: int) -> DiffPoly:
         return self.evolution[FieldVar(kind, index)]
@@ -151,11 +143,13 @@ def commuting_flows_check(table: PsiTable, n: int, m: int) -> CheckReport:
 
 
 class DualityResult(Record):
-    __slots__ = ("report", "common")
+    """The report, and psi: each b_j, c_j (j = n+1..k) as a polynomial of the t_n world."""
 
-    def __init__(self, report: CheckReport, common: PdeSystem):
+    __slots__ = ("report", "psi")
+
+    def __init__(self, report: CheckReport, psi: dict[FieldVar, DiffPoly]):
         self.report = report
-        self.common = common
+        self.psi = psi
 
 
 def dual_equivalence(n: int, k: int) -> DualityResult:
@@ -171,15 +165,23 @@ def dual_equivalence(n: int, k: int) -> DualityResult:
     """
     if not 1 <= n < k:
         raise ValueError("dual_equivalence needs 1 <= n < k")
-    table_n = build_psi(n, k)
-    table_k = build_psi(k, k)
+    return _duality(build_psi(n, k), build_psi(k, k))
+
+
+def _duality(table_n: PsiTable, table_k: PsiTable) -> DualityResult:
+    """dual_equivalence on the tables of t_n and t_k.  Every rewrite is the duality
+    map phi: b_1..c_n fixed, u -> psi(u), u^(l) -> d_k^l phi(u) by route A."""
+    n, k = table_n.k, table_k.k
     route_a = zero_curvature(table_n, k)
     route_b = zero_curvature(table_k, n)
     report = CheckReport(f"dual_equivalence(n={n}, k={k})")
+    psi: dict[FieldVar, DiffPoly] = {}
+
+    def phi(p: DiffPoly) -> DiffPoly:
+        return _mapped(p, psi, route_a.derivative)
 
     # Ascending elimination: the rule for d_n u_q (q <= k-n) contains u_{q+n}
     # linearly with coefficient +-2 and nothing else of that index.
-    psi: dict[FieldVar, DiffPoly] = {}
     for q in range(1, k - n + 1):
         j = n + q
         for kind, coeff in (("b", 2), ("c", -2)):
@@ -188,8 +190,7 @@ def dual_equivalence(n: int, k: int) -> DualityResult:
             rest = rule - DiffPoly.from_var(target).scale(coeff)
             if not rest.partial(target).is_zero():
                 raise EliminationFailure(f"rule for d_{n} {kind}{q} is not linear in {kind}{j}")
-            base = DiffPoly.var(kind, q) if q <= n else psi[FieldVar(kind, q)]
-            psi[target] = (base.derive() - rest.substitute(psi)).scale(1, coeff)
+            psi[target] = (phi(DiffPoly.var(kind, q)).derive() - phi(rest)).scale(1, coeff)
 
     # The eliminated fields must coincide with the t_n constraint rows, and the
     # diagonal polynomials must map onto each other as well.
@@ -198,22 +199,37 @@ def dual_equivalence(n: int, k: int) -> DualityResult:
             want = getattr(table_n.rows[j], attr)
             report.add_residual(f"elimination {kind}{j}", psi[FieldVar(kind, j)] - want)
     for j in range(1, k + 1):
-        report.add_residual(f"a_{j} rewrite", table_k.rows[j].a.substitute(psi) - table_n.rows[j].a)
+        report.add_residual(f"a_{j} rewrite", phi(table_k.rows[j].a) - table_n.rows[j].a)
 
     # Surviving rules of route B read d_n u_q = d(u_p) - C_{p+k}, q = p+k-n, so
-    # d_k l_p = d_n l_q + C_{p+k}; rewritten through psi they must equal route A.
+    # d_k l_p = d_n l_q + C_{p+k}; mapped by phi they must equal route A.
     for p in range(1, n + 1):
         q = p + k - n
         for kind in ("b", "c"):
             c_coeff = DiffPoly.var(kind, p).derive() - route_b.evolution[FieldVar(kind, q)]
-            img = DiffPoly.var(kind, q) if q <= n else psi[FieldVar(kind, q)]
-            got = img.derive() + c_coeff.substitute(psi)
+            got = phi(DiffPoly.var(kind, q)).derive() + phi(c_coeff)
             report.add_residual(f"d_{k} {kind}{p}", got - route_a.evolution[FieldVar(kind, p)])
+    return DualityResult(report=report, psi=dict(sorted(psi.items())))
 
-    common = PdeSystem(
-        k=n,
-        n=k,
-        evolution=dict(route_a.evolution),
-        auxiliary={v: psi[v] for v in sorted(psi)},
-    )
-    return DualityResult(report=report, common=common)
+
+def dual_table_map_check(n: int, k: int, depth: int) -> CheckReport:
+    """Certify that the duality map phi sends the t_k table onto the t_n table.
+
+    phi fixes b_1..c_n, sends each eliminated field u to dual_equivalence's
+    psi(u), and u^(l) to d_k^l phi(u) by route A.  Row by row j = 1..depth and
+    entry by entry (a, b, c), the image of the t_k row must equal the t_n row.
+    Both tables are built to depth max(k, depth); the elimination reads 0..k.
+    """
+    if not 1 <= n < k:
+        raise ValueError("dual_table_map_check needs 1 <= n < k")
+    if depth < 1:
+        raise ValueError(f"dual_table_map_check needs depth >= 1, got {depth}")
+    table_n, table_k = build_psi(n, max(k, depth)), build_psi(k, max(k, depth))
+    psi = _duality(table_n, table_k).psi
+    derivation = zero_curvature(table_n, k).derivative
+    report = CheckReport(f"dual_table_map(n={n}, k={k}, depth={depth})")
+    for j in range(1, depth + 1):
+        for entry, attr in (("a", "a"), ("b", "bp"), ("c", "cm")):
+            image = _mapped(getattr(table_k.rows[j], attr), psi, derivation)
+            report.add_residual(f"row {j} {entry}", image - getattr(table_n.rows[j], attr))
+    return report

@@ -146,6 +146,35 @@ def ref_substitute(a, rules):
     return out
 
 
+def ref_mapped(a, images, evolution):
+    """ref_substitute with a derivation in place of the distinguished one: a
+    generator u^(l) becomes the chain rule of `evolution` (rule tables by
+    dorder-0 field) applied l times to u's image, or to u itself if it has
+    none; the chain rule sends each v^(l) to its partial times the l-th
+    derivative of v's rule."""
+
+    def derivation(t):
+        out = {}
+        for v in {v for mono in t for v, _ in mono if not v.is_constant_symbol()}:
+            rule = evolution[v.base()]
+            for _ in range(v.dorder):
+                rule = ref_derive(rule)
+            out = ref_add(out, ref_mul(ref_partial(t, v), rule))
+        return out
+
+    out = {}
+    for mono, c in a.items():
+        term = {(): c}
+        for v, e in mono:
+            image = images.get(v.base(), {((v.base(), 1),): Fraction(1)})
+            for _ in range(v.dorder):
+                image = derivation(image)
+            for _ in range(e):
+                term = ref_mul(term, image)
+        out = ref_add(out, term)
+    return out
+
+
 def ref_integrate(p: DiffPoly) -> DiffPoly:
     """formal_integrate's peel with a running result: each peeled term is a
     polynomial added to it in turn.  The oracle for the integrator, which sums
@@ -257,13 +286,19 @@ def tampered(table: PsiTable) -> PsiTable:
     return PsiTable(k=table.k, depth=table.depth, rows=tuple(rows))
 
 
+def with_added(table: PsiTable, j: int, extra: str, attrs=("a", "bp", "cm")) -> PsiTable:
+    """The table with the polynomial `extra` added to the `attrs` entries of row j."""
+    rows = list(table.rows)
+    parts = {"a": rows[j].a, "bp": rows[j].bp, "cm": rows[j].cm}
+    for attr in attrs:
+        parts[attr] = parts[attr] + P(extra)
+    rows[j] = Sl2Poly(**parts)
+    return PsiTable(k=table.k, depth=table.depth, rows=tuple(rows))
+
+
 def tampered_above_k(k: int, attr: str) -> PsiTable:
     """build_psi(k, 6) with b1 added to the `attr` component of row k + 1."""
-    rows = list(fnr.build_psi(k, 6).rows)
-    parts = {"a": rows[k + 1].a, "bp": rows[k + 1].bp, "cm": rows[k + 1].cm}
-    parts[attr] = parts[attr] + P("b1")
-    rows[k + 1] = Sl2Poly(**parts)
-    return PsiTable(k=k, depth=6, rows=tuple(rows))
+    return with_added(fnr.build_psi(k, 6), k + 1, "b1", (attr,))
 
 
 def digest(text: str) -> str:

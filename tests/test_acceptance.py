@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from laxdual.diffpoly import DiffPoly, equal_mod_total_derivative
+from laxdual.diffpoly import DiffPoly, _mapped, equal_mod_total_derivative
 from laxdual.fnr import build_psi, diag_consistency, lax_matrix, trace_square_check
 from laxdual.loopalg import LaurentMatrix, Sl2Poly
 from laxdual.poisson import (
@@ -95,8 +95,13 @@ def test_criterion_2_pde_regression():
     with timed(5.0):
         dual_route = dual_equivalence(1, 3)
     assert dual_route.report.passed
-    assert dual_route.common.rhs("b", 1) == cmkdv_b
-    assert dual_route.common.rhs("c", 1) == cmkdv_c
+    # Route B's rules through the duality map: d_3 u1 = d_1 u3 + (u1' - d_1 u3).
+    route_b = zero_curvature(build_psi(3, 3), 1)
+    for kind, want in (("b", cmkdv_b), ("c", cmkdv_c)):
+        u1, u3 = P(f"{kind}1"), P(f"{kind}3")
+        got = _mapped(u3, dual_route.psi, direct.derivative).derive()
+        got = got + _mapped(u1.derive() - route_b.rhs(kind, 3), dual_route.psi, direct.derivative)
+        assert got == want
 
     with timed(5.0):
         gi = zero_curvature(build_psi(2, 6), 4)

@@ -1,6 +1,7 @@
 """Command-line behaviour: formats, exit codes, determinism, substitutions."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -847,6 +848,23 @@ class TestPlumbing:
         proc = run_process("-m", "laxdual.cli", "psi", "--k", "1", LAXDUAL_MAX_MB="4096")
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == run_cli("psi", "--k", "1")[1]
+
+    def test_closed_stdout_exits_141_without_an_error_line(self):
+        # The reader stops after 10 bytes of a 1.1 MB table, as `| head -c 10`
+        # does.  That used to print `error: BrokenPipeError: ...` and exit 2.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        argv = ["psi", "--k", "3", "--depth", "14", "--format", "json"]
+        proc = subprocess.Popen(
+            [sys.executable, "-S", "-m", "laxdual.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout.read(10) == b'{\n  "k": 3'
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+        assert proc.wait() == cli.CLOSED_STDOUT == 141
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

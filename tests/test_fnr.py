@@ -14,7 +14,7 @@ from laxdual.fnr import (
 )
 from laxdual.loopalg import DepthExhausted, LaurentMatrix, Sl2Poly
 
-from conftest import P, report_digest, tampered_above_k
+from conftest import P, report_digest, tampered_above_k, with_added
 
 
 class TestCasimirClosure:
@@ -138,44 +138,47 @@ class TestLaxMatrix:
 
 
 # SHA-256 of json.dumps(report.to_json(), sort_keys=True) of the
-# (diag_consistency, trace_square_check) reports on tampered_above_k(k, attr),
-# recorded from the implementation that summed the rows by hand.  At k = 3
-# the diagonal check cannot see a_4: it reads a_p only for p <= depth - k.
+# (diag_consistency, trace_square_check) reports on tampered_above_k(k, attr).
+# The trace digests, and those of the sigma3 items (labelled p=P) of each flow
+# report, in order, were recorded from the implementation that summed the rows
+# by hand; the flow digests were recorded again when the sigma+ and sigma-
+# items joined them.  The sigma3 items alone cannot see a_4 at k = 3, which
+# they read only for p <= depth - k; the sigma+- items of p = 2, 3 read it.
 ROW_CHECK_DIGESTS = {
     (1, "a"): (
-        "0a8e268b22de8d88e56edd48f96f427f32569a3737ecd1a8773fbcb14e2ecd88",
+        "0cd682005b8495a42049d7962e3bcf52cf8ba767a324a79389777b234070ccfe",
         "9f89de7c4e0f9b7ff75d29066d3b5fca9dc17a6675d46284564f265c288ee56d",
     ),
     (1, "bp"): (
-        "77ebe309ceaa8f45a53f5ea72787d581d0ca8748ae9cb14b087e4a4be0aa6948",
+        "85e6ea88574fafed63f125bc0927ac461a462d65d57fb64b2d697fbbf7f656ee",
         "28e4ec4e6a87fc80aa4095e984b521453ed79b07407dba863ccfcb75d4e7a53e",
     ),
     (1, "cm"): (
-        "90d074d02757c1fa78d361a14c410027a66be0b9a351e917778e4e7428482660",
+        "ed46cc27bce4da602d4739499a2beb3d6677a2e7318eabc8bdfdbd7a0edc8cde",
         "b3d73d5c383244154712f5a82d4dc3ee1d9f12ec8bbab072e9b1affd0d37a1ab",
     ),
     (2, "a"): (
-        "1a8070d8f77da80e2e7b503bccf2f222cb5c89428892bcc3d71a8aae1d675fd9",
+        "a0ae92adc5151e216ce67d0dd9e9915f8e4074350c0c6d0e55eb5dabd0a3fe5b",
         "6d6c50d3cbc15c2a51a5c18a0a963756f6f5e2b55a15266dd3405221cfbe6597",
     ),
     (2, "bp"): (
-        "c1537eddb919d9b6d5349abd7f06a2383916d09304c87a4206fd921b9fff7418",
+        "1d5e6fdc28e4e6a7565de7c140eb4ac86f3bb066375d38564d593fb235b188cb",
         "cc835e402a9e1dd2736f2cba38767fff9218610905a410f4663473adf864f1bd",
     ),
     (2, "cm"): (
-        "c3226c9e264fc296145c2e9fd711e6f2b06f5907061805ea058731ba0e33cc6b",
+        "d75fa11c7b64853b4347bae461791194c8dd796de4744069047dfe72a627454a",
         "7c82d8906211b183bcce4f56008bf71434111c5957d314513e0501b7330af148",
     ),
     (3, "a"): (
-        "a2627c2cf14d8229b9ca077f7f14f64aff293aaabd968ef021b3a672a938d257",
+        "24e4d6170d85f0a45bbd38e55cbb18c6b1389ede01b9818bb95c187b6dd2026d",
         "0d9b04a14db40b29bfc5bbd0d9095fd2026cd0f9b07bc150b1dd83a08b529786",
     ),
     (3, "bp"): (
-        "38334761055ccae8f87f8f28324acc2baf87cb174f97bc7a642d9c886ae409ab",
+        "ef540c85795ada360116c56f118a481284e3cce4c9f305488bd8205bd70bdf9a",
         "7d54521830ef85a1bbe3c25b4a23d51cd95987670d387e012d1a5386e6f86c08",
     ),
     (3, "cm"): (
-        "f157dc9a698ed018996314653bdf712a1fc86ed17a5cf370420211502ae73ace",
+        "ff0c1765e4398a5ce45d5654464c18a8e7269a217177dd27d30227b8544300e9",
         "5ce41b67bd69aa2c02ab4dcd84bda50aa778b2adca4efe3a98fd4265739e0190",
     ),
 }
@@ -185,6 +188,20 @@ ROW_CHECK_DIGESTS = {
 def test_row_checks_fail_byte_identically(k, attr):
     table = tampered_above_k(k, attr)
     diag, trace = diag_consistency(table), trace_square_check(table)
-    assert diag.passed == ((k, attr) == (3, "a"))
-    assert not trace.passed
+    assert not diag.passed and not trace.passed
     assert (report_digest(diag), report_digest(trace)) == ROW_CHECK_DIGESTS[k, attr]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_row_checks_catch_every_tampered_entry(k):
+    # Every entry of every row of build_psi(k, k + 6), each with one of three
+    # additions: the flow check (all three sl(2) parts) or the trace check must
+    # fail.  With the sigma3 part alone, six tables per k passed both: the
+    # off-diagonal entries of the last row, which only the sigma+- parts read.
+    table = build_psi(k, k + 6)
+    for j in range(1, k + 7):
+        for attr in ("a", "bp", "cm"):
+            for extra in ("1/3*b1*c1", "b1'", "b1^2*c1"):
+                bad = with_added(table, j, extra, (attr,))
+                caught = not diag_consistency(bad).passed or not trace_square_check(bad).passed
+                assert caught, (j, attr, extra)

@@ -20,15 +20,19 @@ from laxdual.diffpoly import (  # noqa: E402
     FieldVar,
     NotATotalDerivative,
     PolyParseError,
+    _mapped,
     formal_integrate,
     parse_poly,
 )
+from laxdual.fnr import build_psi  # noqa: E402
+from laxdual.zerocurv import zero_curvature  # noqa: E402
 
 from conftest import (  # noqa: E402
     ref_add,
     ref_derive,
     ref_euler,
     ref_integrate,
+    ref_mapped,
     ref_mul,
     ref_partial,
     ref_substitute,
@@ -138,6 +142,19 @@ def test_euler_matches_reference(p, times, u):
 def test_substitute_matches_reference(p, r, v):
     p = p * DiffPoly.from_var(v) * DiffPoly.from_var(v)  # powers of a rule, shared between terms
     assert p.substitute(r).terms == ref_substitute(p.terms, {t: rhs.terms for t, rhs in r.items()})
+
+
+# The d_1 evolution of the four free fields of the t_2 table: b1' of p goes to
+# 2*b2' and b2'' to a derivative of b1^2*c1 + b1'.
+D1_OF_T2 = zero_curvature(build_psi(2, 2), 1)
+
+
+@settings(deadline=None)
+@given(polys(max_terms=3, max_factors=2), rules)
+def test_mapped_with_a_derivation_matches_reference(p, r):
+    evolution = {u: rule.terms for u, rule in D1_OF_T2.evolution.items()}
+    want = ref_mapped(p.terms, {t: rhs.terms for t, rhs in r.items()}, evolution)
+    assert _mapped(p, r, D1_OF_T2.derivative).terms == want
 
 
 @settings(deadline=None)

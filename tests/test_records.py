@@ -20,7 +20,7 @@ from laxdual.zerocurv import DualityResult, PdeSystem
 
 from conftest import P
 
-B1, C1 = FieldVar("b", 1), FieldVar("c", 1)
+B1, C1, B2 = FieldVar("b", 1), FieldVar("c", 1), FieldVar("b", 2)
 
 
 def _sl2():
@@ -69,14 +69,14 @@ FROZEN = {
 MUTABLE = {
     "PdeSystem": (
         _system,
-        ("k", "n", "evolution", "auxiliary"),
-        lambda: PdeSystem(k=1, n=2, evolution=_system().evolution, auxiliary={B1: P("b2")}),
+        ("k", "n", "evolution"),
+        lambda: PdeSystem(k=1, n=2, evolution={B1: P("1/2*b1''"), C1: P("1/2*c1''")}),
     ),
     "CheckReport": (_report, ("name", "items"), lambda: CheckReport("demo", _report().items[:1])),
     "DualityResult": (
-        lambda: DualityResult(report=_report(), common=_system()),
-        ("report", "common"),
-        lambda: DualityResult(report=CheckReport("demo"), common=_system()),
+        lambda: DualityResult(report=_report(), psi={B2: P("1/2*b1'")}),
+        ("report", "psi"),
+        lambda: DualityResult(report=CheckReport("demo"), psi={B2: P("1/2*b1'")}),
     ),
     "LaurentMatrix": (_laurent, ("coeffs", "floor"), lambda: _laurent(floor=-2)),
 }
@@ -151,9 +151,6 @@ def test_keyword_defaults():
     first, second = CheckReport(name="r"), CheckReport(name="r")
     first.add("a", True)
     assert first.items == [CheckItem("a", True)] and second.items == []
-    one, two = PdeSystem(k=1, n=2, evolution={}), PdeSystem(k=1, n=2, evolution={})
-    one.auxiliary[B1] = P("b1")
-    assert two.auxiliary == {}
 
 
 def test_repr_names_every_field():

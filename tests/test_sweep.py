@@ -17,7 +17,7 @@ import pytest
 from laxdual.diffpoly import DiffPoly, equal_mod_total_derivative, formal_integrate
 from laxdual.fnr import build_psi
 from laxdual.poisson import flow_matches_zc, hamiltonians_commute, sklyanin_check
-from laxdual.zerocurv import dual_equivalence
+from laxdual.zerocurv import dual_equivalence, dual_table_map_check
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -35,6 +35,14 @@ def test_three_routes_agree_on_the_wide_sweep():
     for k in range(1, 11):
         report = sklyanin_check(build_psi(k, k))
         assert report.passed, ("sklyanin", k, report.failures())
+
+
+@pytest.mark.slow
+def test_phi_maps_every_row_up_to_seven():
+    for k in range(2, 8):
+        for n in range(1, k):
+            report = dual_table_map_check(n, k, k + 4)
+            assert report.passed, (n, k, report.failures())
 
 
 @pytest.mark.slow

@@ -2,7 +2,7 @@
 
 import pytest
 
-from laxdual.diffpoly import DiffPoly, FieldVar
+from laxdual.diffpoly import DiffPoly, FieldVar, _mapped
 from laxdual.fnr import PsiTable, build_psi
 from laxdual.loopalg import (
     DepthExhausted,
@@ -18,12 +18,14 @@ from laxdual.zerocurv import (
     PdeSystem,
     ResidualNonZero,
     commuting_flows_check,
+    _duality,
     dual_equivalence,
+    dual_table_map_check,
     strong_zc_check,
     zero_curvature,
 )
 
-from conftest import P, digest, fv, report_digest, tampered_above_k
+from conftest import P, digest, fv, report_digest, tampered_above_k, with_added
 
 
 class TestZeroCurvature:
@@ -218,7 +220,7 @@ def test_tampered_flow_fails_the_check(name, monkeypatch):
         # A fresh system: the memoized one is shared and must stay as it is.
         evolution = dict(system.evolution)
         evolution[fv("b", 1)] = evolution[fv("b", 1)] + P("b1*c1")
-        return PdeSystem(k=system.k, n=n, evolution=evolution, auxiliary=system.auxiliary)
+        return PdeSystem(k=system.k, n=n, evolution=evolution)
 
     monkeypatch.setattr(zerocurv, "zero_curvature", tampered_flow)
     report = check(build_psi(1, 6), 2, 3)
@@ -231,20 +233,31 @@ class TestDualEquivalence:
     def test_nls_pair(self):
         result = dual_equivalence(1, 2)
         assert result.report.passed
-        assert result.common.rhs("b", 1) == P("1/2*b1'' - b1^2*c1")
         # the eliminated fields are the constraint-map rows of the t_1 table
-        assert result.common.auxiliary[fv("b", 2)] == P("1/2*b1'")
-        assert result.common.auxiliary[fv("c", 2)] == P("-1/2*c1'")
+        assert result.psi == {fv("b", 2): P("1/2*b1'"), fv("c", 2): P("-1/2*c1'")}
+
+    def test_phi_derives_by_route_a(self):
+        # phi sends the t_2-derivative b1' to d_2 b1 of the t_1 world, which
+        # is NLS; substitute would keep it as the t_1-derivative b1'.
+        psi = dual_equivalence(1, 2).psi
+        route_a = zero_curvature(build_psi(1, 2), 2)
+        assert _mapped(P("b1'"), psi, route_a.derivative) == P("1/2*b1'' - b1^2*c1")
+        assert P("b1'").substitute(psi) == P("b1'")
 
     def test_cmkdv_pair(self):
         result = dual_equivalence(1, 3)
         assert result.report.passed
-        assert result.common.rhs("b", 1) == P("1/4*b1''' - 3/2*b1*c1*b1'")
+        # route B's rules, mapped by phi, met route A's, which are cmKdV
+        assert [item.label for item in result.report.items][-2:] == ["d_3 b1", "d_3 c1"]
+        assert zero_curvature(build_psi(1, 3), 3).rhs("b", 1) == P("1/4*b1''' - 3/2*b1*c1*b1'")
+        rows = build_psi(1, 3).rows
+        assert result.psi == {fv("b", j): rows[j].bp for j in (2, 3)} | {fv("c", j): rows[j].cm for j in (2, 3)}
 
     def test_gi_pair(self):
         result = dual_equivalence(2, 4)
         assert result.report.passed
-        assert result.common.rhs("b", 1) == zero_curvature(build_psi(2, 6), 4).rhs("b", 1)
+        rows = build_psi(2, 4).rows
+        assert result.psi == {fv("b", j): rows[j].bp for j in (3, 4)} | {fv("c", j): rows[j].cm for j in (3, 4)}
 
     def test_remaining_acceptance_pairs(self):
         assert dual_equivalence(2, 3).report.passed
@@ -291,10 +304,63 @@ def test_tampered_route_fails_dual_equivalence(route, monkeypatch):
         # A fresh system: the memoized one is shared and must stay as it is.
         evolution = dict(system.evolution)
         evolution[fv("b", 1)] = evolution[fv("b", 1)] + P("b1*c1")
-        return PdeSystem(k=system.k, n=n, evolution=evolution, auxiliary=system.auxiliary)
+        return PdeSystem(k=system.k, n=n, evolution=evolution)
 
     monkeypatch.setattr(zerocurv, "zero_curvature", tampered_route)
     report = dual_equivalence(1, 3).report
     assert not report.passed
     assert [item.label for item in report.failures()] == failing
     assert report_digest(report) == want
+
+
+# A free row j <= k of the t_k table, handed to the two-table core.  A constant
+# added to b_k or c_k leaves route B's rules as they are, so only the
+# elimination of that field fails; b1*c1 moves route B's rule for d_n b_k as
+# well, and with it the d_k item of b_n that reads it.
+TAMPERED_FREE_ROWS = {
+    ("bp", "1"): ["elimination b3"],
+    ("cm", "1"): ["elimination c3"],
+    ("bp", "b1*c1"): ["elimination b3", "d_3 b1"],
+}
+
+
+@pytest.mark.parametrize("attr, extra", sorted(TAMPERED_FREE_ROWS))
+def test_tampered_table_fails_its_elimination_items(attr, extra):
+    table_k = with_added(build_psi(3, 3), 3, extra, (attr,))
+    report = _duality(build_psi(1, 3), table_k).report
+    assert [item.label for item in report.failures()] == TAMPERED_FREE_ROWS[attr, extra]
+    assert [item.label for item in report.items] == [item.label for item in dual_equivalence(1, 3).report.items]
+
+
+class TestDualTableMap:
+    def test_phi_maps_every_row_up_to_five(self):
+        for k in range(2, 6):
+            for n in range(1, k):
+                report = dual_table_map_check(n, k, k + 4)
+                assert report.passed, (n, k, report.failures())
+                assert len(report.items) == 3 * (k + 4)
+
+    def test_labels(self):
+        report = dual_table_map_check(1, 2, 2)
+        assert report.name == "dual_table_map(n=1, k=2, depth=2)"
+        assert [item.label for item in report.items] == [
+            "row 1 a", "row 1 b", "row 1 c", "row 2 a", "row 2 b", "row 2 c",
+        ]
+
+    def test_a_tampered_row_above_k_fails_exactly_its_items(self, monkeypatch):
+        real = zerocurv.build_psi
+
+        def tampered_build(k, depth):
+            table = real(k, depth)
+            return with_added(table, 5, "b1*c1") if k == 3 else table
+
+        monkeypatch.setattr(zerocurv, "build_psi", tampered_build)
+        report = dual_table_map_check(1, 3, 7)
+        assert [item.label for item in report.failures()] == ["row 5 a", "row 5 b", "row 5 c"]
+        assert len(report.items) == 21
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="1 <= n < k"):
+            dual_table_map_check(2, 2, 4)
+        with pytest.raises(ValueError, match="depth >= 1"):
+            dual_table_map_check(1, 2, 0)
