@@ -55,7 +55,6 @@ from .poisson import (
     hamiltonians_commute,
     resolvent_check,
     sklyanin_check,
-    wz_expand,
 )
 from .report import CheckItem, CheckReport
 

@@ -24,7 +24,8 @@ A flat key=value config file (--config FILE or --config=FILE, given at most
 once) provides defaults that flags override; its keys are subcommand flags.
 verify renders text or json only.  The environment variable LAXDUAL_MAX_MB
 caps the address space as a guard against runaway expansions; a value that
-is not a positive integer, and a run that exhausts the cap, exit 2.
+is not a positive integer in ASCII digits or that the system cannot apply,
+and a run that exhausts the cap, exit 2.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ def _apply_memory_cap() -> None:
     if not cap:
         return
     try:
+        if not (cap.isascii() and cap.isdigit()):  # int() alone also takes '+5', ' 5', '1_0' and non-ASCII digits
+            raise ValueError
         megabytes = int(cap)
         if megabytes < 1:
             raise ValueError
@@ -64,7 +67,7 @@ def _apply_memory_cap() -> None:
 
         limit = megabytes * 1024 * 1024
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-    except (ValueError, ImportError, OSError) as exc:
+    except (ValueError, OverflowError, ImportError, OSError) as exc:
         raise CliError(f"cannot apply LAXDUAL_MAX_MB={cap!r}: {exc}") from exc
 
 
@@ -123,30 +126,17 @@ def _read_substitutions(path: str, fields) -> dict[FieldVar, DiffPoly]:
 
 # -- JSON ------------------------------------------------------------------------
 # json.dumps(payload, indent=2) runs json's pure-Python encoder whatever the
-# payload, so the CLI writes the same bytes itself and no run loads json.
-
-_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-
-
-def _escaped(c: str) -> str:
-    """One character as json.encoder.encode_basestring_ascii writes it."""
-    short = _ESCAPES.get(c)
-    if short:
-        return short
-    if " " <= c <= "~":
-        return c
-    n = ord(c)
-    if n < 0x10000:
-        return f"\\u{n:04x}"
-    n -= 0x10000  # an astral character as its UTF-16 surrogate pair
-    return f"\\u{0xD800 | n >> 10:04x}\\u{0xDC00 | n & 0x3FF:04x}"
+# payload, so the CLI writes the same bytes itself and no run loads json.  Only
+# a string with a character to escape, which no command writes, goes to json.
 
 
 def _quoted(s: str) -> str:
     """s as a JSON string literal in ASCII, as json.dumps writes it."""
     if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
         return f'"{s}"'
-    return '"' + "".join(map(_escaped, s)) + '"'
+    import json
+
+    return json.dumps(s)
 
 
 def _json_text(payload, nl: str = "\n") -> str:
@@ -221,9 +211,7 @@ def _put_poly(p: DiffPoly, nl: str, put) -> None:
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
+            print(text, file=handle)
     else:
         print(text)
 

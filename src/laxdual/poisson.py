@@ -255,13 +255,9 @@ class WZExpansion:
 
 
 def _expansion(table: PsiTable) -> WZExpansion:
+    """The table's Riccati expansion: shared by the tables that own rows
+    0..k, fresh for any other."""
     return _memoized(table, table.k, "riccati", lambda: WZExpansion(table))
-
-
-def wz_expand(table: PsiTable, depth: int) -> WZExpansion:
-    """The table's Riccati expansion, solved to at least the depth: shared by
-    the tables that own rows 0..k, fresh for any other."""
-    return _expansion(table)._grown(depth)
 
 
 def hamiltonian_density(table: PsiTable, n: int) -> DiffPoly:

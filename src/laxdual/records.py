@@ -3,8 +3,10 @@
 Importing `dataclasses` loads `inspect`, `ast`, `dis` and `tokenize`, about
 a third of what every command-line run spent importing the package.  A record
 names its fields in `__slots__`, in constructor order, and writes its own
-`__init__`; these bases derive equality, hashing, repr and pickling from the
-slots.  A record equals only a record of its own class, never a tuple.
+`__init__`; these bases derive equality and repr from the slots.  A record
+equals only a record of its own class, never a tuple.  No record is hashable
+(defining `__eq__` sets `__hash__` to None), and none defines copying or
+pickling.
 """
 
 
@@ -13,26 +15,18 @@ class Record:
 
     __slots__ = ()
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
-
-    __hash__ = None
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
-    def __reduce__(self):
-        return type(self), self._values()
-
 
 class FrozenRecord(Record):
-    """An immutable, hashable record; `__init__` sets each field once with
+    """An immutable record; `__init__` sets each field once with
     `object.__setattr__`."""
 
     __slots__ = ()
@@ -42,6 +36,3 @@ class FrozenRecord(Record):
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of immutable {type(self).__name__}")
-
-    def __hash__(self) -> int:
-        return hash(self._values())

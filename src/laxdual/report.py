@@ -30,9 +30,9 @@ class CheckItem(FrozenRecord):
 class CheckReport(Record):
     __slots__ = ("name", "items")
 
-    def __init__(self, name: str, items: list[CheckItem] | None = None):
+    def __init__(self, name: str):
         self.name = name
-        self.items = [] if items is None else items
+        self.items: list[CheckItem] = []
 
     def add(self, label: str, ok: bool, residual: str | None = None) -> None:
         self.items.append(CheckItem(label, ok, None if ok else residual))

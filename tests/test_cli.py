@@ -458,8 +458,9 @@ class TestJson:
             # dual_equivalence builds its own tables: its report gains a failing
             # item whose label and residual need escaping.
             def failing_dual(n, k):
-                report = dual(n, k).report
-                report = CheckReport(report.name, list(report.items))
+                shared = dual(n, k).report
+                report = CheckReport(shared.name)
+                report.items += shared.items
                 report.add('tampered "\\" \u03bb\x7f\U0001d53b', False, "b1*c1\u2028")
                 return SimpleNamespace(report=report)
 
@@ -835,9 +836,11 @@ class TestPlumbing:
         assert proc.stderr.splitlines() == ["[]"] * (1 + len(runs))
         assert proc.stdout == "".join(run_cli(*argv)[1] for argv in runs)
 
-    @pytest.mark.parametrize("cap", ["1", "0", "-5", "abc"])
+    @pytest.mark.parametrize("cap", ["1", "0", "-5", "abc", "1_0", "+5", " 5", "\u0665", "9" * 20])
     def test_memory_cap_faults_exit_2_with_one_error_line(self, cap):
         # A 1 MB cap cannot hold a depth-30 table: the MemoryError is reported.
+        # The cap is read as a flag is, in ASCII digits only, and 20 nines are
+        # past what setrlimit takes: either error names the value.
         proc = run_process("-m", "laxdual.cli", "psi", "--k", "1", "--depth", "30", LAXDUAL_MAX_MB=cap)
         assert proc.returncode == 2 and proc.stdout == ""
         assert "Traceback" not in proc.stderr

@@ -10,12 +10,13 @@ import pytest
 from laxdual.diffpoly import DiffPoly, equal_mod_total_derivative
 from laxdual.fnr import build_psi
 from laxdual.poisson import (
+    WZExpansion,
+    _expansion,
     flow_matches_zc,
     hamiltonian_density,
     hamiltonians_commute,
     resolvent_check,
     sklyanin_check,
-    wz_expand,
 )
 from laxdual.zerocurv import (
     PdeSystem,
@@ -78,7 +79,7 @@ class TestRowReuse:
         # empty store to shuffled depths and read it back; a growth step that
         # two threads race through shifts every later order.  Without the
         # lock, 30 rounds fail in nearly every run.
-        want = {k: riccati_orders(wz_expand(unowned(build_psi(k, k)), 9), 9) for k in (1, 2, 3)}
+        want = {k: riccati_orders(WZExpansion(build_psi(k, k)), 9) for k in (1, 2, 3)}
         results, errors = [], []
         rounds = 30
 
@@ -88,7 +89,7 @@ class TestRowReuse:
             try:
                 start.wait()
                 for k, d in order:
-                    results.append((k, d, riccati_orders(wz_expand(build_psi(k, k), d), d)))
+                    results.append((k, d, riccati_orders(_expansion(build_psi(k, k))._grown(d), d)))
             except Exception as exc:  # pragma: no cover - reported below
                 errors.append(exc)
 
@@ -127,15 +128,15 @@ class TestMemos:
         # a table served after a deeper request gets the deeper expansion,
         # whose first orders are those of a fresh, shallower one
         table = build_psi(3, 3)
-        deep = wz_expand(table, 9)
+        deep = _expansion(table)._grown(9)
         for depth in (1, 4, 9):
-            fresh = wz_expand(unowned(table), depth)
-            assert wz_expand(table, depth) is deep and fresh.depth == depth
+            fresh = WZExpansion(table)._grown(depth)
+            assert _expansion(table)._grown(depth) is deep and fresh.depth == depth
             assert riccati_orders(fresh, depth) == riccati_orders(deep, depth)
 
     def test_density_served_after_a_deeper_expansion(self):
         table = build_psi(2, 2)
-        wz_expand(table, 8)
+        _expansion(table)._grown(8)
         for n in range(0, 7):
             assert hamiltonian_density(table, n) == hamiltonian_density(unowned(table), n)
 

@@ -10,6 +10,8 @@ from laxdual.fnr import PsiTable, build_psi
 from laxdual.loopalg import DepthExhausted, Sl2Poly
 from laxdual.poisson import (
     BracketTable,
+    WZExpansion,
+    _expansion,
     field_bracket_table,
     flow_from_hamiltonian,
     flow_matches_zc,
@@ -17,11 +19,10 @@ from laxdual.poisson import (
     hamiltonians_commute,
     resolvent_check,
     sklyanin_check,
-    wz_expand,
 )
 from laxdual.zerocurv import zero_curvature
 
-from conftest import P, fv, report_digest, riccati_orders, tampered, unowned
+from conftest import P, fv, report_digest, riccati_orders, tampered
 
 
 def bracket_value(table, m_kind, m_idx, n_kind, n_idx):
@@ -187,7 +188,7 @@ class TestShallowTables:
 
     def test_wz_expand_reads_rows_to_k(self):
         with pytest.raises(DepthExhausted, match=r"lambda\^-3; the known floor is -2$"):
-            wz_expand(PsiTable(3, 2, build_psi(3, 3).rows[:3]), 1)
+            _expansion(PsiTable(3, 2, build_psi(3, 3).rows[:3]))
 
     def test_resolvent_check_reads_rows_to_its_depth(self):
         with pytest.raises(DepthExhausted, match=r"lambda\^-3; the known floor is -2$"):
@@ -196,7 +197,7 @@ class TestShallowTables:
 
 class TestWZExpansion:
     def test_k1_first_orders(self):
-        wz = wz_expand(build_psi(1, 1), 3)
+        wz = _expansion(build_psi(1, 1))
         assert wz.beta(1) == P("-1/2*b1") and wz.gamma(1) == P("1/2*c1")
         assert wz.beta(2) == P("-1/4*b1'") and wz.gamma(2) == P("-1/4*c1'")
         assert wz.beta(3) == P("-1/8*b1'' + 1/8*b1^2*c1")
@@ -204,33 +205,33 @@ class TestWZExpansion:
 
     def test_depth_guard(self):
         with pytest.raises(DepthExhausted):
-            wz_expand(build_psi(1, 1), 0)
+            _expansion(build_psi(1, 1))._grown(0)
 
     @pytest.mark.parametrize("order", [0, -1])
     @pytest.mark.parametrize("read", ["beta", "gamma", "density"])
     def test_orders_outside_the_expansion_raise(self, read, order):
-        wz = wz_expand(build_psi(1, 4), 3)
+        wz = _expansion(build_psi(1, 4))._grown(3)
         with pytest.raises(DepthExhausted, match=rf"^order {order} of W or of dZ is below 1$"):
             getattr(wz, read)(order)
 
     @pytest.mark.parametrize("read", ["beta", "gamma", "density"])
     def test_reads_past_the_depth_grow_the_expansion(self, read):
         table = build_psi(2, 2)
-        wz = wz_expand(unowned(table), 3)
+        wz = WZExpansion(table)._grown(3)
         assert wz.depth == 3
         getattr(wz, read)(7)
         assert wz.depth == 7
-        assert riccati_orders(wz, 7) == riccati_orders(wz_expand(unowned(table), 7), 7)
+        assert riccati_orders(wz, 7) == riccati_orders(WZExpansion(table), 7)
 
     def test_prefix_stability(self, fresh_store):
         # every order reads the same whatever was requested before it, in the
         # shared expansion of an empty store and in a fresh one
-        want = riccati_orders(wz_expand(unowned(build_psi(2, 2)), 9), 9)
+        want = riccati_orders(WZExpansion(build_psi(2, 2)), 9)
         requests = [(read, j) for read in range(3) for j in range(1, 10)]
         for seed in range(3):
             random.Random(seed).shuffle(requests)
             fresh_store.clear()
-            for wz in (wz_expand(build_psi(2, 2), 1), wz_expand(unowned(build_psi(2, 2)), 1)):
+            for wz in (_expansion(build_psi(2, 2)), WZExpansion(build_psi(2, 2))):
                 for read, j in requests:
                     assert (wz.beta, wz.gamma, wz.density)[read](j) == want[j - 1][read], (seed, read, j)
 
@@ -241,7 +242,7 @@ class TestRiccatiResidual:
         # matrices of polynomials (series in 1/lambda; order j <-> lambda^-j).
         k, depth = 2, 6
         table = build_psi(k, depth)
-        wz = wz_expand(table, depth)
+        wz = _expansion(table)
         zero = DiffPoly.zero()
 
         def mat(p11, p12, p21, p22):

@@ -1,13 +1,10 @@
-"""The contract of the engine's plain records: construction, equality,
-hashing, immutability and copying.
+"""The contract of the engine's plain records: construction, equality, repr,
+immutability, and no hashing.
 
 Sl2Poly and PsiTable must not be tuples: a tuple base would let
 `Sl2Poly(...) * 2` repeat the fields and let a record equal the plain tuple
 of its fields, both silent misreadings.
 """
-
-import copy
-import pickle
 
 import pytest
 
@@ -72,7 +69,7 @@ MUTABLE = {
         ("k", "n", "evolution"),
         lambda: PdeSystem(k=1, n=2, evolution={B1: P("1/2*b1''"), C1: P("1/2*c1''")}),
     ),
-    "CheckReport": (_report, ("name", "items"), lambda: CheckReport("demo", _report().items[:1])),
+    "CheckReport": (lambda: CheckReport("demo"), ("name",), _report),
     "DualityResult": (
         lambda: DualityResult(report=_report(), psi={B2: P("1/2*b1'")}),
         ("report", "psi"),
@@ -93,13 +90,10 @@ def test_keyword_construction_and_field_order(make, names, changed):
 
 
 @RECORDS
-def test_equal_by_value_and_survives_copy_and_pickle(make, names, changed):
+def test_equal_by_value(make, names, changed):
     record = make()
     assert record == make() and not record != make()
     assert record != changed() and not record == changed()
-    assert copy.copy(record) == record
-    assert copy.deepcopy(record) == record
-    assert pickle.loads(pickle.dumps(record)) == record
 
 
 @RECORDS
@@ -109,23 +103,9 @@ def test_never_equal_to_a_tuple_or_a_record_of_another_class(make, names, change
     assert all(record != other() for other, *_ in ALL.values() if other is not make)
 
 
-HASHABLE = {name: FROZEN[name][0] for name in ("Sl2Poly", "PsiTable", "CheckItem")}
-
-
-@pytest.mark.parametrize("make", HASHABLE.values(), ids=HASHABLE.keys())
-def test_frozen_records_hash_by_value(make):
-    assert hash(make()) == hash(make())
-    assert len({make(), make()}) == 1
-
-
-def test_bracket_table_hash_reaches_its_unhashable_entries():
-    with pytest.raises(TypeError):
-        hash(_brackets())
-
-
-@pytest.mark.parametrize("make, names, changed", MUTABLE.values(), ids=MUTABLE.keys())
-def test_mutable_records_are_unhashable(make, names, changed):
-    with pytest.raises(TypeError):
+@RECORDS
+def test_every_record_is_unhashable(make, names, changed):
+    with pytest.raises(TypeError, match="unhashable type"):
         hash(make())
 
 
