@@ -14,12 +14,19 @@ c_1..c_k.  A PsiTable holds those rows up to a chosen depth:
 The diagonal component of the flow is NOT used in the construction; it is the
 independent consistency check diag_consistency, which reads the off-diagonal
 components as well, so that a table not built by this construction is caught.
+The flow identity of one row p, d(l_p) = sum_{j=0}^{k} [l_j, l_{p+k-j}], is
+`_flow_residual`; diag_consistency reads it for every row on every call, and
+zero_curvature reads it as the residual coefficients of each system.
 
 Rows are prefix-stable (row j reads only rows below it), so each k has one
 process-wide store of rows that build_psi extends lazily and hands out
 prefixes of.  The store also keeps memos for results read off a prefix of its
 rows (zero-curvature systems, the Riccati expansion); `_memo_owner` serves
-them only to tables whose rows are the store's own row objects.  Nothing is
+them only to tables whose rows are the store's own row objects.  At row
+granularity it keeps one mark, `flow_verified`: the highest row whose flow
+identity zero_curvature has verified, raised only after those rows passed.
+It is read only for tables that own the rows a system reads, so a later
+system skips those rows; any other table is checked in full.  Nothing is
 evicted, and every shared result must be treated as read-only.
 """
 
@@ -29,8 +36,8 @@ import threading
 from collections.abc import Sequence
 
 from .diffpoly import DiffPoly, FieldVar
-from .loopalg import LaurentMatrix, Sl2Poly, lm_commutator, project_plus, shift, trace_pair
-from .loopalg import _commutator_terms, _trace_terms
+from .loopalg import LaurentMatrix, Sl2Poly, commutator_floor, project_plus, shift, trace_pair
+from .loopalg import _commutator_terms, _flow_coefficient, _trace_terms
 from .records import FrozenRecord
 from .report import CheckReport
 
@@ -105,7 +112,12 @@ class _Hierarchy:
         self.k = k
         self.rows: list[Sl2Poly] = [Sl2Poly.sigma3()]
         self.memo: dict = {}
-        # Guards appends to rows; a memo entry that grows guards itself.
+        # The highest row p whose flow identity zero_curvature has verified:
+        # rows -k..p all passed (l_p = 0 for p < 0), and -k - 1 means none.
+        # It is only raised, under the lock.
+        self.flow_verified = -k - 1
+        # Guards appends to rows and raises of flow_verified; a memo entry
+        # that grows guards itself.
         self.lock = threading.Lock()
 
     def extend(self, depth: int) -> None:
@@ -142,6 +154,21 @@ def _memoized(table: PsiTable, upto: int, key, compute):
     return hit if hit is not None else owner.memo.setdefault(key, compute())
 
 
+def _flow_verified(table: PsiTable, upto: int) -> int:
+    """The store's flow_verified for a table that owns rows 0..upto; for any
+    other table -k - 1, so that every row of it is checked."""
+    owner = _memo_owner(table, upto)
+    return -table.k - 1 if owner is None else owner.flow_verified
+
+
+def _mark_flow_verified(table: PsiTable, upto: int, p: int) -> None:
+    """Record that rows -k..p of a table owning rows 0..upto passed their flow identity."""
+    owner = _memo_owner(table, upto)
+    if owner is not None:
+        with owner.lock:
+            owner.flow_verified = max(owner.flow_verified, p)
+
+
 def build_psi(k: int, depth: int) -> PsiTable:
     """Construct the table for t_k down to lambda^{-depth}."""
     if k < 1:
@@ -161,20 +188,30 @@ def lax_matrix(table: PsiTable, n: int) -> LaurentMatrix:
     return project_plus(shift(table.psi_series(), n))
 
 
+def _flow_residual(series: LaurentMatrix, v_k: LaurentMatrix, p: int) -> Sl2Poly:
+    """d(l_p) - [V_k^(k), L] at lambda^{-p}, one dot per component: the residual
+    of row p's flow identity d_k l_p = sum_{j=0}^{k} [l_j, l_{p+k-j}] (rows below
+    0 are zero, so for p = -k..-1 it is a sum of brackets that cancel in pairs).
+    It reads rows 0..p+k and no partner time: zero_curvature checks it as the
+    lambda^{n-p} coefficient of every system with n >= p + k, diag_consistency
+    for p >= 1."""
+    return _flow_coefficient(series, v_k, -p)
+
+
 def diag_consistency(table: PsiTable) -> CheckReport:
     """Check the flow d_k L = [V_k^(k), L] on every row the table determines:
     d(l_p) = the lambda^{-p} coefficient, in its sigma3, sigma+ and sigma-
-    parts, labelled p=P, p=P sigma+ and p=P sigma-.  On a built table the
+    parts, labelled p=P, p=P sigma+ and p=P sigma-.  Every row is checked on
+    every call, whatever zero_curvature verified.  On a built table the
     sigma+- parts restate the construction; they catch a hand-built or
     tampered table, and guard the shared commutator when loopalg changes."""
     report = CheckReport(f"diag_consistency(k={table.k})")
-    series = table.psi_series()
-    flow = lm_commutator(lax_matrix(table, table.k), series)
-    for p in range(1, -flow.floor + 1):
-        row, want = series.coeff(-p), flow.coeff(-p)
-        report.add_residual(f"p={p}", row.a.derive() - want.a)
-        report.add_residual(f"p={p} sigma+", row.bp.derive() - want.bp)
-        report.add_residual(f"p={p} sigma-", row.cm.derive() - want.cm)
+    series, v_k = table.psi_series(), lax_matrix(table, table.k)
+    for p in range(1, -commutator_floor(v_k, series) + 1):
+        residual = _flow_residual(series, v_k, p)
+        report.add_residual(f"p={p}", residual.a)
+        report.add_residual(f"p={p} sigma+", residual.bp)
+        report.add_residual(f"p={p} sigma-", residual.cm)
     return report
 
 

@@ -23,6 +23,7 @@ from .diffpoly import DiffPoly
 from .records import FrozenRecord, Record
 
 _DP_ZERO = DiffPoly.zero()
+_DP_ONE = DiffPoly.const(1)
 
 
 class DepthExhausted(ValueError):
@@ -168,20 +169,39 @@ def lm_commutator(x: LaurentMatrix, y: LaurentMatrix) -> LaurentMatrix:
     possibly-nonzero coefficients of the other; products below it are skipped.
     """
     floor = commutator_floor(x, y)
-    # Per exponent, the products of the a, bp and cm components of every
-    # [x_i, y_j] that lands there, summed by one dot each.
-    groups: dict[int, tuple[list, list, list]] = {}
-    for e1, m1 in x.coeffs.items():
-        for e2, m2 in y.coeffs.items():
-            e = e1 + e2
-            if floor is not None and e < floor:
-                continue
-            for acc, terms in zip(groups.setdefault(e, ([], [], [])), _commutator_terms(m1, m2)):
-                acc += terms
+    sums = dict.fromkeys(e1 + e2 for e1 in x.coeffs for e2 in y.coeffs)
     return LaurentMatrix(
-        {e: Sl2Poly(DiffPoly.dot(a), DiffPoly.dot(bp), DiffPoly.dot(cm)) for e, (a, bp, cm) in groups.items()},
+        {e: Sl2Poly(*map(DiffPoly.dot, _bracket_terms(x, y, e))) for e in sums if floor is None or e >= floor},
         floor,
     )
+
+
+def _bracket_terms(x: LaurentMatrix, y: LaurentMatrix, e: int) -> tuple[list, list, list]:
+    """The (weight, p, q) products of the a, bp and cm components of every
+    [x_i, y_j] with i + j = e: the convolution, one exponent at a time."""
+    a, bp, cm = [], [], []
+    get = y.coeffs.get
+    for e1, m1 in x.coeffs.items():
+        m2 = get(e - e1)
+        if m2 is not None:
+            ta, tb, tc = _commutator_terms(m1, m2)
+            a += ta
+            bp += tb
+            cm += tc
+    return a, bp, cm
+
+
+def _flow_coefficient(x: LaurentMatrix, y: LaurentMatrix, e: int) -> Sl2Poly:
+    """The lambda^e coefficient of d(x) + [x, y], one dot per component: the
+    derivative of each part of x_e is one more triple (1, 1, d(part)) beside
+    the bracket's products.  Raises DepthExhausted below the product floor."""
+    _known(commutator_floor(x, y), e, "the flow")
+    parts = _bracket_terms(x, y, e)
+    m = x.coeff(e)
+    for terms, part in zip(parts, (m.a, m.bp, m.cm)):
+        if not part.is_zero():
+            terms.append((1, _DP_ONE, part.derive()))
+    return Sl2Poly(*map(DiffPoly.dot, parts))
 
 
 def shift(x: LaurentMatrix, k: int) -> LaurentMatrix:

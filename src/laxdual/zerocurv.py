@@ -7,7 +7,13 @@ coefficients of
 
 yields d_n of every free field (the evolution system), while every remaining
 coefficient must vanish identically -- those are recomputed and checked, and a
-failure raises ResidualNonZero because it can only mean an engine fault.
+failure raises ResidualNonZero because it can only mean an engine fault.  The
+flow is computed one lambda-coefficient at a time, the derivative and the
+bracket in one dot per component.  A remaining coefficient lambda^e is the
+flow identity of table row p = n - e, fnr's `_flow_residual`, which does not
+depend on n: on the shared rows of build_psi, the rows up to the store's
+verified-row mark (`fnr._flow_verified`) passed in an earlier system and are
+not checked again; every other table is checked in full.
 
 Two-time expressions are never represented: a PdeSystem stores d_n(u) as a
 polynomial in t_k-derivatives and extends d_n to composites by the chain rule.
@@ -16,8 +22,8 @@ polynomial in t_k-derivatives and extends d_n to composites by the chain rule.
 from __future__ import annotations
 
 from .diffpoly import DiffPoly, FieldVar, _mapped
-from .fnr import PsiTable, _memoized, build_psi, lax_matrix
-from .loopalg import lm_commutator
+from .fnr import PsiTable, _flow_residual, _flow_verified, _mark_flow_verified, _memoized, build_psi, lax_matrix
+from .loopalg import _flow_coefficient, lm_commutator
 from .records import Record
 from .report import CheckReport
 
@@ -83,32 +89,36 @@ def _derive_system(table: PsiTable, n: int) -> PdeSystem:
     k = table.k
     v_n, v_k = lax_matrix(table, n), lax_matrix(table, k)
     # d_n V^(k) = d_k V^(n) + [V^(n), V^(k)]; d_n V^(k) is sum_q (d_n l_q) lambda^(k-q).
-    flow = v_n.map(DiffPoly.derive) + lm_commutator(v_n, v_k)
+    flow = [_flow_coefficient(v_n, v_k, e) for e in range(k)]
 
     evolution: dict[FieldVar, DiffPoly] = {}
     for q in range(1, k + 1):
-        evolution[FieldVar("b", q)] = flow.coeff(k - q).bp
-        evolution[FieldVar("c", q)] = flow.coeff(k - q).cm
+        evolution[FieldVar("b", q)] = flow[k - q].bp
+        evolution[FieldVar("c", q)] = flow[k - q].cm
     system = PdeSystem(k=k, n=n, evolution=evolution)
 
     bad: list[str] = []
     # Coefficients lambda^e, e = k+n..k, carry no d_n of a free field, so the
-    # zero-curvature form leaves -flow there, which must vanish outright (for
-    # e <= n it restates the t_k flow equation).
-    for e in range(k + n, k - 1, -1):
-        residual = -flow.coeff(e)
-        if not residual.is_zero():
-            bad.append(f"lambda^{e}: ({residual.a}; {residual.bp}; {residual.cm})")
+    # zero-curvature form leaves -flow there, which must vanish outright.  It
+    # is the flow identity of row p = n-e, which does not depend on n: rows
+    # that a system on the same store verified are not checked again.
+    series, upto = table.psi_series(), max(n, k)
+    for p in range(_flow_verified(table, upto) + 1, n - k + 1):
+        flow_p = _flow_residual(series, v_k, p)
+        if not flow_p.is_zero():
+            residual = -flow_p
+            bad.append(f"lambda^{n - p}: ({residual.a}; {residual.bp}; {residual.cm})")
     # Diagonal components of the evolution rows must agree with the chain rule
     # applied to the closure polynomials a_q, read off V^(k) at lambda^(k-q).
     for q in range(1, k + 1):
-        residual = system.derivative(v_k.coeff(k - q).a) - flow.coeff(k - q).a
+        residual = system.derivative(v_k.coeff(k - q).a) - flow[k - q].a
         if not residual.is_zero():
             bad.append(f"sigma3 at lambda^{k - q}: {residual}")
     if bad:
         raise ResidualNonZero(
             f"zero_curvature(k={k}, n={n}): nonvanishing residuals:\n  " + "\n  ".join(bad)
         )
+    _mark_flow_verified(table, upto, n - k)
     return system
 
 

@@ -15,7 +15,7 @@ import pytest
 from laxdual import diffpoly as dp, fnr
 from laxdual.diffpoly import DiffPoly, FieldVar, NotATotalDerivative, parse_poly
 from laxdual.fnr import PsiTable
-from laxdual.loopalg import Sl2Poly
+from laxdual.loopalg import LaurentMatrix, Sl2Poly, lm_commutator
 
 
 def run_process(*args, **env):
@@ -266,6 +266,13 @@ def reference_rows(k: int, depth: int):
                 cj = cj - li.a * lo.cm + lo.a * li.cm
         rows.append(Sl2Poly(a=reference_closure_a(rows, j), bp=bj, cm=cj))
     return rows
+
+
+def ref_flow(table: PsiTable, n: int) -> LaurentMatrix:
+    """d_k V^(n) + [V^(n), V^(k)] as one Laurent sum: zero_curvature's flow
+    assembled whole, its evolution at lambda^0..lambda^(k-1)."""
+    v_n, v_k = fnr.lax_matrix(table, n), fnr.lax_matrix(table, table.k)
+    return v_n.map(DiffPoly.derive) + lm_commutator(v_n, v_k)
 
 
 def unowned(table: PsiTable) -> PsiTable:

@@ -1,5 +1,8 @@
 """Zero-curvature systems, strong flatness, duality of the two routes."""
 
+import sys
+import threading
+
 import pytest
 
 from laxdual.diffpoly import DiffPoly, FieldVar, _mapped
@@ -12,8 +15,8 @@ from laxdual.loopalg import (
     shift,
     sl2_commutator,
 )
-from laxdual.fnr import lax_matrix
-from laxdual import zerocurv
+from laxdual.fnr import diag_consistency, lax_matrix
+from laxdual import fnr, zerocurv
 from laxdual.zerocurv import (
     PdeSystem,
     ResidualNonZero,
@@ -25,7 +28,7 @@ from laxdual.zerocurv import (
     zero_curvature,
 )
 
-from conftest import P, digest, fv, report_digest, tampered_above_k, with_added
+from conftest import P, digest, fv, ref_flow, report_digest, tampered_above_k, unowned, with_added
 
 
 class TestZeroCurvature:
@@ -145,6 +148,106 @@ def test_residual_message_is_byte_identical(k, attr):
     with pytest.raises(ResidualNonZero) as info:
         zero_curvature(tampered_above_k(k, attr), k + 1)
     assert digest(str(info.value)) == RESIDUAL_MESSAGE_DIGESTS[k, attr]
+
+
+# Each system's evolution against the flow assembled as one Laurent sum, for
+# owned tables with n ascending (one new row verified per system) and
+# descending (the first system verifies every row), and for copies, which are
+# checked in full every time.
+@pytest.mark.parametrize("order", ["ascending", "descending", "copied"])
+def test_evolution_matches_the_laurent_sum(order, fresh_store):
+    for k in range(1, 5):
+        table = build_psi(k, 8)
+        for n in range(8, 0, -1) if order == "descending" else range(1, 9):
+            system = zero_curvature(unowned(table) if order == "copied" else table, n)
+            flow = ref_flow(table, n)
+            for q in range(1, k + 1):
+                for kind, attr in (("b", "bp"), ("c", "cm")):
+                    want = getattr(flow.coeff(k - q), attr)
+                    assert system.rhs(kind, q) == want, (k, n, kind, q)
+                    assert system.rhs(kind, q).to_text() == want.to_text(), (k, n, kind, q)
+        assert fresh_store[k].flow_verified == (-k - 1 if order == "copied" else 8 - k)
+
+
+# The ResidualNonZero messages of zero_curvature(with_added(build_psi(2, 12),
+# 3, "b1*c1", ("a",)), n), recorded from the implementation that assembled
+# the flow as one Laurent sum and checked every coefficient of every system.
+TAMPERED_A3_MESSAGES = {
+    9: "zero_curvature(k=2, n=9): nonvanishing residuals:\n"
+    "  lambda^7: (0; -2*b1^2*c1; 2*b1*c1^2)\n"
+    "  lambda^6: (-b1*c1' - b1'*c1; -2*b1*b2*c1; 2*b1*c1*c2)",
+    10: "zero_curvature(k=2, n=10): nonvanishing residuals:\n"
+    "  lambda^8: (0; -2*b1^2*c1; 2*b1*c1^2)\n"
+    "  lambda^7: (-b1*c1' - b1'*c1; -2*b1*b2*c1; 2*b1*c1*c2)",
+}
+
+
+@pytest.mark.parametrize("n", sorted(TAMPERED_A3_MESSAGES))
+def test_a_tampered_copy_of_a_verified_table_is_checked_in_full(n):
+    table = build_psi(2, 12)
+    zero_curvature(table, 9)
+    with pytest.raises(ResidualNonZero) as info:
+        zero_curvature(with_added(table, 3, "b1*c1", ("a",)), n)
+    assert str(info.value) == TAMPERED_A3_MESSAGES[n]
+
+
+def test_a_later_system_checks_only_rows_not_yet_verified(fresh_store, monkeypatch):
+    table = build_psi(2, 12)
+    zero_curvature(table, 9)
+    assert fresh_store[2].flow_verified == 7
+    rows = []
+
+    def counted(real):
+        def flow_residual(series, v_k, p):
+            rows.append(p)
+            return real(series, v_k, p)
+
+        return flow_residual
+
+    monkeypatch.setattr(zerocurv, "_flow_residual", counted(zerocurv._flow_residual))
+    monkeypatch.setattr(fnr, "_flow_residual", counted(fnr._flow_residual))
+    zero_curvature(table, 10)
+    assert rows == [8]
+    rows.clear()
+    zero_curvature(unowned(table), 10)
+    assert rows == list(range(-2, 9))
+    # diag_consistency checks every row, every time.
+    rows.clear()
+    assert diag_consistency(table).passed
+    assert rows == list(range(1, 11))
+    assert fresh_store[2].flow_verified == 8
+
+
+def test_threads_on_one_store_give_the_serial_systems(fresh_store):
+    k, ns = 2, range(6, 10)
+    serial = {n: zero_curvature(unowned(build_psi(k, 9)), n) for n in ns}
+    assert fresh_store[k].flow_verified == -k - 1
+    results, errors = [], []
+    start = threading.Barrier(4)
+
+    def run(order):
+        try:
+            start.wait(timeout=30)
+            results.extend((n, zero_curvature(build_psi(k, 9), n)) for n in order)
+        except Exception as exc:  # reported by the assertions below
+            errors.append(exc)
+
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(order,)) for order in (ns, ns[::-1]) * 2]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(before)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(results) == 16
+    for n, system in results:
+        assert system.evolution == serial[n].evolution, n
+    assert fresh_store[k].flow_verified == max(ns) - k
 
 
 class TestStrongZeroCurvature:
