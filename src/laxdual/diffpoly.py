@@ -41,11 +41,14 @@ the table is then filtered for zeros, checked by the same overflow guard
 convolutions of fnr and loopalg use it in place of chains of * and +.
 
 A DiffPoly keeps its first derivative in the slot _d once derive computes it,
-so p.derive(l) walks a chain of kept derivatives.  DiffPoly is immutable and
-the cache is keyed by object identity: a derivative lives exactly as long as
-its polynomial (the row store of fnr evicts nothing, so its rows' derivatives
-stay too), and an equal polynomial built afresh derives afresh.  A derivation
-that raises keeps nothing.
+so p.derive(l) walks a chain of kept derivatives, and beside it, in the slot
+_partials, each partial derivative by generator id once partial computes it.
+DiffPoly is immutable and both caches are keyed by object identity: a kept
+result lives exactly as long as its polynomial (the row store of fnr evicts
+nothing, so its rows' derivatives and partials stay too), and an equal
+polynomial built afresh computes afresh.  A derivation that raises keeps
+nothing.  Neither cache takes a lock: two threads that race on one compute
+the same canonical polynomial, and either may be the one kept.
 
 The Euler operator sum_l (-d)^l P_l, P_l the partial by u^(l), is evaluated in
 Horner form P_0 - d(P_1 - d(P_2 - ...)) from u's top order down: one derivation
@@ -177,11 +180,12 @@ class DiffPoly:
     """Immutable sparse differential polynomial: integer numerators over one
     common denominator, in the canonical form described in the module doc."""
 
-    __slots__ = ("num", "den", "_d")  # _d: the first derivative, once computed
+    # _d: the first derivative, _partials: {generator id: partial}, once computed
+    __slots__ = ("num", "den", "_d", "_partials")
 
     def __init__(self, terms: Mapping[tuple[tuple[FieldVar, int], ...], Fraction] | None = None):
         p = _summed([(_pack(mono), *_ratio(coeff)) for mono, coeff in (terms or {}).items()])
-        self.num, self.den, self._d = p.num, p.den, None
+        self.num, self.den, self._d, self._partials = p.num, p.den, None, None
 
     # -- constructors ------------------------------------------------------
 
@@ -320,13 +324,22 @@ class DiffPoly:
         return p
 
     def partial(self, v: FieldVar) -> "DiffPoly":
-        """Plain partial derivative with respect to one generator v."""
+        """Plain partial derivative with respect to one generator v.
+
+        Each partial is computed once and kept on its polynomial."""
         i = _VAR_ID.get(v)
         if i is None:
             return _ZERO
-        s, one = _W * i, 1 << (_W * i)
-        # Lowering one field maps distinct monomials to distinct monomials.
-        return _reduced({m - one: c * e for m, c in self.num.items() if (e := (m >> s) & _MASK)}, self.den)
+        kept = self._partials
+        if kept is None:
+            kept = self._partials = {}
+        d = kept.get(i)
+        if d is None:
+            s, one = _W * i, 1 << (_W * i)
+            # Lowering one field maps distinct monomials to distinct monomials.
+            lowered = {m - one: c * e for m, c in self.num.items() if (e := (m >> s) & _MASK)}
+            d = kept[i] = _reduced(lowered, self.den)
+        return d
 
     def substitute(self, rules: Mapping[FieldVar, "DiffPoly"]) -> "DiffPoly":
         """Replace dorder-0 generators by polynomials, an occurrence at order l
@@ -545,7 +558,7 @@ def _wrap(num: dict[int, int], den: int) -> DiffPoly:
     p = object.__new__(DiffPoly)
     p.num = num
     p.den = den
-    p._d = None
+    p._d = p._partials = None
     return p
 
 

@@ -21,8 +21,9 @@ zero_curvature reads it as the residual coefficients of each system.
 Rows are prefix-stable (row j reads only rows below it), so each k has one
 process-wide store of rows that build_psi extends lazily and hands out
 prefixes of.  The store also keeps memos for results read off a prefix of its
-rows (zero-curvature systems, the Riccati expansion); `_memo_owner` serves
-them only to tables whose rows are the store's own row objects.  At row
+rows (zero-curvature systems, the Riccati expansion, the bracket table, the
+variational gradients of its densities); `_memo_owner` serves them only to
+tables whose rows are the store's own row objects.  At row
 granularity it keeps one mark, `flow_verified`: the highest row whose flow
 identity zero_curvature has verified, raised only after those rows passed.
 It is read only for tables that own the rows a system reads, so a later

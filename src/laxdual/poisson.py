@@ -17,6 +17,17 @@ compares it entrywise, as an exact bivariate polynomial identity (the pole is
 cleared, never represented), with the nine entry brackets {X(lambda), Y(mu)},
 X, Y in {A, B, C}, of V = ((A, B), (C, -A)).
 
+Every bracket goes through one Hamiltonian vector field: vector_field(dq) is
+{u: sum_v P[u, v] dq_v} for every free field u, and the bracket of p and q is
+the gradient of p contracted against the vector field of q.  The Hamiltonian
+flow is the vector field of a density's variational gradient, and
+sklyanin_check builds one vector field per (entry, mu-exponent) of V and
+contracts every lambda-side gradient against it.  The bracket is ultralocal,
+so BracketTable.gradient refuses a polynomial that carries a derivative.  The
+bracket table is computed once per row store, and the variational gradient
+of each density once per row store and n (_variations), beside the Riccati
+expansion; a table that does not own the rows they read gets fresh ones.
+
 The monodromy side: the transition matrix factorizes as
 (1+W) e^Z (1+W)^{-1} with W off-diagonal, and W solves the Riccati recursion
 dW = O + DW - WD - WOW order by order in 1/lambda.  The diagonal part gives
@@ -65,29 +76,35 @@ class BracketTable(FrozenRecord):
 
     def bracket_field(self, u: FieldVar, q: DiffPoly) -> DiffPoly:
         """{u, q} for a derivative-free polynomial q, by the Leibniz rule."""
-        return self.gradient_bracket({u: _ONE}, self.gradient(q))
+        return self.vector_field(self.gradient(q)).get(u, DiffPoly.zero())
 
     def bracket(self, p: DiffPoly, q: DiffPoly) -> DiffPoly:
         """{p, q} for derivative-free polynomials, bilinear Leibniz extension."""
         return self.gradient_bracket(self.gradient(p), self.gradient(q))
 
     def gradient(self, p: DiffPoly) -> dict[FieldVar, DiffPoly]:
-        """The nonzero partials of p in the free fields."""
+        """The nonzero partials of p in the free fields.  The bracket is
+        ultralocal, so a polynomial with a derivative has no gradient here."""
+        if p.max_dorder():
+            raise ValueError(f"the bracket reads derivative-free polynomials only, got {p}")
         return {w: d for w in self.fields if not (d := p.partial(w)).is_zero()}
 
     def variational_gradient(self, density: DiffPoly) -> dict[FieldVar, DiffPoly]:
         """The nonzero Euler derivatives of a density by the free fields."""
         return {u: e for u in self.fields if not (e := density.euler(u)).is_zero()}
 
+    def vector_field(self, dq: dict[FieldVar, DiffPoly]) -> dict[FieldVar, DiffPoly]:
+        """{u: sum_v P[u, v] dq_v} for every free field u: the Hamiltonian
+        vector field of the gradient dq, one dot per field."""
+        terms: dict[FieldVar, list] = {u: [] for u in self.fields}
+        for (u, v), p_uv in self.entries.items():
+            if (dv := dq.get(v)) is not None:
+                terms[u].append((1, p_uv, dv))
+        return {u: DiffPoly.dot(t) for u, t in terms.items()}
+
     def gradient_bracket(self, dp: dict[FieldVar, DiffPoly], dq: dict[FieldVar, DiffPoly]) -> DiffPoly:
-        """{p, q} from the gradients of p and q."""
-        # A unit partial (a linear p, or the {u: 1} of bracket_field and
-        # flow_from_hamiltonian) takes the entry unmultiplied.
-        return DiffPoly.dot(
-            (1, p_uv if du == _ONE else du * p_uv, dv)
-            for (u, v), p_uv in self.entries.items()
-            if (du := dp.get(u)) is not None and (dv := dq.get(v)) is not None
-        )
+        """{p, q} from the gradients of p and q: dp against the vector field of dq."""
+        return _contracted(dp, self.vector_field(dq))
 
     def jacobi_check(self) -> CheckReport:
         """Field-dependent bivector Jacobi identity on all field triples."""
@@ -103,9 +120,19 @@ class BracketTable(FrozenRecord):
         return report
 
 
+def _contracted(dp: dict[FieldVar, DiffPoly], field: dict[FieldVar, DiffPoly]) -> DiffPoly:
+    """sum_u dp_u field_u, one dot."""
+    return DiffPoly.dot((1, du, field[u]) for u, du in dp.items())
+
+
 def field_bracket_table(table: PsiTable) -> BracketTable:
     """The ultralocal bracket of the 2k free fields, pushed through rows
-    0..k-1 of the table."""
+    0..k-1 of the table: shared by the tables that own those rows, fresh
+    for any other."""
+    return _memoized(table, table.k - 1, "brackets", lambda: _bracket_table(table))
+
+
+def _bracket_table(table: PsiTable) -> BracketTable:
     k, series = table.k, table.psi_series()
     entries: dict[tuple[FieldVar, FieldVar], DiffPoly] = {}
     for m in range(1, k + 1):
@@ -135,19 +162,20 @@ def sklyanin_check(table: PsiTable) -> CheckReport:
     """
     brackets = field_bracket_table(table)
     parts = entry_polynomials(lax_matrix(table, table.k))
-    if any(p.max_dorder() for part in parts for p in part.values()):
-        raise ValueError("Lax matrix entries must be derivative-free")
     grads = [{e: brackets.gradient(p) for e, p in part.items()} for part in parts]
+    # One vector field per (part, mu-exponent), each lambda-side gradient
+    # contracted against it.
+    fields = [{e: brackets.vector_field(dq) for e, dq in grad.items()} for grad in grads]
     # {(e_lambda, e_mu): bracket} per pair of parts, zero brackets dropped
     pair_brackets = {
         (x, y): {
             (dl, dm): p
             for dl, dp in grad_x.items()
-            for dm, dq in grad_y.items()
-            if not (p := brackets.gradient_bracket(dp, dq)).is_zero()
+            for dm, field in fields_y.items()
+            if not (p := _contracted(dp, field)).is_zero()
         }
         for x, grad_x in enumerate(grads)
-        for y, grad_y in enumerate(grads)
+        for y, fields_y in enumerate(fields)
     }
     # (index into parts, sign) of each entry of V
     slot = (((0, 1), (1, 1)), ((2, 1), (0, -1)))
@@ -268,13 +296,21 @@ def hamiltonian_density(table: PsiTable, n: int) -> DiffPoly:
     return _expansion(table).density(n + 1)
 
 
+def _variations(table: PsiTable, n: int) -> dict[FieldVar, DiffPoly]:
+    """The variational gradient of hamiltonian_density(table, n): shared by
+    the tables that own rows 0..k, fresh for any other."""
+    return _memoized(
+        table,
+        table.k,
+        ("variations", n),
+        lambda: field_bracket_table(table).variational_gradient(hamiltonian_density(table, n)),
+    )
+
+
 def flow_from_hamiltonian(table: PsiTable, n: int) -> PdeSystem:
     """d_n u = sum_v P[u, v] * (variational derivative of the density by v)."""
-    density = hamiltonian_density(table, n)
-    brackets = field_bracket_table(table)
-    variations = brackets.variational_gradient(density)
-    evolution = {u: brackets.gradient_bracket({u: _ONE}, variations) for u in brackets.fields}
-    return PdeSystem(k=table.k, n=n, evolution=evolution)
+    variations = _variations(table, n)
+    return PdeSystem(k=table.k, n=n, evolution=field_bracket_table(table).vector_field(variations))
 
 
 def flow_matches_zc(table: PsiTable, n: int) -> CheckReport:
@@ -290,9 +326,8 @@ def flow_matches_zc(table: PsiTable, n: int) -> CheckReport:
 
 def hamiltonians_commute(table: PsiTable, n1: int, n2: int) -> DiffPoly:
     """Integrand of {H^(n1), H^(n2)}; vanishes mod total derivatives."""
-    d1, d2 = hamiltonian_density(table, n1), hamiltonian_density(table, n2)
-    brackets = field_bracket_table(table)
-    return brackets.gradient_bracket(brackets.variational_gradient(d1), brackets.variational_gradient(d2))
+    d1, d2 = _variations(table, n1), _variations(table, n2)
+    return field_bracket_table(table).gradient_bracket(d1, d2)
 
 
 # -- resolvent ---------------------------------------------------------------------

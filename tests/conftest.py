@@ -175,6 +175,16 @@ def ref_mapped(a, images, evolution):
     return out
 
 
+def ref_bracket(brackets, dp, dq) -> DiffPoly:
+    """{p, q} from the gradients dp and dq, entry by entry: the sum of
+    dp_u * P[u, v] * dq_v over the bracket table's entries (u, v)."""
+    acc = DiffPoly.zero()
+    for (u, v), p_uv in brackets.entries.items():
+        if u in dp and v in dq:
+            acc = acc + dp[u] * p_uv * dq[v]
+    return acc
+
+
 def ref_integrate(p: DiffPoly) -> DiffPoly:
     """formal_integrate's peel with a running result: each peeled term is a
     polynomial added to it in turn.  The oracle for the integrator, which sums

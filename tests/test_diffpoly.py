@@ -34,6 +34,7 @@ from conftest import (
     ref_add,
     ref_derive,
     ref_mul,
+    ref_partial,
     ref_substitute,
     ref_canonical,
     reference_closure_a,
@@ -177,6 +178,47 @@ class TestDerive:
         assert not any(t.is_alive() for t in threads)
         assert len(results) == 8 and all(r.terms == want for r in results)
         assert row.derive(3) == results[0]
+
+
+class TestPartial:
+    def test_partials_are_kept(self, rng):
+        for _ in range(20):
+            p = random_poly(rng, pool=EXT_POOL)
+            copy = DiffPoly.from_json(p.to_json())
+            for v in EXT_POOL:
+                first = p.partial(v)
+                assert first.terms == ref_partial(p.terms, v)
+                assert p.partial(v) is first
+                # An equal polynomial built afresh holds no partials.
+                assert copy.partial(v) is not first and copy.partial(v) == first
+
+    def test_concurrent_partials_agree(self, fresh_store):
+        # Row 9 of a fresh t_2 store: nothing has taken its partials yet, so
+        # the threads race to.
+        row = build_psi(2, 9).rows[9].a
+        variables = row.variables()
+        want = {v: ref_partial(row.terms, v) for v in variables}
+        barrier = threading.Barrier(8)
+        results = []
+
+        def work(order):
+            barrier.wait(timeout=60)
+            results.append({v: row.partial(v) for v in order})
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(variables[:: (-1) ** i],)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8
+        for got in results:
+            assert {v: p.terms for v, p in got.items()} == want
 
 
 class TestSubstitute:

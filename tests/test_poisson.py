@@ -6,12 +6,13 @@ import pytest
 
 from laxdual import poisson
 from laxdual.diffpoly import DiffPoly, FieldVar, equal_mod_total_derivative
-from laxdual.fnr import PsiTable, build_psi
-from laxdual.loopalg import DepthExhausted, Sl2Poly
+from laxdual.fnr import PsiTable, build_psi, lax_matrix
+from laxdual.loopalg import DepthExhausted, Sl2Poly, entry_polynomials
 from laxdual.poisson import (
     BracketTable,
     WZExpansion,
     _expansion,
+    _variations,
     field_bracket_table,
     flow_from_hamiltonian,
     flow_matches_zc,
@@ -22,7 +23,7 @@ from laxdual.poisson import (
 )
 from laxdual.zerocurv import zero_curvature
 
-from conftest import P, fv, report_digest, riccati_orders, tampered
+from conftest import P, fv, ref_bracket, report_digest, riccati_orders, tampered, unowned, with_added
 
 
 def bracket_value(table, m_kind, m_idx, n_kind, n_idx):
@@ -98,9 +99,73 @@ class TestBracketTable:
                     assert got_b == image_b.scale(-2), (k, m, n)
                     assert got_c == image_c.scale(2), (k, m, n)
 
+    def test_shared_by_the_tables_that_own_rows_below_k(self):
+        table = build_psi(3, 5)
+        shared = field_bracket_table(table)
+        assert field_bracket_table(build_psi(3, 3)) is shared
+        # tampered() changes row k, which the bracket does not read
+        assert field_bracket_table(tampered(table)) is shared
+        fresh = field_bracket_table(unowned(table))
+        assert fresh is not shared and fresh == shared
+        assert field_bracket_table(with_added(table, 1, "b1*c1", ("a",))) != shared
+
     def test_bracket_bilinear_zero(self):
         brackets = field_bracket_table(build_psi(2, 2))
         assert brackets.bracket(DiffPoly.zero(), P("b1*c2")).is_zero()
+
+
+class TestContraction:
+    """gradient_bracket contracts dp against vector_field(dq); the oracle is
+    the entrywise sum over the bracket table."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_lax_entry_gradients(self, k):
+        table = build_psi(k, k)
+        brackets = field_bracket_table(table)
+        parts = entry_polynomials(lax_matrix(table, k))
+        grads = [brackets.gradient(p) for part in parts for p in part.values()]
+        for dp in grads:
+            for dq in grads:
+                assert brackets.gradient_bracket(dp, dq) == ref_bracket(brackets, dp, dq)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_density_variations(self, k):
+        table = build_psi(k, k)
+        brackets = field_bracket_table(table)
+        variations = [_variations(table, n) for n in range(5)]
+        for dp in variations:
+            for dq in variations:
+                assert brackets.gradient_bracket(dp, dq) == ref_bracket(brackets, dp, dq)
+
+    def test_vector_field_names_every_free_field(self):
+        brackets = field_bracket_table(build_psi(2, 2))
+        field = brackets.vector_field({fv("c", 2): DiffPoly.const(1)})
+        assert tuple(field) == brackets.fields
+        assert field[fv("b", 1)] == DiffPoly.const(4) and field[fv("c", 1)].is_zero()
+
+
+class TestDerivativeFree:
+    """The bracket is ultralocal: a polynomial that carries a derivative is
+    refused by name, not read as if the derivative were absent."""
+
+    REFUSED = r"derivative-free polynomials only, got .*b1'"
+
+    @pytest.fixture
+    def table(self):
+        """build_psi(2, 2) with b1' added to a_2, an entry of the Lax matrix."""
+        return with_added(build_psi(2, 2), 2, "b1'", ("a",))
+
+    def test_bracket(self, table):
+        with pytest.raises(ValueError, match=self.REFUSED):
+            field_bracket_table(table).bracket(table.rows[2].a, table.rows[1].cm)
+
+    def test_bracket_field(self, table):
+        with pytest.raises(ValueError, match=self.REFUSED):
+            field_bracket_table(table).bracket_field(fv("c", 1), table.rows[2].a)
+
+    def test_sklyanin_check(self, table):
+        with pytest.raises(ValueError, match=self.REFUSED):
+            sklyanin_check(table)
 
 
 class TestSklyanin:
@@ -149,6 +214,37 @@ def perturbed(k):
         parts[attr] = parts[attr] + delta
         rows[j] = Sl2Poly(**parts)
     return PsiTable(k=k, depth=5, rows=tuple(rows))
+
+
+# report_digest of sklyanin_check on build_psi(k, k), on tampered(build_psi(k, k))
+# and on build_psi(k, k) with b1*c1 added to a_1 (a bracket-table entry),
+# recorded when each bracket was an entrywise sum.
+SKLYANIN_DIGESTS = {
+    ("built", 1): "cde36a49770545a0be3b3e0ed97475bce1b0d918fe9732b19f1c67d190819759",
+    ("built", 2): "5992678cada629e4710599c5022ad93aadd337d6e6a3e0ade1cf01220ca7a08e",
+    ("built", 3): "b85ec886f0ecde28bb20effcc3b30aebf5c374bc135ee177e732b8c51b1405f9",
+    ("built", 4): "a9b807eef8729686f02f0b17c04bd2d07c262701a199719d01df2f87cdb8e589",
+    ("built", 5): "53cb4cb97e0f7f52e535422305c85491c30ae7ffe3fa7256e83c99ca92f514bd",
+    ("built", 6): "0e172a45778f39981c406554e0172e5f379fa78866d3b87ec2d437e6bcd26f2e",
+    ("built", 7): "0d15ae970afc135f4270d74204409e90937057d346832c090c1d1bdf0c822192",
+    ("tampered", 1): "12ba97d1cd25ad5f4847e808d520addd702212187291465a754d1b0c3db76e55",
+    ("tampered", 2): "386821f30d8620cdaf5a8d4d47d2dafe60636970fab705809707cf47a2bb33c6",
+    ("tampered", 3): "73ba3d3e4938d98b17a21850bf5ac56e8ce5e550bfdb1ef24fb76138231fd91a",
+    ("with_added", 2): "f0eb1d81fb8b5ff206c919733dfce1a7f8d7278436a8a73cfafaf8712d1c1ad1",
+    ("with_added", 3): "b508773e01b05407bdb7896a83cf8a367e28452fcd0bd642ab5fbc5839abc5a2",
+}
+
+
+@pytest.mark.parametrize("kind,k", sorted(SKLYANIN_DIGESTS))
+def test_sklyanin_reports_are_byte_identical(kind, k):
+    table = build_psi(k, k)
+    if kind == "tampered":
+        table = tampered(table)
+    elif kind == "with_added":
+        table = with_added(table, 1, "b1*c1", ("a",))
+    report = sklyanin_check(table)
+    assert report.passed is (kind == "built")
+    assert report_digest(report) == SKLYANIN_DIGESTS[kind, k]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -354,12 +450,23 @@ class TestHamiltonianFlows:
     def test_flow_sees_only_the_density_mod_total_derivatives(self, monkeypatch, k, n):
         # The flow reads the density through the Euler operator: adding a term
         # with a nonzero variational derivative must break the match with
-        # zero curvature, and adding a total derivative must not.
-        table = build_psi(k, max(k, n) + 1)
+        # zero curvature, and adding a total derivative must not.  The table
+        # owns no rows, so no shared variational gradient hides the patch.
+        table = unowned(build_psi(k, max(k, n) + 1))
         for extra, passes in ((P("b1*c1'"), False), (P("b1*c1").derive(), True)):
             monkeypatch.setattr(poisson, "hamiltonian_density", lambda t, m, e=extra: hamiltonian_density(t, m) + e)
             report = flow_matches_zc(table, n)
             assert report.passed is passes, report.failures()
+
+    def test_variations_are_shared_by_owned_tables(self):
+        table = build_psi(2, 4)
+        shared = _variations(table, 3)
+        assert _variations(build_psi(2, 2), 3) is shared
+        for other in (unowned(table), tampered(table)):
+            fresh = _variations(other, 3)
+            assert fresh is not shared and _variations(other, 3) is not fresh
+        assert _variations(unowned(table), 3) == shared
+        assert _variations(tampered(table), 3) != shared
 
     def test_hamiltonians_commute_k1(self):
         residual = hamiltonians_commute(build_psi(1, 1), 2, 3)
