@@ -48,16 +48,23 @@ result lives exactly as long as its polynomial (the row store of fnr evicts
 nothing, so its rows' derivatives and partials stay too), and an equal
 polynomial built afresh computes afresh.  A derivation that raises keeps
 nothing.  Neither cache takes a lock: two threads that race on one compute
-the same canonical polynomial, and either may be the one kept.
+the same canonical polynomial, and either may be the one kept.  The Euler
+chain below fills neither.
 
 The Euler operator sum_l (-d)^l P_l, P_l the partial by u^(l), is evaluated in
 Horner form P_0 - d(P_1 - d(P_2 - ...)) from u's top order down: one derivation
-per order, not l of them for each P_l.  formal_integrate reads the same chain
-by the homotopy operator (Olver, Applications of Lie Groups to Differential
-Equations, 5.4) in one dot.  substitute computes each power rule^e it needs
-once per call, multiplies each monomial's powers in ascending id order, and
-sums every image into one {monomial: int} table over the common denominator of
-the images, guarded (cancelled terms included) and reduced once, as dot does.
+per order, not l of them for each P_l.  Every P_l and every d Q_l has p's own
+denominator, so the chain Q_{l-1} = P_l - d Q_l runs on {monomial: int} tables
+over p.den: P_l is one lowering scan of p, d Q_l is summed straight into it by
+the derivation's decode loop, each step is guarded as derive is, and each Q is
+brought to lowest terms once, when the chain returns.  formal_integrate reads
+the same chain by the homotopy operator (Olver, Applications of Lie Groups to
+Differential Equations, 5.4) in one dot, and equal_mod_total_derivative asks
+what formal_integrate asks: no field-free term and no Euler derivative.
+substitute computes each power rule^e it needs once per call, multiplies each
+monomial's powers in ascending id order, and sums every image into one
+{monomial: int} table over the common denominator of the images, guarded
+(cancelled terms included) and reduced once, as dot does.
 
 Besides ring arithmetic the module provides the distinguished derivation
 (Leibniz rule, raising dorder), substitution of dorder-0 generators (extended
@@ -335,10 +342,7 @@ class DiffPoly:
             kept = self._partials = {}
         d = kept.get(i)
         if d is None:
-            s, one = _W * i, 1 << (_W * i)
-            # Lowering one field maps distinct monomials to distinct monomials.
-            lowered = {m - one: c * e for m, c in self.num.items() if (e := (m >> s) & _MASK)}
-            d = kept[i] = _reduced(lowered, self.den)
+            d = kept[i] = _reduced(_lowered(self.num, i), self.den)
         return d
 
     def substitute(self, rules: Mapping[FieldVar, "DiffPoly"]) -> "DiffPoly":
@@ -454,12 +458,18 @@ def _ratio(x) -> tuple[int, int]:
 
 def _derivative(p: DiffPoly) -> DiffPoly:
     """The first derivative of p, computed afresh."""
-    steps = {_W * i: _step(i) for i in p._ids()}  # keyed by field shift
-    tab: dict[int, int] = {}
+    return _reduced(_nonzero(_guarded(_add_derivative({}, p.num, 1))), p.den)
+
+
+def _add_derivative(tab: dict[int, int], num: Mapping[int, int], sign: int) -> dict[int, int]:
+    """tab, plus sign times the derivative of the numerators num over the same
+    denominator, summed in place.  Cancelled keys stay, with numerator 0."""
+    steps = {_W * i: _step(i) for i, _ in _fields(reduce(or_, num, 0))}  # keyed by field shift
     get = tab.get
-    for m, c in p.num.items():
+    for m, c in num.items():
         # d(v^e * rest) -> e * v^(e-1) * v' * rest for each factor; the
         # decode is _fields inlined, as in _walk.
+        c *= sign
         x = m
         while x:
             s = (x.bit_length() - 1) // _W * _W
@@ -469,7 +479,14 @@ def _derivative(p: DiffPoly) -> DiffPoly:
             if step:
                 key = m + step
                 tab[key] = get(key, 0) + c * e
-    return _reduced(_nonzero(_guarded(tab)), p.den)
+    return tab
+
+
+def _lowered(num: Mapping[int, int], i: int) -> dict[int, int]:
+    """The numerators of the partial by generator id i, over the same denominator."""
+    s, one = _W * i, 1 << (_W * i)
+    # Lowering one field maps distinct monomials to distinct monomials.
+    return {m - one: c * e for m, c in num.items() if (e := (m >> s) & _MASK)}
 
 
 def _mapped(
@@ -627,22 +644,37 @@ def _ratio_latex(n: int, d: int) -> str:
 
 
 def equal_mod_total_derivative(p: DiffPoly, q: DiffPoly) -> bool:
-    """True iff p - q has vanishing Euler derivatives for every generator."""
+    """True iff p - q is a total derivative: it has no term free of fields (a
+    constant, or constant symbols only), and its Euler derivatives by every
+    field vanish.  These are formal_integrate's conditions."""
     d = p - q
-    return all(d.euler(u).is_zero() for u in d.generators() if not u.is_constant_symbol())
+    if 0 in d.num:
+        return False
+    fields, symbols = [], 0  # symbols: the exponent fields of d's constant symbols
+    for u in d.generators():
+        if u.is_constant_symbol():
+            symbols |= _MASK << (_W * _VAR_ID[u])
+        else:
+            fields.append(u)
+    if symbols and any(m | symbols == symbols for m in d.num):
+        return False
+    return all(d.euler(u).is_zero() for u in fields)
 
 
 def _euler_chain(p: DiffPoly, u: FieldVar) -> list[DiffPoly]:
     """[Q_{M-1}, ..., Q_0, Q_{-1}] for u's top order M in p: Q_{M-1} = P_M and
-    Q_{l-1} = P_l - d Q_l, P_l the partial by u^(l), so Q_{-1} is E_u(p)."""
+    Q_{l-1} = P_l - d Q_l, P_l the partial by u^(l), so Q_{-1} is E_u(p).
+
+    Every P_l and d Q_l has p's denominator, so each step is one numerator
+    table over p.den, guarded as derive guards; nothing is kept on p."""
     kind, index, _ = u
-    top = max((v.dorder for v in map(_VARS.__getitem__, p._ids()) if v.kind == kind and v.index == index), default=0)
-    chain = [p.partial(FieldVar(kind, index, top))]
-    for order in range(top - 1, -1, -1):
-        part, q = p.partial(FieldVar(kind, index, order)), chain[-1]
-        # A zero is never derived, so the shared _ZERO keeps no derivative.
-        chain.append(part - q.derive() if q.num else part)
-    return chain
+    ids = {v.dorder: i for i in p._ids() if (v := _VARS[i]).kind == kind and v.index == index}
+    q, chain = {}, []
+    for order in range(max(ids, default=0), -1, -1):
+        tab = _lowered(p.num, ids[order]) if order in ids else {}
+        q = _nonzero(_guarded(_add_derivative(tab, q, -1))) if q else tab
+        chain.append(q)
+    return [_reduced(q, p.den) for q in chain]
 
 
 def formal_integrate(p: DiffPoly) -> DiffPoly:

@@ -127,6 +127,20 @@ def ref_euler(a, u):
     return out
 
 
+def ref_euler_chain(p: DiffPoly, u: FieldVar) -> list[DiffPoly]:
+    """The Horner chain of the Euler operator on whole polynomials: Q_{M-1} =
+    P_M and Q_{l-1} = P_l - d Q_l, each P_l by DiffPoly.partial, each d Q_l by
+    DiffPoly.derive and each step by DiffPoly.__sub__.  The oracle for
+    diffpoly._euler_chain, which steps on numerator tables."""
+    kind, index, _ = u
+    top = max((v.dorder for v in p.variables() if (v.kind, v.index) == (kind, index)), default=0)
+    chain = [p.partial(FieldVar(kind, index, top))]
+    for order in range(top - 1, -1, -1):
+        part, q = p.partial(FieldVar(kind, index, order)), chain[-1]
+        chain.append(part - q.derive() if q.num else part)
+    return chain
+
+
 def ref_substitute(a, rules):
     """Each monomial rebuilt factor by factor: a generator whose base has a
     rule becomes that rule derived dorder times, any other stays."""
@@ -210,6 +224,14 @@ def ref_integrate(p: DiffPoly) -> DiffPoly:
         result = result + piece
         rem = rem - piece.derive()
     return result
+
+
+def integrated(integrate, p: DiffPoly):
+    """integrate(p), or the message of its NotATotalDerivative."""
+    try:
+        return integrate(p)
+    except NotATotalDerivative as exc:
+        return f"NotATotalDerivative: {exc}"
 
 
 def ref_canonical(pairs):

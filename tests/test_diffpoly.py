@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import re
 import sys
 import threading
@@ -13,6 +14,7 @@ import pytest
 
 from laxdual import diffpoly
 from laxdual.diffpoly import (
+    EXP_LIMIT,
     DiffPoly,
     FieldVar,
     NotATotalDerivative,
@@ -23,16 +25,20 @@ from laxdual.diffpoly import (
 )
 
 from laxdual.fnr import build_psi, casimir_closure_a
+from laxdual.poisson import hamiltonian_density
 
 from conftest import (
     EXT_POOL,
     P,
     canonical,
     fv,
+    integrated,
     random_pair,
     random_poly,
     ref_add,
     ref_derive,
+    ref_euler_chain,
+    ref_integrate,
     ref_mul,
     ref_partial,
     ref_substitute,
@@ -276,6 +282,73 @@ class TestEuler:
         assert density.euler(fv("c", 1)) == P("1/8*b1'' - 1/4*b1^2*c1")
 
 
+def _odd_rational(rng: random.Random) -> Fraction:
+    while True:
+        q = Fraction(rng.randint(17, 63) * rng.choice((1, -1)), rng.randrange(17, 64, 2))
+        if q.denominator > 1:
+            return q
+
+
+def _odd_rules(k: int, rng: random.Random) -> dict:
+    """Rules as a reduction of a PDE's fields: b1 onto a mix of b1 and c1, c1
+    onto c1 and the constant e times the placeholder b1s, the other fields
+    rescaled, every coefficient over an odd denominator."""
+    rules = {
+        fv("b", 1): P("b1").scale(_odd_rational(rng)) + P("c1").scale(_odd_rational(rng)),
+        fv("c", 1): P("c1").scale(_odd_rational(rng)) + P("e*b1s").scale(_odd_rational(rng)),
+    }
+    for j in range(2, k + 1):
+        rules[fv("b", j)] = DiffPoly.var("b", j).scale(_odd_rational(rng))
+        rules[fv("c", j)] = DiffPoly.var("c", j).scale(_odd_rational(rng))
+    return rules
+
+
+def _chain_inputs():
+    """Row entries of build_psi(k, k + 6) and their derivatives, Hamiltonian
+    densities for n <= 5, and the images of the densities and of row k + 2's
+    entries under odd-denominator rules, with the images' derivatives; k = 1..3."""
+    rng = random.Random(30)
+    out = []
+    for k in (1, 2, 3):
+        table = build_psi(k, k + 6)
+        for row in table.rows[1:]:
+            for x in (row.a, row.bp, row.cm):
+                out += [x, x.derive()]
+        densities = [hamiltonian_density(build_psi(k, k), n) for n in range(6)]
+        out += densities
+        for x in densities + [table.rows[k + 2].a, table.rows[k + 2].bp]:
+            image = x.substitute(_odd_rules(k, rng))
+            out += [image, image.derive()]
+    # Fresh copies, so that no kept derivative of the row store is read.
+    return [DiffPoly.from_json(x.to_json()) for x in out if x.num]
+
+
+class TestEulerChain:
+    """_euler_chain steps on numerator tables over p's denominator; the
+    oracle steps on whole polynomials with partial, derive and -."""
+
+    def test_every_element_matches_the_oracle(self):
+        for p in _chain_inputs():
+            for u in p.generators() + [fv("c", 9)]:
+                if not u.is_constant_symbol():
+                    got, want = diffpoly._euler_chain(p, u), ref_euler_chain(DiffPoly.from_json(p.to_json()), u)
+                    assert [q.to_text() for q in got] == [q.to_text() for q in want], (p.to_text(), u)
+                    assert got == want
+
+    def test_formal_integrate_matches_the_oracle(self):
+        for p in _chain_inputs():
+            assert integrated(formal_integrate, p) == integrated(ref_integrate, p), p.to_text()
+
+    def test_the_chain_keeps_nothing(self):
+        texts = ("b1*c1'' - 1/3*e*b1s'*c1", "b1'*c1 + b1*c1'", "3/7*b1''*c1'^2*b1s - e*c1")
+        for p in [P(text) for text in texts] + _chain_inputs()[-12:]:
+            for u in p.generators():
+                p.euler(u)
+            equal_mod_total_derivative(p, DiffPoly.zero())
+            integrated(formal_integrate, p)
+            assert p._partials is None and p._d is None, p.to_text()
+
+
 class TestFormalIntegrate:
     def test_inverse_of_leibniz(self):
         assert formal_integrate(P("b1'*c1 + b1*c1'")) == P("b1*c1")
@@ -342,6 +415,35 @@ class TestEqualModTotalDerivative:
 
     def test_nonzero_euler_image(self):
         assert not equal_mod_total_derivative(P("b1^2*c1^2"), DiffPoly.zero())
+
+    @pytest.mark.parametrize(
+        "p, q", [("b1*c1 + 3", "b1*c1"), ("e", "0"), ("1", "0"), ("e*b1' + 2*e^2", "0"), ("b1' + e - 1/3", "b1'")]
+    )
+    def test_field_free_terms_are_not_total_derivatives(self, p, q):
+        # No derivative has a term without fields, and formal_integrate
+        # refuses one.
+        assert not equal_mod_total_derivative(P(p), P(q))
+
+    def test_constant_symbols_are_coefficients(self):
+        assert equal_mod_total_derivative(P("e*b1'"), DiffPoly.zero())
+        assert equal_mod_total_derivative(P("e*b1' + 2*e + 3"), P("2*e + 3"))
+        assert equal_mod_total_derivative(P("e^2*b1s'*c1 + e^2*b1s*c1'"), DiffPoly.zero())
+
+    def test_holds_exactly_when_formal_integrate_succeeds(self, rng):
+        inputs = []
+        for k, depth in ((1, 8), (2, 8), (3, 9)):
+            for row in build_psi(k, depth).rows:
+                for x in (row.a, row.bp, row.cm):
+                    inputs += [x, x.derive()]
+        for _ in range(60):
+            p = random_poly(rng, pool=EXT_POOL)
+            inputs += [p, p.derive(), p.derive() + random_poly(rng, max_terms=1, pool=EXT_POOL)]
+        verdicts = set()
+        for p in inputs:
+            integrable = not isinstance(integrated(formal_integrate, p), str)
+            assert equal_mod_total_derivative(p, DiffPoly.zero()) == integrable, p.to_text()
+            verdicts.add(integrable)
+        assert verdicts == {True, False}
 
 
 class TestCanonicalForm:
@@ -633,6 +735,14 @@ class TestExponentLimit:
         assert P("b1'^32766*b1").derive() == P("b1'^32767 + 32766*b1*b1'^32765*b1''")
         with pytest.raises(ValueError, match="32768"):
             P("b1'^32767*b1").derive()
+
+    def test_euler_reaching_the_limit_raises(self):
+        # E_c1 = -d(b1*b1'^e): its term b1'^(e+1) reaches the limit for e = EXP_LIMIT - 1.
+        below = f"c1'*b1*b1'^{EXP_LIMIT - 2}"
+        assert P(below).euler(fv("c", 1)) == P(f"-b1'^{EXP_LIMIT - 1} - {EXP_LIMIT - 2}*b1*b1'^{EXP_LIMIT - 3}*b1''")
+        message = f"exponent overflow: a generator's exponent reached the limit {EXP_LIMIT}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_poly(f"c1'*b1*b1'^{EXP_LIMIT - 1}").euler(fv("c", 1))
 
     def test_integration_reaching_the_limit_raises(self):
         assert formal_integrate(P("b1^32766*b1'")) == P("1/32767*b1^32767")
