@@ -22,7 +22,6 @@ from .loopalg import (
     lm_commutator,
     project_plus,
     shift,
-    sl2_commutator,
     trace_pair,
 )
 from .fnr import (

@@ -18,9 +18,9 @@ over one `den: int`, canonical (den >= 1, no zero numerators, gcd(den, *num)
 from ints.  Coefficients come in as int pairs: the constructor, `const` and
 `scale` read `numerator`/`denominator` (an int or a Fraction, never a float),
 and the parser and `from_json` read `n` or `n/d` in ASCII digits as two ints.
-Only `terms` and `constant_term` return a Fraction; they import `fractions` on
-first use, and the CLI calls neither, so it never loads `fractions` (nor
-`decimal` and `numbers` with it).  Nothing in this module touches a float.
+Only `terms` returns a Fraction; it imports `fractions` on first use, and the
+CLI never calls it, so it never loads `fractions` (nor `decimal` and `numbers`
+with it).  Nothing in this module touches a float.
 
 The constructor, the parser, `from_json` and `formal_integrate` each make
 (packed monomial, n, d) items, one per term, and `_summed` adds the items in
@@ -38,7 +38,8 @@ with small integer weights.  Every product lands in a single {monomial: int}
 table over the common denominator of the pairs, with no Fraction in the loop;
 the table is then filtered for zeros, checked by the same overflow guard
 (cancelled products included) and brought to lowest terms once.  The
-convolutions of fnr and loopalg use it in place of chains of * and +.
+convolutions of fnr and loopalg use it in place of chains of * and +.  A lone
+live triple (1, x, 1), or (1, 1, x), is x itself, with what x keeps.
 
 A DiffPoly keeps its first derivative in the slot _d once derive computes it,
 so p.derive(l) walks a chain of kept derivatives, and beside it, in the slot
@@ -53,14 +54,16 @@ chain below fills neither.
 
 The Euler operator sum_l (-d)^l P_l, P_l the partial by u^(l), is evaluated in
 Horner form P_0 - d(P_1 - d(P_2 - ...)) from u's top order down: one derivation
-per order, not l of them for each P_l.  Every P_l and every d Q_l has p's own
-denominator, so the chain Q_{l-1} = P_l - d Q_l runs on {monomial: int} tables
-over p.den: P_l is one lowering scan of p, d Q_l is summed straight into it by
-the derivation's decode loop, each step is guarded as derive is, and each Q is
-brought to lowest terms once, when the chain returns.  formal_integrate reads
-the same chain by the homotopy operator (Olver, Applications of Lie Groups to
-Differential Equations, 5.4) in one dot, and equal_mod_total_derivative asks
-what formal_integrate asks: no field-free term and no Euler derivative.
+per order, not l of them for each P_l.  _euler_chains runs it for many fields
+from one decode of p, which splits p into its partials by all their
+generators at once.  Every P_l and every d Q_l has p's own denominator, so the
+chain Q_{l-1} = P_l - d Q_l runs on {monomial: int} tables over p.den: d Q_l
+is summed straight into P_l by the derivation's decode loop, and each step of
+every chain is guarded as derive is.  Callers bring to lowest terms only the
+Qs they read: euler and variational gradients the last, formal_integrate
+(the homotopy operator, Olver, Applications of Lie Groups to Differential
+Equations, 5.4, in one dot) each one, and equal_mod_total_derivative, which
+asks what formal_integrate asks, none.
 substitute computes each power rule^e it needs once per call, multiplies each
 monomial's powers in ascending id order, and sums every image into one
 {monomial: int} table over the common denominator of the images, guarded
@@ -226,11 +229,6 @@ class DiffPoly:
     def is_zero(self) -> bool:
         return not self.num
 
-    def constant_term(self) -> Fraction:
-        from fractions import Fraction
-
-        return Fraction(self.num.get(0, 0), self.den)
-
     def _ids(self) -> list[int]:
         # A field of the OR of all keys is nonzero iff its id occurs somewhere.
         return [i for i, _ in _fields(reduce(or_, self.num, 0))]
@@ -277,17 +275,24 @@ class DiffPoly:
         """sum of w*p*q over the (w, p, q) triples, w a small integer weight.
 
         Every product goes into one {monomial: int} table over the common
-        denominator of the pairs, which is then guarded and reduced once."""
-        pairs = [(w, p.num, q.num, p.den * q.den) for w, p, q in terms if w and p.num and q.num]
-        if not pairs:
+        denominator of the pairs, which is then guarded and reduced once.  A
+        lone triple (1, x, 1) or (1, 1, x), 1 the unit, is x itself."""
+        live = [(w, p, q) for w, p, q in terms if w and p.num and q.num]
+        if not live:
             return _ZERO
-        den = lcm(*(d for *_, d in pairs))
+        if len(live) == 1:
+            w, p, q = live[0]
+            if w == 1 and q.den == 1 and q.num == _UNIT:
+                return p
+            if w == 1 and p.den == 1 and p.num == _UNIT:
+                return q
+        den = lcm(*(p.den * q.den for _, p, q in live))
         tab: dict[int, int] = {}
         get = tab.get
-        for w, num1, num2, d in pairs:
-            f = w * (den // d)
-            items2 = list(num2.items())
-            for m1, c1 in num1.items():
+        for w, p, q in live:
+            f = w * (den // (p.den * q.den))
+            items2 = list(q.num.items())
+            for m1, c1 in p.num.items():
                 c1 *= f
                 for m2, c2 in items2:
                     m = m1 + m2
@@ -342,7 +347,9 @@ class DiffPoly:
             kept = self._partials = {}
         d = kept.get(i)
         if d is None:
-            d = kept[i] = _reduced(_lowered(self.num, i), self.den)
+            s, one = _W * i, 1 << (_W * i)
+            # Lowering one field maps distinct monomials to distinct monomials.
+            d = kept[i] = _reduced({m - one: c * e for m, c in self.num.items() if (e := (m >> s) & _MASK)}, self.den)
         return d
 
     def substitute(self, rules: Mapping[FieldVar, "DiffPoly"]) -> "DiffPoly":
@@ -356,10 +363,10 @@ class DiffPoly:
 
     def euler(self, target: FieldVar) -> "DiffPoly":
         """Variational derivative: sum_l (-d)^l of d(self)/d(target^(l)), in
-        Horner form P_0 - d(P_1 - d(P_2 - ...)): the last of its _euler_chain."""
+        Horner form P_0 - d(P_1 - d(P_2 - ...)): _euler_gradient of one field."""
         if target.dorder != 0:
             raise ValueError("euler target must be a dorder-0 generator")
-        return _euler_chain(self, target)[-1]
+        return _euler_gradient(self, (target,)).get(target, _ZERO)
 
     # -- output --------------------------------------------------------------
 
@@ -482,13 +489,6 @@ def _add_derivative(tab: dict[int, int], num: Mapping[int, int], sign: int) -> d
     return tab
 
 
-def _lowered(num: Mapping[int, int], i: int) -> dict[int, int]:
-    """The numerators of the partial by generator id i, over the same denominator."""
-    s, one = _W * i, 1 << (_W * i)
-    # Lowering one field maps distinct monomials to distinct monomials.
-    return {m - one: c * e for m, c in num.items() if (e := (m >> s) & _MASK)}
-
-
 def _mapped(
     p: DiffPoly, images: Mapping[FieldVar, DiffPoly], derivation: Callable[[DiffPoly], DiffPoly] | None = None
 ) -> DiffPoly:
@@ -606,6 +606,7 @@ def _nonzero(tab: dict[int, int]) -> dict[int, int]:
 
 
 _ZERO = _wrap({}, 1)
+_UNIT = {0: 1}  # the numerators of the constant 1
 
 
 class _Factors(dict):
@@ -658,39 +659,61 @@ def equal_mod_total_derivative(p: DiffPoly, q: DiffPoly) -> bool:
             fields.append(u)
     if symbols and any(m | symbols == symbols for m in d.num):
         return False
-    return all(d.euler(u).is_zero() for u in fields)
+    return not any(chain[-1] for chain in _euler_chains(d, fields).values())
 
 
-def _euler_chain(p: DiffPoly, u: FieldVar) -> list[DiffPoly]:
-    """[Q_{M-1}, ..., Q_0, Q_{-1}] for u's top order M in p: Q_{M-1} = P_M and
-    Q_{l-1} = P_l - d Q_l, P_l the partial by u^(l), so Q_{-1} is E_u(p).
+def _euler_chains(p: DiffPoly, fields: Iterable[FieldVar]) -> dict[FieldVar, list[dict[int, int]]]:
+    """{u: [Q_{M-1}, ..., Q_0, Q_{-1}]} for each dorder-0 field u, M u's top
+    order in p: Q_{M-1} = P_M and Q_{l-1} = P_l - d Q_l, P_l the partial by
+    u^(l), so Q_{-1} is E_u(p).  Each Q is a numerator table over p.den; a
+    field's partials are dropped once its chain is built."""
+    chains = dict.fromkeys(fields)
+    partials: dict[FieldVar, dict[int, dict[int, int]]] = {}  # u -> {order l: P_l}
+    split: dict[int, dict[int, int]] = {}  # field shift -> the partial by that generator
+    for i in p._ids():
+        v = _VARS[i]
+        if (u := v.base()) in chains:
+            split[_W * i] = partials.setdefault(u, {})[v.dorder] = {}
+    get = split.get
+    for m, c in p.num.items():
+        # The decode is _fields inlined, as in _add_derivative; lowering one
+        # field maps distinct monomials to distinct monomials.
+        x = m
+        while x:
+            s = (x.bit_length() - 1) // _W * _W
+            e = x >> s
+            x -= e << s
+            if (tab := get(s)) is not None:
+                tab[m - (1 << s)] = c * e
+    for u in chains:
+        tabs = partials.pop(u, {})
+        q, chain = {}, []
+        for order in range(max(tabs, default=0), -1, -1):
+            tab = tabs.pop(order, {})
+            q = _nonzero(_guarded(_add_derivative(tab, q, -1))) if q else tab
+            chain.append(q)
+        chains[u] = chain
+    return chains
 
-    Every P_l and d Q_l has p's denominator, so each step is one numerator
-    table over p.den, guarded as derive guards; nothing is kept on p."""
-    kind, index, _ = u
-    ids = {v.dorder: i for i in p._ids() if (v := _VARS[i]).kind == kind and v.index == index}
-    q, chain = {}, []
-    for order in range(max(ids, default=0), -1, -1):
-        tab = _lowered(p.num, ids[order]) if order in ids else {}
-        q = _nonzero(_guarded(_add_derivative(tab, q, -1))) if q else tab
-        chain.append(q)
-    return [_reduced(q, p.den) for q in chain]
+
+def _euler_gradient(p: DiffPoly, fields: Iterable[FieldVar]) -> dict[FieldVar, DiffPoly]:
+    """{u: E_u(p)} for the fields whose Euler derivative is nonzero, in order."""
+    return {u: _reduced(chain[-1], p.den) for u, chain in _euler_chains(p, fields).items() if chain[-1]}
 
 
 def formal_integrate(p: DiffPoly) -> DiffPoly:
     """Antiderivative q with dq = p and zero constant term: by the homotopy
-    operator, sum_u sum_l u^(l) Q_l over each field's _euler_chain with each
+    operator, sum_u sum_l u^(l) Q_l over each field's Euler chain with each
     monomial divided by its degree in the fields (constant symbols do not scale)."""
     def degree(mono: int) -> int:
         return sum(e for i, e in _fields(mono) if not _VARS[i].is_constant_symbol())
 
     triples = []
-    for u in p.generators():
-        if not u.is_constant_symbol():
-            *chain, eu = _euler_chain(p, u)
-            if eu.num:
-                raise NotATotalDerivative(f"euler derivative with respect to {u} does not vanish")
-            triples += ((1, DiffPoly.from_var(u.derived(l)), q) for l, q in enumerate(reversed(chain)))
+    fields = [u for u in p.generators() if not u.is_constant_symbol()]
+    for u, (*chain, eu) in _euler_chains(p, fields).items():
+        if eu:
+            raise NotATotalDerivative(f"euler derivative with respect to {u} does not vanish")
+        triples += ((1, DiffPoly.from_var(u.derived(l)), _reduced(q, p.den)) for l, q in enumerate(reversed(chain)))
     if free := [m for m in p.num if not degree(m)]:  # the formula needs p to vanish with the fields
         if not (mono := max(free, key=_peel_key)):
             raise NotATotalDerivative("nonzero constant term has no antiderivative")

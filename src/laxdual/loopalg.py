@@ -70,17 +70,10 @@ _SL2_ZERO = Sl2Poly()
 _SIGMA3 = Sl2Poly(a=DiffPoly.const(1))
 
 
-def sl2_commutator(x: Sl2Poly, y: Sl2Poly) -> Sl2Poly:
-    """[x, y] on the (sigma+, sigma-, sigma3) basis.
-
-    [sigma3, sigma+-] = +-2 sigma+-,  [sigma+, sigma-] = sigma3.
-    """
-    a, bp, cm = _commutator_terms(x, y)
-    return Sl2Poly(DiffPoly.dot(a), DiffPoly.dot(bp), DiffPoly.dot(cm))
-
-
 def _commutator_terms(x: Sl2Poly, y: Sl2Poly):
-    """The (weight, p, q) products of the a, bp and cm components of [x, y]."""
+    """The (weight, p, q) products of the a, bp and cm components of [x, y] on
+    the (sigma+, sigma-, sigma3) basis: [sigma3, sigma+-] = +-2 sigma+-,
+    [sigma+, sigma-] = sigma3."""
     return (
         ((1, x.bp, y.cm), (-1, x.cm, y.bp)),
         ((2, x.a, y.bp), (-2, y.a, x.bp)),

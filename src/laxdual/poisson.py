@@ -45,7 +45,7 @@ from __future__ import annotations
 import threading
 from itertools import combinations, product
 
-from .diffpoly import DiffPoly, FieldVar
+from .diffpoly import DiffPoly, FieldVar, _euler_gradient
 from .fnr import PsiTable, _memoized, lax_matrix
 from .loopalg import DepthExhausted, entry_polynomials
 from .records import FrozenRecord
@@ -91,7 +91,7 @@ class BracketTable(FrozenRecord):
 
     def variational_gradient(self, density: DiffPoly) -> dict[FieldVar, DiffPoly]:
         """The nonzero Euler derivatives of a density by the free fields."""
-        return {u: e for u in self.fields if not (e := density.euler(u)).is_zero()}
+        return _euler_gradient(density, self.fields)
 
     def vector_field(self, dq: dict[FieldVar, DiffPoly]) -> dict[FieldVar, DiffPoly]:
         """{u: sum_v P[u, v] dq_v} for every free field u: the Hamiltonian

@@ -115,6 +115,22 @@ def ref_partial(a, v):
     return out
 
 
+def constant_term(p: DiffPoly) -> Fraction:
+    """The coefficient of p's field-free monomial 1."""
+    return Fraction(p.num.get(0, 0), p.den)
+
+
+def sl2_commutator(x: Sl2Poly, y: Sl2Poly) -> Sl2Poly:
+    """[x, y] on the (sigma+, sigma-, sigma3) basis, with plain * and -:
+    [sigma3, sigma+-] = +-2 sigma+-, [sigma+, sigma-] = sigma3.  The oracle
+    for lm_commutator, which sums each coefficient's products in one dot."""
+    return Sl2Poly(
+        x.bp * y.cm - x.cm * y.bp,
+        (x.a * y.bp - y.a * x.bp).scale(2),
+        (y.a * x.cm - x.a * y.cm).scale(2),
+    )
+
+
 def ref_euler(a, u):
     """The textbook sum over l of (-D)^l applied to the partial by u^(l)."""
     out = {}

@@ -11,11 +11,10 @@ from laxdual.loopalg import (
     lm_commutator,
     project_plus,
     shift,
-    sl2_commutator,
     trace_pair,
 )
 
-from conftest import P, random_poly
+from conftest import P, random_poly, sl2_commutator
 
 SIGMA3 = Sl2Poly.sigma3()
 SIGMA_P = Sl2Poly(bp=DiffPoly.const(1))

@@ -14,10 +14,13 @@ from pathlib import Path
 
 import pytest
 
+from laxdual import diffpoly
 from laxdual.diffpoly import DiffPoly, equal_mod_total_derivative, formal_integrate
 from laxdual.fnr import build_psi
 from laxdual.poisson import flow_matches_zc, hamiltonians_commute, sklyanin_check
 from laxdual.zerocurv import dual_equivalence, dual_table_map_check
+
+from conftest import ref_euler_chain
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -62,6 +65,21 @@ def test_formal_integrate_inverts_derive_on_deep_rows():
             for x in (row.a, row.bp, row.cm):
                 if not x.is_zero():
                     assert formal_integrate(x.derive()) == x, (k, x.to_text())
+
+
+@pytest.mark.slow
+def test_euler_chains_match_the_oracle_on_deep_rows():
+    # Every field's chain, each element reduced, against the chain of whole
+    # polynomials; the oracle reads a copy, so the shared rows keep no partials.
+    for k in (1, 2):
+        table = build_psi(k, 20)
+        fields = table.free_fields()
+        for row in table.rows[1:]:
+            for x in (row.a, row.bp, row.cm):
+                p = x.derive()
+                for u, chain in diffpoly._euler_chains(p, fields).items():
+                    want = ref_euler_chain(DiffPoly.from_json(p.to_json()), u)
+                    assert [diffpoly._reduced(q, p.den) for q in chain] == want, (k, u, x.to_text())
 
 
 @pytest.mark.slow

@@ -13,7 +13,6 @@ from laxdual.loopalg import (
     Sl2Poly,
     lm_commutator,
     shift,
-    sl2_commutator,
 )
 from laxdual.fnr import diag_consistency, lax_matrix
 from laxdual import fnr, zerocurv
@@ -28,7 +27,7 @@ from laxdual.zerocurv import (
     zero_curvature,
 )
 
-from conftest import P, digest, fv, ref_flow, report_digest, tampered_above_k, unowned, with_added
+from conftest import P, digest, fv, ref_flow, report_digest, sl2_commutator, tampered_above_k, unowned, with_added
 
 
 class TestZeroCurvature:
