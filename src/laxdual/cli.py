@@ -285,6 +285,8 @@ def _cmd_psi(args) -> int:
         rendered = _render_lax(lax_matrix(build_psi(args.k, max(args.k, args.lax)), args.lax), args.format)
     else:
         depth = args.depth if args.depth is not None else args.k + 2
+        if depth < args.k:
+            raise CliError(f"argument --depth: depth must be >= k = {args.k}")
         rendered = _render_psi(build_psi(args.k, depth), args.format)
     _emit(rendered, args.out)
     return 0
@@ -364,12 +366,18 @@ def _cmd_hamiltonian(args) -> int:
 # -- verify ---------------------------------------------------------------------------
 
 
+def _duality_report(args):
+    if args.n >= args.k:
+        raise CliError(f"argument --n: n must be < k = {args.k}")
+    return dual_equivalence(args.n, args.k).report
+
+
 # Verify word -> (report builder on the parsed flags, flags its JSON ends with).
 # The builders look build_psi and the checks up in this module when they run,
 # so a rebound name (a tampered table, a traced check) is the one called.
 _CHECKS = {
     "sklyanin": (lambda args: sklyanin_check(build_psi(args.k, args.k)), ("k",)),
-    "duality": (lambda args: dual_equivalence(args.n, args.k).report, ("n", "k")),
+    "duality": (_duality_report, ("n", "k")),
     "flow": (lambda args: flow_matches_zc(build_psi(args.k, max(args.k, args.n)), args.n), ("k", "n")),
 }
 

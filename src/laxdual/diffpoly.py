@@ -64,10 +64,15 @@ Qs they read: euler and variational gradients the last, formal_integrate
 (the homotopy operator, Olver, Applications of Lie Groups to Differential
 Equations, 5.4, in one dot) each one, and equal_mod_total_derivative, which
 asks what formal_integrate asks, none.
-substitute computes each power rule^e it needs once per call, multiplies each
-monomial's powers in ascending id order, and sums every image into one
-{monomial: int} table over the common denominator of the images, guarded
-(cancelled terms included) and reduced once, as dot does.
+substitute computes each power rule^e it needs once per call, as a DiffPoly,
+and builds no DiffPoly for a monomial's image.  One decode of each monomial
+gives its unmapped rest and its powers; each coefficient is scaled once to the
+lcm over monomials of their powers' denominator products.  The product then
+runs on {monomial: int} tables, from {rest: c} through each power but the last,
+and the last power goes straight into the one image table, which is filtered
+for zeros and reduced once, as dot does.  Every table a step forms is guarded,
+cancelled keys included: each key sums two fields below EXP_LIMIT, which
+cannot carry into the next field, while three could.
 
 Besides ring arithmetic the module provides the distinguished derivation
 (Leibniz rule, raising dorder), substitution of dorder-0 generators (extended
@@ -355,10 +360,17 @@ class DiffPoly:
     def substitute(self, rules: Mapping[FieldVar, "DiffPoly"]) -> "DiffPoly":
         """Replace dorder-0 generators by polynomials, an occurrence at order l
         by the l-th derivative of the rule, so that substitution commutes with
-        the derivation.  Generators without a rule are untouched."""
-        for v in rules:
+        the derivation.  Generators without a rule are untouched.  A constant
+        symbol, which the derivation kills, may only map to a polynomial that
+        the derivation kills too."""
+        for v, rhs in rules.items():
+            if not (isinstance(v, FieldVar) and isinstance(rhs, DiffPoly)):
+                kinds = f"{type(v).__name__} -> {type(rhs).__name__}"
+                raise TypeError(f"the substitution rule for {_shown(v)} must map a FieldVar to a DiffPoly, got {kinds}")
             if v.dorder != 0:
                 raise ValueError(f"substitution rules must target dorder-0 generators, got {v}")
+            if v.is_constant_symbol() and rhs.derive().num:
+                raise ValueError(f"the constant symbol {v} cannot map to a polynomial with a nonzero derivative")
         return _mapped(self, rules)
 
     def euler(self, target: FieldVar) -> "DiffPoly":
@@ -514,32 +526,44 @@ def _mapped(
         return p
     if len(image_of) == 1 and p.den == 1 and p.num == {1 << (_W * min(image_of)): 1}:
         return image_of[min(image_of)]
-    # Each monomial becomes (rest, c, product of its images' powers), each
-    # power multiplied out once per call; the products are then summed into
-    # one table over their common denominator.
-    powers = {i: [image] for i, image in image_of.items()}  # image^1, image^2, ...
+    # Each monomial's product runs on numerator tables over one common
+    # denominator, from {rest: c} through its image powers (each multiplied
+    # out once per call), the last straight into the image table.  Every step
+    # is guarded, so a key sums two fields below EXP_LIMIT, which cannot
+    # carry into the next field; three could.
+    powers = {_W * i: [image] for i, image in image_of.items()}  # by field shift: image^1, image^2, ...
     terms = []
     for m, c in p.num.items():
-        rest, prod = m, None
-        for i, e in reversed(_fields(m)):  # ascending id
-            if i in image_of:
-                rest -= e << (_W * i)
-                up = powers[i]
+        rest, factors, d, x = m, [], 1, m
+        while x:  # the decode is _fields inlined, as in _add_derivative
+            s = (x.bit_length() - 1) // _W * _W
+            e = x >> s
+            x -= e << s
+            if (up := powers.get(s)) is not None:
                 while len(up) < e:
                     up.append(up[-1] * up[0])
-                prod = up[e - 1] if prod is None else prod * up[e - 1]
-        if prod is None:
-            terms.append((m, c, 1, {0: 1}))
-        elif prod.num:
-            terms.append((rest, c, prod.den, prod.num))
+                rest -= e << s
+                factors.append(up[e - 1].num)
+                d *= up[e - 1].den
+        terms.append((rest, c, d, factors))
     den = lcm(*(d for _, _, d, _ in terms))
     tab: dict[int, int] = {}
     get = tab.get
-    for rest, c, d, num in terms:
-        c *= den // d
-        for m2, c2 in num.items():
-            m = rest + m2
-            tab[m] = get(m, 0) + c * c2
+    for rest, c, d, factors in terms:
+        acc = {rest: c * (den // d)}
+        *factors, last = factors or (_UNIT,)
+        for num in factors:
+            prod: dict[int, int] = {}
+            put = prod.get
+            for m1, c1 in acc.items():
+                for m2, c2 in num.items():
+                    m = m1 + m2
+                    prod[m] = put(m, 0) + c1 * c2
+            acc = _guarded(prod)
+        for m1, c1 in acc.items():
+            for m2, c2 in last.items():
+                m = m1 + m2
+                tab[m] = get(m, 0) + c1 * c2
     return _reduced(_nonzero(_guarded(tab)), den * p.den)
 
 

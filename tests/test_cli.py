@@ -208,6 +208,33 @@ class TestPsi:
         assert "--lax" in err and "lax must be >= 0" in err
         assert "ValueError" not in err
 
+    @pytest.mark.parametrize(
+        "argv, config, error",
+        [
+            (("psi", "--k", "3", "--depth", "2"), "", "argument --depth: depth must be >= k = 3"),
+            (("psi", "--k", "3", "--depth=1", "--format", "json"), "", "argument --depth: depth must be >= k = 3"),
+            (("psi", "--k", "3"), "depth=2\n", "argument --depth: depth must be >= k = 3"),
+            (("psi", "--depth", "4"), "k=5\n", "argument --depth: depth must be >= k = 5"),
+            (("verify", "duality", "--n", "3", "--k", "2"), "", "argument --n: n must be < k = 2"),
+            (("verify", "duality", "--n", "2", "--k", "2"), "", "argument --n: n must be < k = 2"),
+            (("verify", "duality", "--k", "2"), "n=2\n", "argument --n: n must be < k = 2"),
+            (("verify", "duality", "--n", "4"), "k=3\nformat=json\n", "argument --n: n must be < k = 3"),
+        ],
+        ids=["depth", "depth-equals", "depth-config", "k-config", "duality-above", "duality-equal",
+             "duality-n-config", "duality-k-config"],
+    )
+    def test_flags_out_of_order_are_usage_errors(self, tmp_path, argv, config, error):
+        # These used to reach the engine and print its ValueError.
+        cfg = tmp_path / "flags.cfg"
+        cfg.write_text(config, encoding="utf-8")
+        code, out, err = run_cli(*(("--config", str(cfg)) if config else ()), *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: " + error]
+
+    def test_flags_at_their_bounds_run(self):
+        assert run_cli("psi", "--k", "3", "--depth", "3")[0] == 0
+        assert run_cli("verify", "duality", "--n", "2", "--k", "3")[0] == 0
+
     def test_default_depth(self):
         code, out, _ = run_cli("psi", "--k", "2")
         assert code == 0

@@ -19,6 +19,7 @@ from laxdual.diffpoly import (
     FieldVar,
     NotATotalDerivative,
     PolyParseError,
+    _mapped,
     equal_mod_total_derivative,
     formal_integrate,
     parse_poly,
@@ -26,6 +27,7 @@ from laxdual.diffpoly import (
 
 from laxdual.fnr import build_psi, casimir_closure_a
 from laxdual.poisson import field_bracket_table, hamiltonian_density
+from laxdual.zerocurv import zero_curvature
 
 from conftest import (
     EXT_POOL,
@@ -40,6 +42,7 @@ from conftest import (
     ref_derive,
     ref_euler_chain,
     ref_integrate,
+    ref_mapped,
     ref_mul,
     ref_partial,
     ref_substitute,
@@ -276,6 +279,103 @@ class TestSubstitute:
     def test_rejects_derived_targets(self):
         with pytest.raises(ValueError):
             P("b1").substitute({fv("b", 1, 1): P("c1")})
+
+    def test_matches_reference_on_rational_reduce_shapes(self):
+        # The rule shapes of a rational reduction: odd denominators, a rule
+        # holding its own target, c1 onto e*b1s, a zero image, and two images
+        # whose products cancel; monomials with 0 to 4 mapped factors, each to
+        # a power up to 4, beside unmapped fields.
+        rules = {
+            fv("b", 1): P("1/3*b1 + 5/7*c1"),
+            fv("c", 1): P("-3/5*c1 + 7/9*e*b1s"),
+            fv("b", 2): P("b3 - 3/5*c3"),
+            fv("c", 2): P("3/5*c3 - b3"),
+            fv("b", 3): DiffPoly.zero(),
+        }
+        ref_rules = {v: rhs.terms for v, rhs in rules.items()}
+        total = DiffPoly.zero()
+        for p in _shaped_monomials([fv("b", 1), fv("c", 1), fv("b", 2), fv("c", 2), fv("b", 3), fv("b", 1, 1),
+                                    fv("c", 1, 2), fv("b", 2, 1)], [fv("c", 3), fv("e", 0), fv("b1s", 0, 1)]):
+            assert p.substitute(rules).terms == ref_substitute(p.terms, ref_rules), p
+            total += p
+        for p in (total, total + P("2/3*b2^2*c3 + 2/3*b2*c2*c3"), P("b2^2 + b2*c2 - b1*b3^4")):
+            assert p.substitute(rules).terms == ref_substitute(p.terms, ref_rules), p
+        assert P("b2^2 + b2*c2 - b1*b3^4").substitute(rules).is_zero()
+
+    def test_mapped_matches_reference_on_rational_reduce_shapes(self):
+        # As above, with the t_1 evolution of the t_2 fields as the derivation.
+        derivation = zero_curvature(build_psi(2, 2), 1)
+        evolution = {u: rule.terms for u, rule in derivation.evolution.items()}
+        images = {
+            fv("b", 1): P("1/3*b1 + 5/7*c1"),
+            fv("c", 1): DiffPoly.zero(),
+            fv("b", 2): P("-3/5*b2 + 7/9*e*c2"),
+            fv("c", 2): P("3/5*b2 - 7/9*e*c2"),
+        }
+        ref_images = {v: rhs.terms for v, rhs in images.items()}
+        total = DiffPoly.zero()
+        for p in _shaped_monomials([fv("b", 1), fv("c", 1), fv("b", 2), fv("c", 2), fv("b", 1, 1), fv("c", 2, 1)],
+                                   [fv("e", 0)], top=3):
+            assert _mapped(p, images, derivation.derivative).terms == ref_mapped(p.terms, ref_images, evolution), p
+            total += p
+        assert _mapped(total, images, derivation.derivative).terms == ref_mapped(total.terms, ref_images, evolution)
+
+    def test_guards_each_partial_product(self):
+        message = "^" + re.escape(f"exponent overflow: a generator's exponent reached the limit {EXP_LIMIT}") + "$"
+        huge = P("b2^20000")
+        # b2^80000 carries past b2's guard bit into the next field, so the
+        # image table's guard alone cannot see it; the partial products can.
+        with pytest.raises(ValueError, match=message):
+            P("b1*c1*b3*c3").substitute({fv(kind, index): huge for kind in "bc" for index in (1, 3)})
+        # The rest of the monomial is a third field in every key it meets
+        # after the first power, so it joins the first partial product.
+        rules = {fv("b", 1): P("b2^10000"), fv("c", 1): P("b2^10000"), fv("b", 3): huge}
+        with pytest.raises(ValueError, match=message):
+            P("b2^30000*b1*c1*b3").substitute(rules)
+        assert P("b2^2767*b1*b3").substitute(rules) == P("b2^32767")
+
+    def test_constant_symbol_maps_only_to_a_constant(self):
+        # e*b1 under e -> b1 gave b1*b1' after the derivation, and 2*b1*b1'
+        # before it: the derivation kills e, and not its image.
+        p = P("e*b1")
+        with pytest.raises(ValueError, match="^the constant symbol e cannot map to a polynomial with a nonzero"):
+            p.substitute({fv("e", 0): P("b1")})
+        for image in (P("3/5"), P("2*e - 7/3"), DiffPoly.zero()):
+            rules = {fv("e", 0): image}
+            assert p.substitute(rules).derive() == p.derive().substitute(rules)
+        assert p.substitute({fv("e", 0): P("2*e - 7/3")}) == P("2*e*b1 - 7/3*b1")
+
+    @pytest.mark.parametrize(
+        "text, rules, named",
+        [
+            ("b1", {fv("b", 1): 3}, "FieldVar(kind='b', index=1, dorder=0)"),
+            ("b1^2", {fv("b", 1): 3}, "FieldVar(kind='b', index=1, dorder=0)"),
+            ("b1", {fv("b", 1): Fraction(1, 3)}, "FieldVar(kind='b', index=1, dorder=0)"),
+            ("b1*c1", {"b1": P("c1")}, "'b1'"),
+            ("b1", {("b", 1, 0): P("c1")}, "('b', 1, 0)"),
+        ],
+        ids=["int-image", "int-image-squared", "fraction-image", "str-key", "tuple-key"],
+    )
+    def test_rejects_rules_of_the_wrong_type(self, text, rules, named):
+        # An int image came back as the int, or ended in AttributeError; a str
+        # key ended in AttributeError.
+        kinds = " -> ".join(type(x).__name__ for x in next(iter(rules.items())))
+        want = f"the substitution rule for {named} must map a FieldVar to a DiffPoly, got {kinds}"
+        with pytest.raises(TypeError, match="^" + re.escape(want) + "$"):
+            parse_poly(text).substitute(rules)
+
+
+def _shaped_monomials(mapped: list, unmapped: list, top: int = 4) -> list:
+    """Monomials with 0 to 4 factors from `mapped`, each to a power 1..top,
+    times 0 to 2 factors from `unmapped`, over odd denominators."""
+    rng = random.Random(32)
+    out = []
+    for count in range(5):
+        for _ in range(6):
+            factors = [(v, rng.randint(1, top)) for v in rng.sample(mapped, count)]
+            factors += [(v, rng.randint(1, 2)) for v in rng.sample(unmapped, rng.randint(0, min(2, len(unmapped))))]
+            out.append(DiffPoly({tuple(sorted(factors)): _odd_rational(rng)}))
+    return out
 
 
 class TestEuler:

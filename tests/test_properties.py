@@ -67,8 +67,12 @@ rules = st.dictionaries(bases, polys(max_terms=2, max_factors=2), max_size=2)
 
 def rule_rhs(target):
     """A right side with odd denominators: a polynomial, zero, a constant, or
-    a polynomial that holds its own target."""
-    small = polys(max_terms=2, max_factors=2, pool=ext_fields, coeff=odd_coeffs)
+    a polynomial that holds its own target.  A constant symbol's right side is
+    a polynomial in that symbol, which the derivation kills as it kills the
+    symbol; test_substitute_refuses_a_constant_symbol_rule_with_a_derivative
+    draws the others."""
+    pool = st.just(target) if target.is_constant_symbol() else ext_fields
+    small = polys(max_terms=2, max_factors=2, pool=pool, coeff=odd_coeffs)
     return st.one_of(
         small,
         st.just(DiffPoly.zero()),
@@ -143,6 +147,17 @@ def test_euler_matches_reference(p, times, u):
 def test_substitute_matches_reference(p, r, v):
     p = p * DiffPoly.from_var(v) * DiffPoly.from_var(v)  # powers of a rule, shared between terms
     assert p.substitute(r).terms == ref_substitute(p.terms, {t: rhs.terms for t, rhs in r.items()})
+
+
+@settings(deadline=None)
+@given(polys(pool=ext_fields, max_terms=3), polys(pool=ext_fields, max_terms=2, max_factors=2))
+def test_substitute_refuses_a_constant_symbol_rule_with_a_derivative(p, rhs):
+    rules = {FieldVar("e", 0): rhs}
+    if rhs.derive().is_zero():
+        assert p.substitute(rules).derive() == p.derive().substitute(rules)
+    else:
+        with pytest.raises(ValueError, match="^the constant symbol e cannot map"):
+            p.substitute(rules)
 
 
 # The d_1 evolution of the four free fields of the t_2 table: b1' of p goes to

@@ -434,6 +434,22 @@ def test_tampered_table_fails_its_elimination_items(attr, extra):
     assert [item.label for item in report.items] == [item.label for item in dual_equivalence(1, 3).report.items]
 
 
+# report_digest of dual_table_map_check(n, k, k + 4), recorded before the
+# generator map stopped building a polynomial per monomial image.
+DUAL_TABLE_MAP_DIGESTS = {
+    (1, 2): "98ab8e63051bc3b2d68f23241c1455c0806ecf670bee4a0ae77df59139347973",
+    (1, 3): "c9a803f279b83dbb2f2516107adf80436e0b8c324cd7014d1c0567181a138e91",
+    (2, 3): "904cb7f03b4c0f30f3a1f04e5cf28711e89d3f06ea34138b16587ef013cd968a",
+    (1, 4): "90ea424676c7188c473bb87179799ca9e632dc19fb14528739d64eea9dade196",
+    (2, 4): "717ba14f0fcf49ed55003cc69cdc6071c2c15e3e5c26755a73f50de009ed5a14",
+    (3, 4): "744cfdf32c3774529e10e15dcc744f71159326d40823939126c17babc061263c",
+    (1, 5): "abf1a2a00907e9b3b9583f5680b0473effa15a8234d1dd223b2e456fbaaf994a",
+    (2, 5): "08d90ef5d135edc155482ae93d6fb486b1517f16c4cea23ce806b92c93d75e7f",
+    (3, 5): "804fc0726c7a8dde4561c0344eefb27c4644660a77ab14a01e652aba5326e638",
+    (4, 5): "2ad7002436667c68c7efd5e1f890117d8283e81c80d104af03aac693b06321b8",
+}
+
+
 class TestDualTableMap:
     def test_phi_maps_every_row_up_to_five(self):
         for k in range(2, 6):
@@ -441,6 +457,21 @@ class TestDualTableMap:
                 report = dual_table_map_check(n, k, k + 4)
                 assert report.passed, (n, k, report.failures())
                 assert len(report.items) == 3 * (k + 4)
+                assert report_digest(report) == DUAL_TABLE_MAP_DIGESTS[n, k]
+
+    def test_a_tampered_row_keeps_its_residual_digest(self, monkeypatch):
+        # The residual is phi of the added terms: powers of eliminated fields
+        # and a derivative, each mapped through psi and the derivation.
+        real = zerocurv.build_psi
+
+        def tampered_build(k, depth):
+            table = real(k, depth)
+            return with_added(table, 5, "b2*c3^2 - 3/5*b3''*c2 + 7/9*c2^4") if k == 3 else table
+
+        monkeypatch.setattr(zerocurv, "build_psi", tampered_build)
+        report = dual_table_map_check(1, 3, 7)
+        assert [item.label for item in report.failures()] == ["row 5 a", "row 5 b", "row 5 c"]
+        assert report_digest(report) == "865716c38df08791aabdc6c39095abf90ddfccdbc4b9cd26f0004e081e736274"
 
     def test_labels(self):
         report = dual_table_map_check(1, 2, 2)
