@@ -7,20 +7,29 @@ variable.  The public forms are
   FieldVar  = (kind, index, dorder)       one generator, e.g. b_1'' = ('b', 1, 2)
   Monomial  = tuple of (FieldVar, exp)    sorted by FieldVar, exponents >= 1
 
-Inside, each FieldVar is interned to a small int id (a process-wide table that
-also caches the step to its derivative), and a monomial is one int packing a
-16-bit exponent field per id: b1^2*c1 is 2 << 16*id(b1) | 1 << 16*id(c1).  A
-product of monomials is one addition, the derivation adds one fixed step, and
-a partial derivative reads one field.  A DiffPoly is `num: {monomial: int}`
-over one `den: int`, canonical (den >= 1, no zero numerators, gcd(den, *num)
-== 1), so two polynomials are equal iff their (num, den) are.  Ids never show:
-`terms`, text, LaTeX and JSON sort by the public FieldVar order, and render
-from ints.  Coefficients come in as int pairs: the constructor, `const` and
-`scale` read `numerator`/`denominator` (an int or a Fraction, never a float),
-and the parser and `from_json` read `n` or `n/d` in ASCII digits as two ints.
-Only `terms` returns a Fraction; it imports `fractions` on first use, and the
-CLI never calls it, so it never loads `fractions` (nor `decimal` and `numbers`
-with it).  Nothing in this module touches a float.
+Inside, each FieldVar is interned to a small int id, and a monomial is one int
+packing a 16-bit exponent field per id: b1^2*c1 is 2 << 16*id(b1) | 1 <<
+16*id(c1).  A product of monomials is one addition, the derivation adds one
+fixed step, and a partial derivative reads one field.  The interning table is
+process-wide and is the one owner of what a generator is: it checks each
+generator once, when it is interned, and records beside it, under the same
+lock, its dorder-0 base and whether it is a constant symbol.  The chain rule
+of zerocurv, the generator map and the Euler split read these facts by id.
+The derivation's step cache is keyed by field shift (16*id): the key change
+of v^e -> e*v^(e-1)*v', filled by the first derivation that meets v, which
+interns v' then.  A checked generator that is already interned is found by
+its exact parts (a str and two ints) and not checked again.
+
+A DiffPoly is `num: {monomial: int}` over one `den: int`, canonical (den >= 1,
+no zero numerators, gcd(den, *num) == 1), so two polynomials are equal iff
+their (num, den) are.  Ids never show: `terms`, text, LaTeX and JSON sort by
+the public FieldVar order, and render from ints.  Coefficients come in as int
+pairs: the constructor, `const` and `scale` read `numerator`/`denominator` (an
+int or a Fraction, never a float), and the parser and `from_json` read `n` or
+`n/d` in ASCII digits as two ints.  Only `terms` returns a Fraction; it imports
+`fractions` on first use, and the CLI never calls it, so it never loads
+`fractions` (nor `decimal` and `numbers` with it).  Nothing in this module
+touches a float.
 
 The constructor, the parser, `from_json` and `formal_integrate` each make
 (packed monomial, n, d) items, one per term, and `_summed` adds the items in
@@ -133,7 +142,9 @@ EXP_LIMIT = 1 << (_W - 1)  # exponents stay below this; the top bit is the guard
 
 _VARS: list[FieldVar] = []
 _VAR_ID: dict[FieldVar, int] = {}
-_DERIV: dict[int, int] = {}  # id -> key change of v^e -> v^(e-1)*v', 0 for constant symbols
+_BASE: list[FieldVar] = []  # id -> its dorder-0 generator
+_CONST: list[bool] = []  # id -> whether it is a constant symbol
+_DERIV: dict[int, int] = {}  # field shift -> key change of v^e -> v^(e-1)*v', 0 for constant symbols
 _GUARDS = 0  # the guard bit of every interned id's field
 _INTERN = threading.Lock()
 
@@ -146,7 +157,10 @@ def _vid(v: FieldVar) -> int:
             i = _VAR_ID.get(v)
             if i is None:
                 i = len(_VARS)
-                _VARS.append(_checked_var(*v))  # a generator no text names is refused here, once
+                v = _checked_var(*v)  # a generator no text names is refused here, once
+                _VARS.append(v)
+                _BASE.append(v.base())
+                _CONST.append(v.is_constant_symbol())
                 _GUARDS |= EXP_LIMIT << (_W * i)
                 _VAR_ID[v] = i  # published last: a reader that sees i sees the rest
     return i
@@ -163,12 +177,10 @@ def _fields(m: int) -> list[tuple[int, int]]:
     return out
 
 
-def _step(i: int) -> int:
-    """_DERIV[i], filled on first use."""
-    step = _DERIV.get(i)
-    if step is None:
-        v = _VARS[i]
-        step = _DERIV[i] = 0 if v.is_constant_symbol() else (1 << (_W * _vid(v.derived()))) - (1 << (_W * i))
+def _step(s: int) -> int:
+    """Fill _DERIV[s] for the generator at field shift s; v' is interned here."""
+    i = s // _W
+    step = _DERIV[s] = 0 if _CONST[i] else (1 << (_W * _vid(_VARS[i].derived()))) - (1 << s)
     return step
 
 
@@ -244,7 +256,7 @@ class DiffPoly:
 
     def generators(self) -> list[FieldVar]:
         """Distinct (kind, index) pairs occurring, as dorder-0 FieldVars."""
-        return sorted({_VARS[i].base() for i in self._ids()})
+        return sorted({_BASE[i] for i in self._ids()})
 
     def max_dorder(self) -> int:
         return max((_VARS[i].dorder for i in self._ids()), default=0)
@@ -483,8 +495,7 @@ def _derivative(p: DiffPoly) -> DiffPoly:
 def _add_derivative(tab: dict[int, int], num: Mapping[int, int], sign: int) -> dict[int, int]:
     """tab, plus sign times the derivative of the numerators num over the same
     denominator, summed in place.  Cancelled keys stay, with numerator 0."""
-    steps = {_W * i: _step(i) for i, _ in _fields(reduce(or_, num, 0))}  # keyed by field shift
-    get = tab.get
+    steps, get = _DERIV, tab.get
     for m, c in num.items():
         # d(v^e * rest) -> e * v^(e-1) * v' * rest for each factor; the
         # decode is _fields inlined, as in _walk.
@@ -494,7 +505,10 @@ def _add_derivative(tab: dict[int, int], num: Mapping[int, int], sign: int) -> d
             s = (x.bit_length() - 1) // _W * _W
             e = x >> s
             x -= e << s
-            step = steps[s]
+            try:
+                step = steps[s]
+            except KeyError:
+                step = _step(s)
             if step:
                 key = m + step
                 tab[key] = get(key, 0) + c * e
@@ -509,19 +523,20 @@ def _mapped(
     (the image's kept chain), or else by `derivation`, from u itself if it has
     no image.  Other generators are fixed.  p, and a bare generator's image,
     come back as they are, so that their kept derivatives are reused."""
-    by_base = {(u.kind, u.index): rhs for u, rhs in images.items()}
     step = DiffPoly.derive if derivation is None else derivation
     image_of: dict[int, DiffPoly] = {}
-    chains: dict[tuple[str, int], list[DiffPoly]] = {}
+    chains: dict[FieldVar, list[DiffPoly]] = {}  # u -> the images of u, u', u'', ...
     for i in p._ids():
-        v = _VARS[i]
-        rhs = by_base.get(key := (v.kind, v.index))
-        if rhs is None and (derivation is None or not v.dorder):
+        u, order = _BASE[i], _VARS[i].dorder
+        rhs = images.get(u)
+        if rhs is None and (derivation is None or not order):
             continue
-        chain = chains.setdefault(key, [DiffPoly.from_var(v.base()) if rhs is None else rhs])
-        while len(chain) <= v.dorder:
+        chain = chains.get(u)
+        if chain is None:
+            chain = chains[u] = [DiffPoly.from_var(u) if rhs is None else rhs]
+        while len(chain) <= order:
             chain.append(step(chain[-1]))
-        image_of[i] = chain[v.dorder]
+        image_of[i] = chain[order]
     if not image_of:
         return p
     if len(image_of) == 1 and p.den == 1 and p.num == {1 << (_W * min(image_of)): 1}:
@@ -675,15 +690,11 @@ def equal_mod_total_derivative(p: DiffPoly, q: DiffPoly) -> bool:
     d = p - q
     if 0 in d.num:
         return False
-    fields, symbols = [], 0  # symbols: the exponent fields of d's constant symbols
-    for u in d.generators():
-        if u.is_constant_symbol():
-            symbols |= _MASK << (_W * _VAR_ID[u])
-        else:
-            fields.append(u)
+    ids = d._ids()
+    symbols = sum(_MASK << (_W * i) for i in ids if _CONST[i])  # the exponent fields of d's constant symbols
     if symbols and any(m | symbols == symbols for m in d.num):
         return False
-    return not any(chain[-1] for chain in _euler_chains(d, fields).values())
+    return not any(chain[-1] for chain in _euler_chains(d, (_BASE[i] for i in ids if not _CONST[i])).values())
 
 
 def _euler_chains(p: DiffPoly, fields: Iterable[FieldVar]) -> dict[FieldVar, list[dict[int, int]]]:
@@ -695,9 +706,8 @@ def _euler_chains(p: DiffPoly, fields: Iterable[FieldVar]) -> dict[FieldVar, lis
     partials: dict[FieldVar, dict[int, dict[int, int]]] = {}  # u -> {order l: P_l}
     split: dict[int, dict[int, int]] = {}  # field shift -> the partial by that generator
     for i in p._ids():
-        v = _VARS[i]
-        if (u := v.base()) in chains:
-            split[_W * i] = partials.setdefault(u, {})[v.dorder] = {}
+        if (u := _BASE[i]) in chains:
+            split[_W * i] = partials.setdefault(u, {})[_VARS[i].dorder] = {}
     get = split.get
     for m, c in p.num.items():
         # The decode is _fields inlined, as in _add_derivative; lowering one
@@ -730,7 +740,7 @@ def formal_integrate(p: DiffPoly) -> DiffPoly:
     operator, sum_u sum_l u^(l) Q_l over each field's Euler chain with each
     monomial divided by its degree in the fields (constant symbols do not scale)."""
     def degree(mono: int) -> int:
-        return sum(e for i, e in _fields(mono) if not _VARS[i].is_constant_symbol())
+        return sum(e for i, e in _fields(mono) if not _CONST[i])
 
     triples = []
     fields = [u for u in p.generators() if not u.is_constant_symbol()]
@@ -806,7 +816,14 @@ def _shown(x) -> str:
 
 
 def _checked_var(kind, index, dorder) -> FieldVar:
-    """The generator (kind, index, dorder) if some text names it, else PolyParseError."""
+    """The generator (kind, index, dorder) if some text names it, else PolyParseError.
+    An interned generator passed this check when it was interned: it returns
+    at once, if its parts are exactly a str and two ints (True == 1 and
+    1.0 == 1 would find it too, and must get their messages)."""
+    if type(kind) is str and type(index) is int and type(dorder) is int:
+        i = _VAR_ID.get((kind, index, dorder))
+        if i is not None:
+            return _VARS[i]
     if not (isinstance(kind, str) and kind.isascii() and kind.isalnum() and kind[:1].isalpha()):
         raise PolyParseError(f"bad field kind {kind!r}")
     for name, value in (("index", index), ("dorder", dorder)):

@@ -21,7 +21,7 @@ polynomial in t_k-derivatives and extends d_n to composites by the chain rule.
 
 from __future__ import annotations
 
-from .diffpoly import DiffPoly, FieldVar, _mapped
+from .diffpoly import _BASE, _CONST, _VARS, DiffPoly, FieldVar, _mapped
 from .fnr import PsiTable, _flow_residual, _flow_verified, _mark_flow_verified, _memoized, build_psi, lax_matrix
 from .loopalg import _flow_coefficient, lm_commutator
 from .records import Record
@@ -59,14 +59,16 @@ class PdeSystem(Record):
         d_n and the distinguished d_k commute, so d_n(u^(l)) = d_k^l(d_n u);
         DiffPoly keeps those derivatives, so each is computed once.
         """
-        terms = []
-        for v in p.variables():
-            if v.is_constant_symbol():
+        evolution, terms = self.evolution, []
+        for i in p._ids():
+            if _CONST[i]:
                 continue
-            base = self.evolution.get(v.base())
-            if base is None:
-                raise KeyError(f"no evolution rule for field {v.base()}")
-            terms.append((1, p.partial(v), base.derive(v.dorder)))
+            rule = evolution.get(_BASE[i])
+            if rule is None:
+                missing = min(u for j in p._ids() if not _CONST[j] and (u := _BASE[j]) not in evolution)
+                raise KeyError(f"no evolution rule for field {missing}")
+            v = _VARS[i]
+            terms.append((1, p.partial(v), rule.derive(v.dorder)))
         return DiffPoly.dot(terms)
 
     def fields(self) -> list[FieldVar]:

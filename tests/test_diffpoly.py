@@ -632,8 +632,18 @@ class TestParser:
         # letters-only tokens are constants, digit-bearing ones are fields
         p = P("e*b1s")
         assert p.derive() == P("e*b1s'")
-        with pytest.raises(PolyParseError):
-            parse_poly("e'")
+        # With e, b1 and b1s interned, each text parses or fails as before.
+        for text, want in (
+            ("e'", "constant symbol 'e' cannot carry derivatives"),
+            ("b1*b0", "standard field 'b0' needs an index >= 1"),
+            ("b01", "standard field 'b01' needs an index >= 1"),
+            ("b1s*b1", "b1*b1s"),
+        ):
+            try:
+                got = str(parse_poly(text))
+            except PolyParseError as exc:
+                got = str(exc)
+            assert got == want
 
     def test_latex_smoke(self):
         assert P("-1/2*b1''*c1^2").to_latex() == r"-\frac{1}{2} b_{1}'' {c_{1}}^{2}"
@@ -828,6 +838,40 @@ class TestInternTable:
                 with pytest.raises(ValueError, match="32768"):
                     P(f"{v}^32767") * P(v)
 
+    def test_concurrent_steps_agree(self):
+        # Fields no other test names, so the threads race to fill the steps
+        # of new field shifts, each of which interns a derivative.
+        names = [f"step{n}s" for n in range(150)]
+        text = " + ".join(f"{u}^2*e*{v}' - 3*{v}" for u, v in zip(names, names[1:] + names[:1]))
+        results = []
+
+        def work():
+            p = parse_poly(text)
+            results.append([p.derive(times) for times in (1, 2, 3)])
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        want, terms = [], P(text).terms
+        for _ in range(3):
+            terms = ref_derive(terms)
+            want.append(terms)
+        assert len(results) == 8 and all([d.terms for d in r] == want for r in results)
+        # The facts recorded at interning, and every filled step, match the generators.
+        for i, v in enumerate(diffpoly._VARS):
+            assert (diffpoly._BASE[i], diffpoly._CONST[i]) == (v.base(), v.is_constant_symbol())
+        for s, step in diffpoly._DERIV.items():
+            v = diffpoly._VARS[s // 16]
+            assert step == (0 if v.is_constant_symbol() else (1 << 16 * diffpoly._VAR_ID[v.derived()]) - (1 << s))
+
 
 class TestExponentLimit:
     """Each generator's exponent lives in a 16-bit field whose top bit is a
@@ -1004,6 +1048,24 @@ class TestFromJsonValidation:
             with pytest.raises(PolyParseError) as built:
                 build()
             assert str(built.value) == str(from_json.value)
+
+    @pytest.mark.parametrize(
+        "var, message",
+        [
+            ({"index": True}, "index must be an integer >= 0, got True"),
+            ({"index": 1.0}, "index must be an integer >= 0, got 1.0"),
+            ({"dorder": False}, "dorder must be an integer >= 0, got False"),
+            ({"dorder": 0.0}, "dorder must be an integer >= 0, got 0.0"),
+            ({"kind": "e", "index": 0, "dorder": 1}, "constant symbol 'e' cannot carry derivatives"),
+        ],
+        ids=["bool-index", "float-index", "bool-dorder", "float-dorder", "derived-constant"],
+    )
+    def test_an_interned_generator_keeps_every_check(self, var, message):
+        # b1 and e are interned, and True, 1.0, False and 0.0 compare equal to
+        # the ints of an interned generator: each still gets its own message.
+        P("b1 + e")
+        with pytest.raises(PolyParseError, match=f"^{re.escape(message)}$"):
+            DiffPoly.from_json(_term(**var))
 
     def test_accepts_extension_kinds(self):
         p = P("2/3*e*b1s''")

@@ -110,6 +110,20 @@ class TestZeroCurvature:
             system.derivative(P("b1s'*b1"))
         assert exc.value.args == ("no evolution rule for field b1s",)
 
+    def test_missing_rule_names_the_smallest_field(self):
+        # The message names the smallest field without a rule in the public
+        # order, whichever generator was interned first.
+        system = zero_curvature(build_psi(1, 3), 2)
+        with pytest.raises(KeyError) as exc:
+            system.derivative(P("b2*c3 + c2 + b1"))
+        assert exc.value.args == ("no evolution rule for field b2",)
+        # By id b2 < aamiss1s < zzmiss1s < zzmiss1s', and aamiss1s comes
+        # first in the public order.
+        P("b2 + aamiss1s + zzmiss1s")
+        with pytest.raises(KeyError) as exc:
+            system.derivative(P("zzmiss1s'*b2 + aamiss1s*b1"))
+        assert exc.value.args == ("no evolution rule for field aamiss1s",)
+
     def test_tampered_table_raises_residual(self):
         table = build_psi(2, 5)
         rows = list(table.rows)
