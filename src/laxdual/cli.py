@@ -8,12 +8,12 @@ Commands
   verify       run a verification (sklyanin | duality | flow) and exit 0/1
 
 This module lays out every object in every format; the engine writes only
-polynomials (DiffPoly.to_text, to_latex and to_json, and the DiffPoly._walk
-they share with the JSON writer here).  Output is deterministic byte-for-byte
-for a fixed invocation: every table is emitted in canonical order.  Exit
-codes: 0 success / all checks pass, 1 verification failure, 2 usage or engine
-error, 141 a reader that closed stdout before the output ended (no `error:`
-line).
+polynomials (DiffPoly.to_text, to_latex and to_json, and the sorted decode
+DiffPoly._sorted they share with the JSON writer here).  Output is
+deterministic byte-for-byte for a fixed invocation: every table is emitted in
+canonical order.  Exit codes: 0 success / all checks pass, 1 verification
+failure, 2 usage or engine error, 141 a reader that closed stdout before the
+output ended (no `error:` line).
 
 One table, _COMMANDS, holds every command's flags.  A flag is spelled in full
 and given at most once, as --flag value or --flag=value.  A usage error
@@ -192,7 +192,7 @@ def _put(o, nl: str, put) -> None:
 
 
 def _put_poly(p: DiffPoly, nl: str, put) -> None:
-    """p.to_json() written from p._walk: no term dicts are built, and each
+    """p.to_json() written from p._sorted: no term dicts are built, and each
     distinct factor's object is written once per polynomial."""
     if p.is_zero():
         put("[]")
@@ -200,10 +200,11 @@ def _put_poly(p: DiffPoly, nl: str, put) -> None:
     term, key, field = nl + "  ", nl + "    ", nl + "      "
     head, tail, join = f'{{{key}"coeff": "', f'",{key}"vars": ', ("," + field).join
     lead = "[" + term
-    for factors, negative, size in p._walk(lambda v, e: _json_text(_var_json(v, e), field), _ratio_text):
+    factor, terms = p._sorted(lambda v, e: _json_text(_var_json(v, e), field))
+    for codes, c in terms:
         # A coefficient's text is digits, '-' and '/': nothing to escape.
-        put(f"{lead}{head}{'-' if negative else ''}{size}{tail}")
-        put(f"[{field}{join(factors)}{key}]{term}}}" if factors else f"[]{term}}}")
+        put(f"{lead}{head}{'-' * (c < 0)}{p._size(c, _ratio_text)}{tail}")
+        put(f"[{field}{join(map(factor, codes))}{key}]{term}}}" if codes else f"[]{term}}}")
         lead = "," + term
     put(nl + "]")
 

@@ -17,13 +17,24 @@ lock, its dorder-0 base and whether it is a constant symbol.  The chain rule
 of zerocurv, the generator map and the Euler split read these facts by id.
 The derivation's step cache is keyed by field shift (16*id): the key change
 of v^e -> e*v^(e-1)*v', filled by the first derivation that meets v, which
-interns v' then.  A checked generator that is already interned is found by
-its exact parts (a str and two ints) and not checked again.
+interns v' then.  A generator that is already interned is found, and not
+checked again, when its parts are exactly a str and two ints; True and 1.0
+equal 1, so they go through the check and get its message.
+
+The table also records, by bit length, the decode of a monomial's top field:
+its shift, and the mask of every field below it.  Every monomial loop (the
+derivation, the Euler split, the generator map, the renderer and _fields)
+decodes a field as `s, low = _CUT[x.bit_length()]; e = x >> s; x &= low`.
+The 16 bit lengths of one id share one entry, whose mask has 16*id bits, so
+n interned generators cost about n^2 bytes of masks (about 4 KB at 64), in a
+list of 16n + 1 references.
 
 A DiffPoly is `num: {monomial: int}` over one `den: int`, canonical (den >= 1,
 no zero numerators, gcd(den, *num) == 1), so two polynomials are equal iff
 their (num, den) are.  Ids never show: `terms`, text, LaTeX and JSON sort by
-the public FieldVar order, and render from ints.  Coefficients come in as int
+the public FieldVar order, and render from ints.  Text, LaTeX and JSON share
+one sorted decode of the terms, and text and LaTeX build each distinct
+numerator's sign and size once per call.  Coefficients come in as int
 pairs: the constructor, `const` and `scale` read `numerator`/`denominator` (an
 int or a Fraction, never a float), and the parser and `from_json` read `n` or
 `n/d` in ASCII digits as two ints.  Only `terms` returns a Fraction; it imports
@@ -48,7 +59,10 @@ table over the common denominator of the pairs, with no Fraction in the loop;
 the table is then filtered for zeros, checked by the same overflow guard
 (cancelled products included) and brought to lowest terms once.  The
 convolutions of fnr and loopalg use it in place of chains of * and +.  A lone
-live triple (1, x, 1), or (1, 1, x), is x itself, with what x keeps.
+live triple (1, x, 1), or (1, 1, x), is x itself, with what x keeps.  A
+one-term operand (b_j, c_j, a_0 = 1) goes in the outer loop, so its product
+is one shifted, scaled copy of the other operand; two multi-term operands are
+never swapped.
 
 A DiffPoly keeps its first derivative in the slot _d once derive computes it,
 so p.derive(l) walks a chain of kept derivatives, and beside it, in the slot
@@ -146,34 +160,39 @@ _BASE: list[FieldVar] = []  # id -> its dorder-0 generator
 _CONST: list[bool] = []  # id -> whether it is a constant symbol
 _DERIV: dict[int, int] = {}  # field shift -> key change of v^e -> v^(e-1)*v', 0 for constant symbols
 _GUARDS = 0  # the guard bit of every interned id's field
+# Bit length -> (shift of the top field, mask of every field below it): the
+# 16 bit lengths of id i's field share one entry.  Index 0 is never read.
+_CUT: list[tuple[int, int]] = [(0, 0)]
 _INTERN = threading.Lock()
 
 
 def _vid(v: FieldVar) -> int:
     global _GUARDS
     i = _VAR_ID.get(v)
-    if i is None:
-        with _INTERN:
-            i = _VAR_ID.get(v)
-            if i is None:
-                i = len(_VARS)
-                v = _checked_var(*v)  # a generator no text names is refused here, once
-                _VARS.append(v)
-                _BASE.append(v.base())
-                _CONST.append(v.is_constant_symbol())
-                _GUARDS |= EXP_LIMIT << (_W * i)
-                _VAR_ID[v] = i  # published last: a reader that sees i sees the rest
+    # True and 1.0 equal 1 and find a hit too: only an exact one skips the check.
+    if i is not None and type(v[0]) is str and type(v[1]) is int and type(v[2]) is int:
+        return i
+    with _INTERN:
+        v = _checked_var(*v)  # a generator no text names is refused here, once
+        i = _VAR_ID.get(v)
+        if i is None:
+            i = len(_VARS)
+            _VARS.append(v)
+            _BASE.append(v.base())
+            _CONST.append(v.is_constant_symbol())
+            _GUARDS |= EXP_LIMIT << (_W * i)
+            _CUT.extend([(_W * i, (1 << (_W * i)) - 1)] * _W)
+            _VAR_ID[v] = i  # published last: a reader that sees i sees the rest
     return i
 
 
 def _fields(m: int) -> list[tuple[int, int]]:
     """The (id, exp) pairs of a packed monomial, highest id first."""
-    out = []
+    out, cut = [], _CUT
     while m:
-        s = (m.bit_length() - 1) // _W * _W
-        e = m >> s
-        out.append((s // _W, e))
-        m -= e << s
+        s, low = cut[m.bit_length()]
+        out.append((s // _W, m >> s))
+        m &= low
     return out
 
 
@@ -293,7 +312,8 @@ class DiffPoly:
 
         Every product goes into one {monomial: int} table over the common
         denominator of the pairs, which is then guarded and reduced once.  A
-        lone triple (1, x, 1) or (1, 1, x), 1 the unit, is x itself."""
+        product with a one-term operand is the other operand shifted and
+        scaled.  A lone triple (1, x, 1) or (1, 1, x), 1 the unit, is x itself."""
         live = [(w, p, q) for w, p, q in terms if w and p.num and q.num]
         if not live:
             return _ZERO
@@ -308,8 +328,11 @@ class DiffPoly:
         get = tab.get
         for w, p, q in live:
             f = w * (den // (p.den * q.den))
-            items2 = list(q.num.items())
-            for m1, c1 in p.num.items():
+            a, b = p.num, q.num
+            if len(b) == 1:  # a one-term operand goes outside: one shifted, scaled copy of the other
+                a, b = b, a
+            items2 = list(b.items())
+            for m1, c1 in a.items():
                 c1 *= f
                 for m2, c2 in items2:
                     m = m1 + m2
@@ -394,36 +417,35 @@ class DiffPoly:
 
     # -- output --------------------------------------------------------------
 
-    def _walk(self, fmt, mag):
-        """Each term as (factors, negative, size) in the public monomial order:
-        the factors rendered by fmt(FieldVar, exp), each distinct one once, and
-        the coefficient's sign and its size, mag(|n|, d) of n/d in lowest
-        terms.  A size past the int-string limit raises _past_limit()."""
-        num, den = self.num, self.den
+    def _sorted(self, fmt) -> tuple[Callable[[int], object], list[tuple[list[int], int]]]:
+        """(factor, terms): each term as (codes, numerator) in the public
+        monomial order, and factor(code) rendered by fmt(FieldVar, exp), each
+        distinct one once.  This one decode serves text, LaTeX and JSON."""
         ids = sorted(self._ids(), key=_VARS.__getitem__)
         # A factor's code is rank << 16 | exp, rank being its place in ids, so
-        # sorted code tuples order like the public monomials.  The decode is
-        # _fields inlined, keyed by field shift: rendering is a hot path.
+        # sorted code lists order like the public monomials.
         rank = {_W * i: r << _W for r, i in enumerate(ids)}
-        keyed = {}
-        for m in num:
+        terms, cut = [], _CUT
+        for m, c in self.num.items():
             codes, x = [], m
-            while x:
-                s = (x.bit_length() - 1) // _W * _W
-                e = x >> s
-                codes.append(rank[s] | e)
-                x -= e << s
+            while x:  # the decode is _fields inlined, as in _add_derivative
+                s, low = cut[x.bit_length()]
+                codes.append(rank[s] | x >> s)
+                x &= low
             codes.sort()
-            keyed[tuple(codes)] = m
-        factor = _Factors(ids, fmt).__getitem__
-        for codes in sorted(keyed):
-            c = num[keyed[codes]]
-            g = gcd(c, den)
-            try:
-                size = mag(abs(c) // g, den // g)
-            except ValueError:  # only str() of a number past the int-string limit raises here
-                raise self._past_limit() from None
-            yield list(map(factor, codes)), c < 0, size
+            terms.append((codes, c))
+        terms.sort()  # distinct monomials have distinct codes: numerators are never compared
+        return _Factors(ids, fmt).__getitem__, terms
+
+    def _size(self, c: int, mag) -> str:
+        """mag(|n|, d) of c/den in lowest terms.  A size past the int-string
+        limit raises _past_limit()."""
+        den = self.den
+        g = gcd(c, den)
+        try:
+            return mag(abs(c) // g, den // g)
+        except ValueError:  # only str() of a number past the int-string limit raises here
+            raise self._past_limit() from None
 
     def to_text(self) -> str:
         return self._render(_var_text, _ratio_text, "*")
@@ -432,25 +454,33 @@ class DiffPoly:
         return self._render(_var_latex, _ratio_latex, " ")
 
     def _render(self, fmt, mag, sep: str) -> str:
+        """The terms joined in the public order, with each distinct numerator's
+        sign and size head built once."""
+        factor, terms = self._sorted(fmt)
+        if not terms:
+            return "0"
         out: list[str] = []
         put = out.append
-        for factors, negative, size in self._walk(fmt, mag):
-            put(" - " if negative else " + ")
-            if not factors:
-                put(size)
-            elif size == "1":
-                put(sep.join(factors))
-            else:
-                put(f"{size}{sep}{sep.join(factors)}")
-        if not out:
-            return "0"
-        out[0] = "-" if out[0] == " - " else ""  # the first term's sign, and no '+'
+        rest = iter(terms)
+        if not terms[0][0]:  # the constant term sorts first, and shows its size even if it is 1
+            _, c = next(rest)
+            put((" - " if c < 0 else " + ") + self._size(c, mag))
+        heads: dict[int, str] = {}
+        for codes, c in rest:
+            head = heads.get(c)
+            if head is None:
+                size = self._size(c, mag)
+                head = heads[c] = (" - " if c < 0 else " + ") + ("" if size == "1" else size + sep)
+            put(head + sep.join(map(factor, codes)))
+        first = out[0]
+        out[0] = "-" + first[3:] if first[1] == "-" else first[3:]  # the first term's sign, and no '+'
         return "".join(out)
 
     def to_json(self) -> list[dict]:
+        factor, terms = self._sorted(_var_json)
         return [
-            {"coeff": "-" + size if negative else size, "vars": list(map(dict, factors))}
-            for factors, negative, size in self._walk(_var_json, _ratio_text)
+            {"coeff": "-" * (c < 0) + self._size(c, _ratio_text), "vars": [dict(factor(x)) for x in codes]}
+            for codes, c in terms
         ]
 
     def _past_limit(self) -> ValueError:
@@ -495,16 +525,16 @@ def _derivative(p: DiffPoly) -> DiffPoly:
 def _add_derivative(tab: dict[int, int], num: Mapping[int, int], sign: int) -> dict[int, int]:
     """tab, plus sign times the derivative of the numerators num over the same
     denominator, summed in place.  Cancelled keys stay, with numerator 0."""
-    steps, get = _DERIV, tab.get
+    steps, get, cut = _DERIV, tab.get, _CUT
     for m, c in num.items():
         # d(v^e * rest) -> e * v^(e-1) * v' * rest for each factor; the
-        # decode is _fields inlined, as in _walk.
+        # decode is _fields inlined.
         c *= sign
         x = m
         while x:
-            s = (x.bit_length() - 1) // _W * _W
+            s, low = cut[x.bit_length()]
             e = x >> s
-            x -= e << s
+            x &= low
             try:
                 step = steps[s]
             except KeyError:
@@ -547,13 +577,13 @@ def _mapped(
     # is guarded, so a key sums two fields below EXP_LIMIT, which cannot
     # carry into the next field; three could.
     powers = {_W * i: [image] for i, image in image_of.items()}  # by field shift: image^1, image^2, ...
-    terms = []
+    terms, cut = [], _CUT
     for m, c in p.num.items():
         rest, factors, d, x = m, [], 1, m
         while x:  # the decode is _fields inlined, as in _add_derivative
-            s = (x.bit_length() - 1) // _W * _W
+            s, low = cut[x.bit_length()]
             e = x >> s
-            x -= e << s
+            x &= low
             if (up := powers.get(s)) is not None:
                 while len(up) < e:
                     up.append(up[-1] * up[0])
@@ -649,7 +679,7 @@ _UNIT = {0: 1}  # the numerators of the constant 1
 
 
 class _Factors(dict):
-    """The rendered factors of one _walk by code, each rendered on first use."""
+    """The rendered factors of one _sorted decode by code, each rendered on first use."""
 
     def __init__(self, ids: list[int], fmt):
         self.ids, self.fmt = ids, fmt
@@ -708,15 +738,15 @@ def _euler_chains(p: DiffPoly, fields: Iterable[FieldVar]) -> dict[FieldVar, lis
     for i in p._ids():
         if (u := _BASE[i]) in chains:
             split[_W * i] = partials.setdefault(u, {})[_VARS[i].dorder] = {}
-    get = split.get
+    get, cut = split.get, _CUT
     for m, c in p.num.items():
         # The decode is _fields inlined, as in _add_derivative; lowering one
         # field maps distinct monomials to distinct monomials.
         x = m
         while x:
-            s = (x.bit_length() - 1) // _W * _W
+            s, low = cut[x.bit_length()]
             e = x >> s
-            x -= e << s
+            x &= low
             if (tab := get(s)) is not None:
                 tab[m - (1 << s)] = c * e
     for u in chains:
@@ -818,8 +848,7 @@ def _shown(x) -> str:
 def _checked_var(kind, index, dorder) -> FieldVar:
     """The generator (kind, index, dorder) if some text names it, else PolyParseError.
     An interned generator passed this check when it was interned: it returns
-    at once, if its parts are exactly a str and two ints (True == 1 and
-    1.0 == 1 would find it too, and must get their messages)."""
+    at once on an exact hit, as in _vid."""
     if type(kind) is str and type(index) is int and type(dorder) is int:
         i = _VAR_ID.get((kind, index, dorder))
         if i is not None:

@@ -131,6 +131,19 @@ class TestDot:
         with pytest.raises(ValueError, match="32768"):
             DiffPoly.dot([(1, big, big), (-1, big, big)])
 
+    def test_a_one_term_product_is_guarded_with_its_cancelled_keys(self):
+        message = "^" + re.escape(f"exponent overflow: a generator's exponent reached the limit {EXP_LIMIT}") + "$"
+        one, top = P("b1"), P(f"b1^{EXP_LIMIT - 1}")
+        x = top + P(" + ".join(f"c{j}" for j in range(1, 9)))
+        # b1 * b1^(EXP_LIMIT - 1) reaches the limit, and the last triple
+        # cancels it: b1*c1 + ... + b1*c8 survives, so only a guard of every
+        # key sees it.  The one-term triple goes into an empty table ...
+        with pytest.raises(ValueError, match=message):
+            DiffPoly.dot([(1, one, x), (-1, top, one)])
+        # ... or is merged into a table that holds c9*c10.
+        with pytest.raises(ValueError, match=message):
+            DiffPoly.dot([(1, P("c9"), P("c10")), (1, x, one), (-1, one, top)])
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_symmetric_casimir_closure_matches_the_full_sum(self, k):
         rows = reference_rows(k, 12)
@@ -871,6 +884,11 @@ class TestInternTable:
         for s, step in diffpoly._DERIV.items():
             v = diffpoly._VARS[s // 16]
             assert step == (0 if v.is_constant_symbol() else (1 << 16 * diffpoly._VAR_ID[v.derived()]) - (1 << s))
+        # The 16 bit lengths of each id's field give its shift and the mask of every field below it.
+        cut = diffpoly._CUT
+        assert len(cut) == 1 + 16 * len(diffpoly._VARS)
+        for i in range(len(diffpoly._VARS)):
+            assert cut[16 * i + 1 : 16 * i + 17] == [(16 * i, (1 << 16 * i) - 1)] * 16
 
 
 class TestExponentLimit:
@@ -887,6 +905,18 @@ class TestExponentLimit:
     def test_exponents_far_below_the_limit(self):
         assert P("b1^300") * P("b1^300") == P("b1^600")
         assert (P("b1^300*c1") * P("b1^300*c1")).terms == {((fv("b", 1), 600), (fv("c", 1), 2)): 1}
+
+    def test_adjacent_fields_below_the_limit_decode(self):
+        # Two fields no other test names, interned one after the other: their
+        # ids are adjacent, and one holds EXP_LIMIT - 1, every bit but its guard.
+        low, high = fv("adjlow1s", 0), fv("adjhigh1s", 0)
+        DiffPoly.from_var(low), DiffPoly.from_var(high)
+        i = diffpoly._VAR_ID[low]
+        assert diffpoly._VAR_ID[high] == i + 1
+        for e_low, e_high in ((EXP_LIMIT - 1, 1), (1, EXP_LIMIT - 1)):
+            p = DiffPoly({((low, e_low), (high, e_high)): Fraction(-3, 5), ((low, 1),): 2})
+            assert diffpoly._fields(max(p.num)) == [(i + 1, e_high), (i, e_low)]
+            assert p.derive().terms == ref_derive(p.terms)
 
     def test_product_reaching_the_limit_raises(self):
         with pytest.raises(ValueError, match="32768"):
@@ -1056,16 +1086,25 @@ class TestFromJsonValidation:
             ({"index": 1.0}, "index must be an integer >= 0, got 1.0"),
             ({"dorder": False}, "dorder must be an integer >= 0, got False"),
             ({"dorder": 0.0}, "dorder must be an integer >= 0, got 0.0"),
+            ({"kind": "e", "index": False}, "index must be an integer >= 0, got False"),
             ({"kind": "e", "index": 0, "dorder": 1}, "constant symbol 'e' cannot carry derivatives"),
         ],
-        ids=["bool-index", "float-index", "bool-dorder", "float-dorder", "derived-constant"],
+        ids=["bool-index", "float-index", "bool-dorder", "float-dorder", "constant-bool-index", "derived-constant"],
     )
     def test_an_interned_generator_keeps_every_check(self, var, message):
         # b1 and e are interned, and True, 1.0, False and 0.0 compare equal to
-        # the ints of an interned generator: each still gets its own message.
+        # the ints of an interned generator: from_json and each constructor
+        # still give its own message.
         P("b1 + e")
-        with pytest.raises(PolyParseError, match=f"^{re.escape(message)}$"):
-            DiffPoly.from_json(_term(**var))
+        v = FieldVar(**{"kind": "b", "index": 1, "dorder": 0, **var})
+        for build in (
+            lambda: DiffPoly.from_json(_term(**var)),
+            lambda: DiffPoly({((v, 1),): 1}),
+            lambda: DiffPoly.var(*v),
+            lambda: DiffPoly.from_var(v),
+        ):
+            with pytest.raises(PolyParseError, match=f"^{re.escape(message)}$"):
+                build()
 
     def test_accepts_extension_kinds(self):
         p = P("2/3*e*b1s''")

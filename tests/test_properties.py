@@ -196,16 +196,32 @@ def test_substitution_commutes_with_derive(p, r):
     assert p.substitute(r).derive() == p.derive().substitute(r)
 
 
+def ref_dot(triples):
+    want = {}
+    for w, p, q in triples:
+        want = ref_add(want, {m: w * c for m, c in ref_mul(p.terms, q.terms).items()})
+    return want
+
+
 @settings(deadline=None)
-@given(polys(pool=ext_fields), polys(pool=ext_fields, max_factors=5), ext_fields, st.tuples(*[st.integers(-3, 3)] * 3))
-def test_kernel_matches_reference(p, q, v, w):
+@given(
+    polys(pool=ext_fields),
+    polys(pool=ext_fields, max_factors=5),
+    polys(pool=ext_fields, max_terms=1).filter(lambda t: len(t.num) == 1),
+    polys(pool=ext_fields, max_terms=12),
+    ext_fields,
+    st.tuples(*[st.integers(-3, 3)] * 3),
+)
+def test_kernel_matches_reference(p, q, t, r, v, w):
     a, b = p.terms, q.terms
     assert (p * q).terms == ref_mul(a, b)
-    products = [ref_mul(a, b), ref_mul(b, b), ref_mul(a, a)]
-    want = {}
-    for wi, prod in zip(w, products):
-        want = ref_add(want, {m: wi * c for m, c in prod.items()})
-    assert DiffPoly.dot(zip(w, (p, q, p), (q, q, p))).terms == want
+    triples = list(zip(w, (p, q, p), (q, q, p)))
+    assert DiffPoly.dot(iter(triples)).terms == ref_dot(triples)
+    # The one-term t on either side, first (into an empty table) and later
+    # (merged into the table), beside a longer r.
+    for sides in (((t, r), (q, t), (p, q)), ((r, t), (p, q), (t, p)), ((q, r), (t, p), (r, t))):
+        triples = [(wi, x, y) for wi, (x, y) in zip(w, sides)]
+        assert DiffPoly.dot(triples).terms == ref_dot(triples)
     assert p.derive().terms == ref_derive(a)
     assert (p * q).partial(v).terms == ref_partial(ref_mul(a, b), v)
 
