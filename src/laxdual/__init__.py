@@ -7,14 +7,7 @@ the monodromy expansion, and the equivalence of the dual Hamiltonian
 formulations of one and the same PDE.  All arithmetic is exact rational.
 """
 
-from .diffpoly import (
-    DiffPoly,
-    FieldVar,
-    NotATotalDerivative,
-    equal_mod_total_derivative,
-    formal_integrate,
-    parse_poly,
-)
+from .diffpoly import DiffPoly, FieldVar, equal_mod_total_derivative, parse_poly
 from .loopalg import (
     DepthExhausted,
     LaurentMatrix,

@@ -42,16 +42,15 @@ int or a Fraction, never a float), and the parser and `from_json` read `n` or
 `fractions` (nor `decimal` and `numbers` with it).  Nothing in this module
 touches a float.
 
-The constructor, the parser, `from_json` and `formal_integrate` each make
-(packed monomial, n, d) items, one per term, and `_summed` adds the items in
-one table over the lcm of the denominators, reduced once.
+The constructor, the parser and `from_json` each make (packed monomial, n,
+d) items, one per term, and `_summed` adds the items in one table over the lcm
+of the denominators, reduced once.
 
 Exponents stay below EXP_LIMIT = 2^15.  Two such fields sum to less than 2^16,
 so no product carries into the next field, and a sum that reaches 2^15 sets the
-field's top (guard) bit.  Products (formal_integrate's dot too), derivations
-and substitutions check the guard bits of their result keys and raise
-ValueError; parsing, JSON and the constructor reject larger exponents with
-PolyParseError.
+field's top (guard) bit.  Products, derivations, Euler steps and
+substitutions check the guard bits of their result keys and raise ValueError;
+parsing, JSON and the constructor reject larger exponents with PolyParseError.
 
 Sums of products go through DiffPoly.dot: sum w*p*q over (w, p, q) triples
 with small integer weights.  Every product lands in a single {monomial: int}
@@ -73,20 +72,18 @@ nothing, so its rows' derivatives and partials stay too), and an equal
 polynomial built afresh computes afresh.  A derivation that raises keeps
 nothing.  Neither cache takes a lock: two threads that race on one compute
 the same canonical polynomial, and either may be the one kept.  The Euler
-chain below fills neither.
+tables below fill neither.
 
 The Euler operator sum_l (-d)^l P_l, P_l the partial by u^(l), is evaluated in
 Horner form P_0 - d(P_1 - d(P_2 - ...)) from u's top order down: one derivation
-per order, not l of them for each P_l.  _euler_chains runs it for many fields
+per order, not l of them for each P_l.  _euler_tables runs it for many fields
 from one decode of p, which splits p into its partials by all their
 generators at once.  Every P_l and every d Q_l has p's own denominator, so the
-chain Q_{l-1} = P_l - d Q_l runs on {monomial: int} tables over p.den: d Q_l
-is summed straight into P_l by the derivation's decode loop, and each step of
-every chain is guarded as derive is.  Callers bring to lowest terms only the
-Qs they read: euler and variational gradients the last, formal_integrate
-(the homotopy operator, Olver, Applications of Lie Groups to Differential
-Equations, 5.4, in one dot) each one, and equal_mod_total_derivative, which
-asks what formal_integrate asks, none.
+steps Q_{l-1} = P_l - d Q_l run on {monomial: int} tables over p.den: d Q_l is
+summed straight into P_l by the derivation's decode loop, and each step is
+guarded as derive is.  Only the last step, E_u(p) = Q_{-1}, is kept, one
+numerator table per field: euler and variational gradients bring it to lowest
+terms, and equal_mod_total_derivative only asks whether it is empty.
 substitute computes each power rule^e it needs once per call, as a DiffPoly,
 and builds no DiffPoly for a monomial's image.  One decode of each monomial
 gives its unmapped rest and its powers; each coefficient is scaled once to the
@@ -100,7 +97,7 @@ cannot carry into the next field, while three could.
 Besides ring arithmetic the module provides the distinguished derivation
 (Leibniz rule, raising dorder), substitution of dorder-0 generators (extended
 to derivatives so that substitution commutes with the derivation), the
-variational (Euler) derivative, and formal integration of total derivatives.
+variational (Euler) derivative, and equality modulo total derivatives.
 
 A small extension used only by the CLI's substitution files: generator kinds
 other than 'b'/'c' are allowed.  A kind made of letters only (e.g. 'e') is a
@@ -118,10 +115,6 @@ from collections.abc import Callable, Iterable, Mapping
 from functools import reduce
 from math import gcd, lcm
 from operator import or_
-
-
-class NotATotalDerivative(Exception):
-    """Raised by formal_integrate when the argument has no antiderivative."""
 
 
 class PolyParseError(ValueError):
@@ -716,7 +709,7 @@ def _ratio_latex(n: int, d: int) -> str:
 def equal_mod_total_derivative(p: DiffPoly, q: DiffPoly) -> bool:
     """True iff p - q is a total derivative: it has no term free of fields (a
     constant, or constant symbols only), and its Euler derivatives by every
-    field vanish.  These are formal_integrate's conditions."""
+    field vanish."""
     d = p - q
     if 0 in d.num:
         return False
@@ -724,19 +717,19 @@ def equal_mod_total_derivative(p: DiffPoly, q: DiffPoly) -> bool:
     symbols = sum(_MASK << (_W * i) for i in ids if _CONST[i])  # the exponent fields of d's constant symbols
     if symbols and any(m | symbols == symbols for m in d.num):
         return False
-    return not any(chain[-1] for chain in _euler_chains(d, (_BASE[i] for i in ids if not _CONST[i])).values())
+    return not any(_euler_tables(d, (_BASE[i] for i in ids if not _CONST[i])).values())
 
 
-def _euler_chains(p: DiffPoly, fields: Iterable[FieldVar]) -> dict[FieldVar, list[dict[int, int]]]:
-    """{u: [Q_{M-1}, ..., Q_0, Q_{-1}]} for each dorder-0 field u, M u's top
-    order in p: Q_{M-1} = P_M and Q_{l-1} = P_l - d Q_l, P_l the partial by
-    u^(l), so Q_{-1} is E_u(p).  Each Q is a numerator table over p.den; a
-    field's partials are dropped once its chain is built."""
-    chains = dict.fromkeys(fields)
+def _euler_tables(p: DiffPoly, fields: Iterable[FieldVar]) -> dict[FieldVar, dict[int, int]]:
+    """{u: E_u(p)} for each dorder-0 field u, as a numerator table over p.den.
+    From M, u's top order in p, the Horner steps Q_{M-1} = P_M and Q_{l-1} =
+    P_l - d Q_l, P_l the partial by u^(l), end in Q_{-1} = E_u(p); a field's
+    partials are dropped as its steps consume them."""
+    tables = dict.fromkeys(fields)
     partials: dict[FieldVar, dict[int, dict[int, int]]] = {}  # u -> {order l: P_l}
     split: dict[int, dict[int, int]] = {}  # field shift -> the partial by that generator
     for i in p._ids():
-        if (u := _BASE[i]) in chains:
+        if (u := _BASE[i]) in tables:
             split[_W * i] = partials.setdefault(u, {})[_VARS[i].dorder] = {}
     get, cut = split.get, _CUT
     for m, c in p.num.items():
@@ -749,53 +742,19 @@ def _euler_chains(p: DiffPoly, fields: Iterable[FieldVar]) -> dict[FieldVar, lis
             x &= low
             if (tab := get(s)) is not None:
                 tab[m - (1 << s)] = c * e
-    for u in chains:
+    for u in tables:
         tabs = partials.pop(u, {})
-        q, chain = {}, []
+        q = {}
         for order in range(max(tabs, default=0), -1, -1):
             tab = tabs.pop(order, {})
             q = _nonzero(_guarded(_add_derivative(tab, q, -1))) if q else tab
-            chain.append(q)
-        chains[u] = chain
-    return chains
+        tables[u] = q
+    return tables
 
 
 def _euler_gradient(p: DiffPoly, fields: Iterable[FieldVar]) -> dict[FieldVar, DiffPoly]:
     """{u: E_u(p)} for the fields whose Euler derivative is nonzero, in order."""
-    return {u: _reduced(chain[-1], p.den) for u, chain in _euler_chains(p, fields).items() if chain[-1]}
-
-
-def formal_integrate(p: DiffPoly) -> DiffPoly:
-    """Antiderivative q with dq = p and zero constant term: by the homotopy
-    operator, sum_u sum_l u^(l) Q_l over each field's Euler chain with each
-    monomial divided by its degree in the fields (constant symbols do not scale)."""
-    def degree(mono: int) -> int:
-        return sum(e for i, e in _fields(mono) if not _CONST[i])
-
-    triples = []
-    fields = [u for u in p.generators() if not u.is_constant_symbol()]
-    for u, (*chain, eu) in _euler_chains(p, fields).items():
-        if eu:
-            raise NotATotalDerivative(f"euler derivative with respect to {u} does not vanish")
-        triples += ((1, DiffPoly.from_var(u.derived(l)), _reduced(q, p.den)) for l, q in enumerate(reversed(chain)))
-    if free := [m for m in p.num if not degree(m)]:  # the formula needs p to vanish with the fields
-        if not (mono := max(free, key=_peel_key)):
-            raise NotATotalDerivative("nonzero constant term has no antiderivative")
-        term = "*".join(_var_text(v, e) for v, e in _to_public(mono))
-        raise NotATotalDerivative(f"term {term} cannot be integrated")
-    f = DiffPoly.dot(triples)
-    return _summed([(m, c, f.den * degree(m)) for m, c in f.num.items()])
-
-
-def _order_key(i: int):
-    v = _VARS[i]
-    return (v.dorder, v.kind, v.index)
-
-
-def _peel_key(mono: int):
-    # Sorted-descending sequence of generator keys, exponent-expanded: a peel's
-    # order, so formal_integrate names the field-free term a peel stops at.
-    return sorted((_order_key(i) for i, e in _fields(mono) for _ in range(e)), reverse=True)
+    return {u: _reduced(q, p.den) for u, q in _euler_tables(p, fields).items() if q}
 
 
 # -- text grammar --------------------------------------------------------------

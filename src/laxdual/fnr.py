@@ -155,21 +155,6 @@ def _memoized(table: PsiTable, upto: int, key, compute):
     return hit if hit is not None else owner.memo.setdefault(key, compute())
 
 
-def _flow_verified(table: PsiTable, upto: int) -> int:
-    """The store's flow_verified for a table that owns rows 0..upto; for any
-    other table -k - 1, so that every row of it is checked."""
-    owner = _memo_owner(table, upto)
-    return -table.k - 1 if owner is None else owner.flow_verified
-
-
-def _mark_flow_verified(table: PsiTable, upto: int, p: int) -> None:
-    """Record that rows -k..p of a table owning rows 0..upto passed their flow identity."""
-    owner = _memo_owner(table, upto)
-    if owner is not None:
-        with owner.lock:
-            owner.flow_verified = max(owner.flow_verified, p)
-
-
 def build_psi(k: int, depth: int) -> PsiTable:
     """Construct the table for t_k down to lambda^{-depth}."""
     if k < 1:

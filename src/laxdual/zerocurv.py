@@ -12,8 +12,9 @@ flow is computed one lambda-coefficient at a time, the derivative and the
 bracket in one dot per component.  A remaining coefficient lambda^e is the
 flow identity of table row p = n - e, fnr's `_flow_residual`, which does not
 depend on n: on the shared rows of build_psi, the rows up to the store's
-verified-row mark (`fnr._flow_verified`) passed in an earlier system and are
-not checked again; every other table is checked in full.
+verified-row mark (the `flow_verified` of the store that `fnr._memo_owner`
+finds) passed in an earlier system and are not checked again; every other
+table is checked in full.
 
 Two-time expressions are never represented: a PdeSystem stores d_n(u) as a
 polynomial in t_k-derivatives and extends d_n to composites by the chain rule.
@@ -22,7 +23,7 @@ polynomial in t_k-derivatives and extends d_n to composites by the chain rule.
 from __future__ import annotations
 
 from .diffpoly import _BASE, _CONST, _VARS, DiffPoly, FieldVar, _mapped
-from .fnr import PsiTable, _flow_residual, _flow_verified, _mark_flow_verified, _memoized, build_psi, lax_matrix
+from .fnr import PsiTable, _flow_residual, _memo_owner, _memoized, build_psi, lax_matrix
 from .loopalg import _flow_coefficient, lm_commutator
 from .records import Record
 from .report import CheckReport
@@ -104,8 +105,9 @@ def _derive_system(table: PsiTable, n: int) -> PdeSystem:
     # zero-curvature form leaves -flow there, which must vanish outright.  It
     # is the flow identity of row p = n-e, which does not depend on n: rows
     # that a system on the same store verified are not checked again.
-    series, upto = table.psi_series(), max(n, k)
-    for p in range(_flow_verified(table, upto) + 1, n - k + 1):
+    # A table that does not own the rows it reads is checked from row -k.
+    series, owner = table.psi_series(), _memo_owner(table, max(n, k))
+    for p in range(-k if owner is None else owner.flow_verified + 1, n - k + 1):
         flow_p = _flow_residual(series, v_k, p)
         if not flow_p.is_zero():
             residual = -flow_p
@@ -120,7 +122,9 @@ def _derive_system(table: PsiTable, n: int) -> PdeSystem:
         raise ResidualNonZero(
             f"zero_curvature(k={k}, n={n}): nonvanishing residuals:\n  " + "\n  ".join(bad)
         )
-    _mark_flow_verified(table, upto, n - k)
+    if owner is not None:
+        with owner.lock:
+            owner.flow_verified = max(owner.flow_verified, n - k)
     return system
 
 

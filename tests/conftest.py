@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from laxdual import diffpoly as dp, fnr
-from laxdual.diffpoly import DiffPoly, FieldVar, NotATotalDerivative, parse_poly
+from laxdual.diffpoly import DiffPoly, FieldVar, parse_poly
 from laxdual.fnr import PsiTable
 from laxdual.loopalg import LaurentMatrix, Sl2Poly, lm_commutator
 
@@ -146,8 +146,9 @@ def ref_euler(a, u):
 def ref_euler_chain(p: DiffPoly, u: FieldVar) -> list[DiffPoly]:
     """The Horner chain of the Euler operator on whole polynomials: Q_{M-1} =
     P_M and Q_{l-1} = P_l - d Q_l, each P_l by DiffPoly.partial, each d Q_l by
-    DiffPoly.derive and each step by DiffPoly.__sub__.  The oracle for
-    diffpoly._euler_chain, which steps on numerator tables."""
+    DiffPoly.derive and each step by DiffPoly.__sub__.  Its last element,
+    E_u(p), is the oracle for diffpoly._euler_tables, which steps on numerator
+    tables and keeps only that one."""
     kind, index, _ = u
     top = max((v.dorder for v in p.variables() if (v.kind, v.index) == (kind, index)), default=0)
     chain = [p.partial(FieldVar(kind, index, top))]
@@ -215,19 +216,36 @@ def ref_bracket(brackets, dp, dq) -> DiffPoly:
     return acc
 
 
+class NotATotalDerivative(Exception):
+    """Raised by ref_integrate when its argument has no antiderivative."""
+
+
+def _order_key(i: int):
+    v = dp._VARS[i]
+    return (v.dorder, v.kind, v.index)
+
+
+def _peel_key(mono: int):
+    # Sorted-descending sequence of generator keys, exponent-expanded: the
+    # peel's order, so the field-free term named is the one a peel stops at.
+    return sorted((_order_key(i) for i, e in dp._fields(mono) for _ in range(e)), reverse=True)
+
+
 def ref_integrate(p: DiffPoly) -> DiffPoly:
-    """formal_integrate's peel with a running result: each peeled term is a
-    polynomial added to it in turn.  The oracle for the integrator, which sums
-    its terms once; the same checks raise the same messages."""
+    """The antiderivative of p with zero constant term, by peeling: the
+    leading term, linear in its highest derivative, is integrated once and
+    its derivative subtracted, until nothing is left.  NotATotalDerivative if
+    an Euler derivative of p does not vanish or the peel stops.  The oracle
+    for equal_mod_total_derivative."""
     for u in p.generators():
         if not u.is_constant_symbol() and not p.euler(u).is_zero():
             raise NotATotalDerivative(f"euler derivative with respect to {u} does not vanish")
     rem, result = p, DiffPoly.zero()
     while not rem.is_zero():
-        mono = max(rem.num, key=dp._peel_key)
+        mono = max(rem.num, key=_peel_key)
         if not mono:
             raise NotATotalDerivative("nonzero constant term has no antiderivative")
-        top, e = max(dp._fields(mono), key=lambda f: dp._order_key(f[0]))
+        top, e = max(dp._fields(mono), key=lambda f: _order_key(f[0]))
         v = dp._VARS[top]
         if v.dorder == 0 or v.is_constant_symbol():
             term = "*".join(dp._var_text(v, e) for v, e in dp._to_public(mono))
@@ -242,12 +260,13 @@ def ref_integrate(p: DiffPoly) -> DiffPoly:
     return result
 
 
-def integrated(integrate, p: DiffPoly):
-    """integrate(p), or the message of its NotATotalDerivative."""
+def integrates(p: DiffPoly) -> bool:
+    """Whether ref_integrate finds an antiderivative of p."""
     try:
-        return integrate(p)
-    except NotATotalDerivative as exc:
-        return f"NotATotalDerivative: {exc}"
+        ref_integrate(p)
+    except NotATotalDerivative:
+        return False
+    return True
 
 
 def ref_canonical(pairs):
