@@ -503,9 +503,9 @@ class DiffPoly:
 
 def _ratio(x) -> tuple[int, int]:
     """(numerator, denominator) of an int or a Fraction; TypeError for
-    anything else, a float included, so that no value is silently rounded."""
+    anything else, a float or a bool included, so that no value is misread."""
     n, d = getattr(x, "numerator", None), getattr(x, "denominator", None)
-    if not (isinstance(n, int) and isinstance(d, int) and d > 0):
+    if isinstance(x, bool) or not (isinstance(n, int) and isinstance(d, int) and d > 0):
         raise TypeError(f"coefficient must be an int or a Fraction, got {type(x).__name__} {x!r}")
     return n, d
 

@@ -33,6 +33,7 @@ The monodromy side: the transition matrix factorizes as
 dW = O + DW - WD - WOW order by order in 1/lambda.  The diagonal part gives
 dZ = D + OW whose coefficients are the commuting Hamiltonian densities; the
 flow they generate through the bracket must reproduce the zero-curvature PDEs.
+WZExpansion stores W alone, and reads density n off W's orders n..n+k-1.
 Writing W = beta sigma+ + gamma sigma-, W^2 = s 1 with s = beta gamma, so
 
     (1+W) sigma3 (1+W)^{-1} = ((1+s) sigma3 - 2 beta sigma+ + 2 gamma sigma-) / (1-s),
@@ -205,8 +206,7 @@ def sklyanin_check(table: PsiTable) -> CheckReport:
 
 class WZExpansion:
     """The Riccati data of one table, solved on demand: w_j = beta_j sigma+ +
-    gamma_j sigma- and the diagonal densities (coefficient of lambda^{-n} in
-    (1/2) Tr(sigma3 dZ)), every order from 1 up to the highest one read.
+    gamma_j sigma-, every order from 1 up to the highest one read.
 
     Order lambda^(k-j) of dW = O + DW - WD - WOW reads
 
@@ -214,7 +214,8 @@ class WZExpansion:
                       + sum_{i1+m+i2=j} w_{i1} O_m w_{i2} + d(w_{j-k}),
 
     and ad(sigma3) is inverted on off-diagonal matrices (eigenvalues +-2).
-    Only rows 0..k of the table enter; integration constants are zero.  The
+    Only rows 0..k of the table enter; integration constants are zero.  Only
+    W is stored: a density is one contraction of W with rows 1..k.  The
     recursion is prefix-stable, so for a table whose rows 0..k are the shared
     ones of build_psi one expansion per k, grown under its own lock, serves
     every depth.
@@ -228,12 +229,11 @@ class WZExpansion:
         # 1-based orders; index 0 unused
         self.betas: list[DiffPoly] = [DiffPoly.zero()]
         self.gammas: list[DiffPoly] = [DiffPoly.zero()]
-        self.densities: list[DiffPoly] = [DiffPoly.zero()]
 
     @property
     def depth(self) -> int:
-        """The highest order of W and of the densities solved so far."""
-        return len(self.densities) - 1
+        """The highest order of W solved so far."""
+        return len(self.gammas) - 1
 
     def beta(self, j: int) -> DiffPoly:
         return self._grown(j).betas[j]
@@ -242,20 +242,25 @@ class WZExpansion:
         return self._grown(j).gammas[j]
 
     def density(self, n: int) -> DiffPoly:
-        """Coefficient of lambda^{-n}, n >= 1."""
-        return self._grown(n).densities[n]
+        """Coefficient of lambda^{-n}, n >= 1: W's orders n..n+k-1 against rows 1..k."""
+        k, rows = self.k, self.rows
+        # order n is named if it is below 1; n+k-1 is the highest order read
+        betas, gammas = self._grown(n)._grown(n + k - 1).betas, self.gammas
+        pairs = ((rows[m], n + k - m) for m in range(1, k + 1))
+        terms = [t for row, i in pairs for t in ((1, row.bp, gammas[i]), (-1, row.cm, betas[i]))]
+        return DiffPoly.dot(terms).scale(1, 2)
 
     def _grown(self, depth: int) -> WZExpansion:
-        """The expansion, with every order 1..depth of W and of dZ solved."""
+        """The expansion, with every order 1..depth of W solved."""
         if depth < 1:
             raise DepthExhausted(f"order {depth} of W or of dZ is below 1")
-        # Orders are only appended, the densities last, so a depth already
+        # Orders are only appended, gammas after betas, so a depth already
         # reached needs no lock.
         if depth <= self.depth:
             return self
         with self._lock:
             k, rows, betas, gammas = self.k, self.rows, self.betas, self.gammas
-            for j in range(len(betas), depth + k):
+            for j in range(len(gammas), depth + 1):
                 b_terms = [(-2, rows[m].a, betas[j - m]) for m in range(1, min(k, j - 1) + 1)]
                 c_terms = [(2, rows[m].a, gammas[j - m]) for m in range(1, min(k, j - 1) + 1)]
                 for m in range(1, min(k, j - 2) + 1):
@@ -273,12 +278,6 @@ class WZExpansion:
                     rhs_b, rhs_c = rhs_b + betas[j - k].derive(), rhs_c + gammas[j - k].derive()
                 betas.append(rhs_b.scale(1, 2))
                 gammas.append(rhs_c.scale(-1, 2))
-            for n in range(len(self.densities), depth + 1):
-                terms = []
-                for m in range(1, k + 1):
-                    i = n + k - m
-                    terms += ((1, rows[m].bp, gammas[i]), (-1, rows[m].cm, betas[i]))
-                self.densities.append(DiffPoly.dot(terms).scale(1, 2))
         return self
 
 

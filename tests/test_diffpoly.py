@@ -641,7 +641,9 @@ class TestIntegerPairs:
                 pairs.append((mono, Fraction(n if sign == "+" else -n, d if "/" in number else 1)))
             assert canonical(parse_poly(" ".join(pieces))) == ref_canonical(pairs)
 
-    @pytest.mark.parametrize("bad", [0.1, "1/2", Decimal("0.1"), None], ids=["float", "str", "decimal", "none"])
+    @pytest.mark.parametrize(
+        "bad", [0.1, "1/2", Decimal("0.1"), None, True, False], ids=["float", "str", "decimal", "none", "true", "false"]
+    )
     def test_anything_but_an_int_or_a_fraction_is_a_type_error(self, bad):
         p, name = P("b1"), type(bad).__name__
         calls = (

@@ -316,8 +316,38 @@ class TestWZExpansion:
         wz = WZExpansion(table)._grown(3)
         assert wz.depth == 3
         getattr(wz, read)(7)
-        assert wz.depth == 7
+        # depth is W's order, and density 7 reads W to order 7 + k - 1
+        assert wz.depth == {"beta": 7, "gamma": 7, "density": 8}[read]
         assert riccati_orders(wz, 7) == riccati_orders(WZExpansion(table), 7)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_density_orders_below_one_raise_for_every_k(self, order, k):
+        # orders n..n+k-1 of W reach 1 for n = 0 once k >= 2; the density refuses n itself
+        wz = WZExpansion(build_psi(k, k))
+        with pytest.raises(DepthExhausted, match=rf"^order {order} of W or of dZ is below 1$"):
+            wz.density(order)
+        assert wz.depth == 0
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_resolvent_check_solves_w_to_its_depth_only(self, fresh_store, k):
+        assert resolvent_check(build_psi(k, 6), 6).passed
+        wz = _expansion(build_psi(k, 6))
+        assert wz.depth == len(wz.betas) - 1 == len(wz.gammas) - 1 == 6
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_hamiltonian_density_solves_w_to_order_n_plus_k(self, fresh_store, k):
+        for n in range(5):
+            hamiltonian_density(build_psi(k, k), n)
+            wz = _expansion(build_psi(k, k))
+            assert wz.depth == len(wz.betas) - 1 == n + k
+
+    def test_depth_follows_gammas(self):
+        # betas is appended before gammas, so a lock-free reader may see
+        # beta_j before gamma_j: order j counts as solved only with gamma_j
+        wz = WZExpansion(build_psi(2, 2))._grown(3)
+        wz.betas.append(DiffPoly.zero())
+        assert wz.depth == 3
 
     def test_prefix_stability(self, fresh_store):
         # every order reads the same whatever was requested before it, in the
@@ -485,6 +515,10 @@ class TestResolvent:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_depth_seven(self, k):
         assert resolvent_check(build_psi(k, 7), 7).passed
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    def test_depth_fourteen(self, k):
+        assert resolvent_check(build_psi(k, 14), 14).passed
 
     def test_depth_guard(self):
         with pytest.raises(DepthExhausted):
