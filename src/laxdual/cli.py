@@ -242,10 +242,11 @@ def _render_psi(table: PsiTable, fmt: str) -> str:
 
 
 def _render_lax(x: LaurentMatrix, fmt: str) -> str:
+    """A Lax matrix V^(N): exact, so its depth is null, and never empty (sigma3 at lambda^N)."""
     coeffs = sorted(x.coeffs.items(), reverse=True)
     if fmt == "json":
         entries = {str(e): {"a": m.a, "bp": m.bp, "cm": m.cm} for e, m in coeffs}
-        return _json_text({"depth": None if x.floor is None else -x.floor, "coeffs": entries})
+        return _json_text({"depth": None, "coeffs": entries})
     if fmt == "latex":
         # the 2x2 form ((A, B), (C, -A)) as a pmatrix
         a, b, c = entry_polynomials(x)
@@ -256,8 +257,7 @@ def _render_lax(x: LaurentMatrix, fmt: str) -> str:
             f"{_entry_latex(c)} & {_entry_latex(minus_a)}\n"
             "\\end{pmatrix}"
         )
-    lines = [f"lambda^{e}: a = {m.a} | b = {m.bp} | c = {m.cm}" for e, m in coeffs]
-    return "\n".join(lines) or "0"
+    return "\n".join(f"lambda^{e}: a = {m.a} | b = {m.bp} | c = {m.cm}" for e, m in coeffs)
 
 
 def _entry_latex(table: dict[int, DiffPoly]) -> str:

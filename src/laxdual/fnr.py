@@ -155,8 +155,17 @@ def _memoized(table: PsiTable, upto: int, key, compute):
     return hit if hit is not None else owner.memo.setdefault(key, compute())
 
 
+def _require_ints(**values) -> None:
+    """TypeError unless every value is an int.  A float or a bool would pass the
+    range checks and key a store or a memo as the equal int does: 1.0 and True as 1."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{name} must be an int, got {type(value).__name__} {value!r}")
+
+
 def build_psi(k: int, depth: int) -> PsiTable:
     """Construct the table for t_k down to lambda^{-depth}."""
+    _require_ints(k=k, depth=depth)
     if k < 1:
         raise ValueError("k must be >= 1")
     if depth < k:

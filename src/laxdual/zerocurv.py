@@ -18,12 +18,13 @@ table is checked in full.
 
 Two-time expressions are never represented: a PdeSystem stores d_n(u) as a
 polynomial in t_k-derivatives and extends d_n to composites by the chain rule.
+The duality map phi from the t_k world into the t_n world is DualityResult.phi.
 """
 
 from __future__ import annotations
 
 from .diffpoly import _BASE, _CONST, _VARS, DiffPoly, FieldVar, _mapped
-from .fnr import PsiTable, _flow_residual, _memo_owner, _memoized, build_psi, lax_matrix
+from .fnr import PsiTable, _flow_residual, _memo_owner, _memoized, _require_ints, build_psi, lax_matrix
 from .loopalg import _flow_coefficient, lm_commutator
 from .records import Record
 from .report import CheckReport
@@ -82,6 +83,7 @@ def zero_curvature(table: PsiTable, n: int) -> PdeSystem:
     The system reads rows 0..max(k, n) only, and a shallower table raises
     DepthExhausted; for a table whose rows are the shared ones of build_psi
     it is computed once per (k, n) and shared."""
+    _require_ints(n=n)
     if n < 1:
         raise ValueError("partner time n must be >= 1")
     upto = max(n, table.k)
@@ -159,13 +161,19 @@ def commuting_flows_check(table: PsiTable, n: int, m: int) -> CheckReport:
 
 
 class DualityResult(Record):
-    """The report, and psi: each b_j, c_j (j = n+1..k) as a polynomial of the t_n world."""
+    """The report; psi, each b_j, c_j (j = n+1..k) as a polynomial of the t_n
+    world; and route_a, the d_k system of the t_n table: together, the map phi."""
 
-    __slots__ = ("report", "psi")
+    __slots__ = ("report", "psi", "route_a")
 
-    def __init__(self, report: CheckReport, psi: dict[FieldVar, DiffPoly]):
+    def __init__(self, report: CheckReport, psi: dict[FieldVar, DiffPoly], route_a: PdeSystem):
         self.report = report
         self.psi = psi
+        self.route_a = route_a
+
+    def phi(self, p: DiffPoly) -> DiffPoly:
+        """phi of the current psi: b_1..c_n fixed, u -> psi(u), u^(l) -> d_k^l phi(u) by route A."""
+        return _mapped(p, self.psi, self.route_a.derivative)
 
 
 def dual_equivalence(n: int, k: int) -> DualityResult:
@@ -185,16 +193,10 @@ def dual_equivalence(n: int, k: int) -> DualityResult:
 
 
 def _duality(table_n: PsiTable, table_k: PsiTable) -> DualityResult:
-    """dual_equivalence on the tables of t_n and t_k.  Every rewrite is the duality
-    map phi: b_1..c_n fixed, u -> psi(u), u^(l) -> d_k^l phi(u) by route A."""
+    """dual_equivalence on the tables of t_n and t_k; every rewrite is the result's phi."""
     n, k = table_n.k, table_k.k
-    route_a = zero_curvature(table_n, k)
+    result = DualityResult(CheckReport(f"dual_equivalence(n={n}, k={k})"), {}, zero_curvature(table_n, k))
     route_b = zero_curvature(table_k, n)
-    report = CheckReport(f"dual_equivalence(n={n}, k={k})")
-    psi: dict[FieldVar, DiffPoly] = {}
-
-    def phi(p: DiffPoly) -> DiffPoly:
-        return _mapped(p, psi, route_a.derivative)
 
     # Ascending elimination: the rule for d_n u_q (q <= k-n) contains u_{q+n}
     # linearly with coefficient +-2 and nothing else of that index.
@@ -206,26 +208,26 @@ def _duality(table_n: PsiTable, table_k: PsiTable) -> DualityResult:
             rest = rule - DiffPoly.from_var(target).scale(coeff)
             if not rest.partial(target).is_zero():
                 raise EliminationFailure(f"rule for d_{n} {kind}{q} is not linear in {kind}{j}")
-            psi[target] = (phi(DiffPoly.var(kind, q)).derive() - phi(rest)).scale(1, coeff)
+            result.psi[target] = (result.phi(DiffPoly.var(kind, q)).derive() - result.phi(rest)).scale(1, coeff)
 
     # The eliminated fields must coincide with the t_n constraint rows, and the
     # diagonal polynomials must map onto each other as well.
     for j in range(n + 1, k + 1):
         for kind, attr in (("b", "bp"), ("c", "cm")):
             want = getattr(table_n.rows[j], attr)
-            report.add_residual(f"elimination {kind}{j}", psi[FieldVar(kind, j)] - want)
+            result.report.add_residual(f"elimination {kind}{j}", result.psi[FieldVar(kind, j)] - want)
     for j in range(1, k + 1):
-        report.add_residual(f"a_{j} rewrite", phi(table_k.rows[j].a) - table_n.rows[j].a)
+        result.report.add_residual(f"a_{j} rewrite", result.phi(table_k.rows[j].a) - table_n.rows[j].a)
 
-    # Surviving rules of route B read d_n u_q = d(u_p) - C_{p+k}, q = p+k-n, so
-    # d_k l_p = d_n l_q + C_{p+k}; mapped by phi they must equal route A.
+    # phi(d_n u_q) = d_n phi(u_q) on route B's surviving rules d_n u_q = d(u_p) - C_{p+k},
+    # q = p+k-n.  phi(u_p') is route A's rule for d_k u_p, so this checks route A.
     for p in range(1, n + 1):
         q = p + k - n
         for kind in ("b", "c"):
-            c_coeff = DiffPoly.var(kind, p).derive() - route_b.evolution[FieldVar(kind, q)]
-            got = phi(DiffPoly.var(kind, q)).derive() + phi(c_coeff)
-            report.add_residual(f"d_{k} {kind}{p}", got - route_a.evolution[FieldVar(kind, p)])
-    return DualityResult(report=report, psi=dict(sorted(psi.items())))
+            residual = result.phi(DiffPoly.var(kind, q)).derive() - result.phi(route_b.rhs(kind, q))
+            result.report.add_residual(f"d_{k} {kind}{p}", residual)
+    result.psi = dict(sorted(result.psi.items()))
+    return result
 
 
 def dual_table_map_check(n: int, k: int, depth: int) -> CheckReport:
@@ -241,11 +243,10 @@ def dual_table_map_check(n: int, k: int, depth: int) -> CheckReport:
     if depth < 1:
         raise ValueError(f"dual_table_map_check needs depth >= 1, got {depth}")
     table_n, table_k = build_psi(n, max(k, depth)), build_psi(k, max(k, depth))
-    psi = _duality(table_n, table_k).psi
-    derivation = zero_curvature(table_n, k).derivative
+    phi = _duality(table_n, table_k).phi
     report = CheckReport(f"dual_table_map(n={n}, k={k}, depth={depth})")
     for j in range(1, depth + 1):
         for entry, attr in (("a", "a"), ("b", "bp"), ("c", "cm")):
-            image = _mapped(getattr(table_k.rows[j], attr), psi, derivation)
+            image = phi(getattr(table_k.rows[j], attr))
             report.add_residual(f"row {j} {entry}", image - getattr(table_n.rows[j], attr))
     return report

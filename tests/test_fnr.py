@@ -93,6 +93,20 @@ class TestBuildPsi:
         with pytest.raises(ValueError):
             build_psi(3, 2)
 
+    @pytest.mark.parametrize(
+        "k, depth",
+        [(1.0, 3), (True, 3), ("1", 3), (1, 3.0), (1, True)],
+        ids=["float-k", "bool-k", "str-k", "float-depth", "bool-depth"],
+    )
+    def test_anything_but_an_int_is_refused_before_the_store(self, fresh_store, k, depth):
+        # 1.0 and True are equal keys to the store of k = 1: a store made for
+        # either would serve every later build_psi(1, ...) in the process.
+        with pytest.raises(TypeError, match="must be an int"):
+            build_psi(k, depth)
+        assert fresh_store == {}
+        table = build_psi(1, 3)
+        assert type(table.k) is int and table.rows[1].bp == P("b1")
+
     @pytest.mark.parametrize("depth", [9, 2])
     def test_rows_must_match_depth(self, depth):
         # too few rows used to fail with IndexError deep in the checks; too

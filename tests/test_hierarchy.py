@@ -76,8 +76,9 @@ class TestRowReuse:
 
     def test_concurrent_riccati_growth(self, fresh_store):
         # In each round eight threads grow the one shared expansion per k of an
-        # empty store to shuffled depths and read it back; a growth step that
-        # two threads race through shifts every later order.  Without the
+        # empty store to shuffled depths d and read back W's orders 1..d and the
+        # density of order d, which grows W k - 1 orders further; a growth step
+        # that two threads race through shifts every later order.  Without the
         # lock, 30 rounds fail in nearly every run.
         want = {k: riccati_orders(WZExpansion(build_psi(k, k)), 9) for k in (1, 2, 3)}
         results, errors = [], []
@@ -89,7 +90,9 @@ class TestRowReuse:
             try:
                 start.wait()
                 for k, d in order:
-                    results.append((k, d, riccati_orders(_expansion(build_psi(k, k))._grown(d), d)))
+                    wz = _expansion(build_psi(k, k))._grown(d)
+                    w = [(wz.beta(j), wz.gamma(j)) for j in range(1, d + 1)]
+                    results.append((k, d, w, wz.density(d)))
             except Exception as exc:  # pragma: no cover - reported below
                 errors.append(exc)
 
@@ -109,9 +112,10 @@ class TestRowReuse:
             sys.setswitchinterval(old)
         assert not errors
         assert len(results) == rounds * 8 * 3 * 9
-        for k, d, orders in results:
-            for j, got in enumerate(orders, 1):
-                assert got == want[k][j - 1], (k, d, j)
+        for k, d, w, density in results:
+            for j, got in enumerate(w, 1):
+                assert got == want[k][j - 1][:2], (k, d, j)
+            assert density == want[k][d - 1][2], (k, d)
 
 
 class TestMemos:

@@ -71,9 +71,9 @@ MUTABLE = {
     ),
     "CheckReport": (lambda: CheckReport("demo"), ("name",), _report),
     "DualityResult": (
-        lambda: DualityResult(report=_report(), psi={B2: P("1/2*b1'")}),
-        ("report", "psi"),
-        lambda: DualityResult(report=CheckReport("demo"), psi={B2: P("1/2*b1'")}),
+        lambda: DualityResult(report=_report(), psi={B2: P("1/2*b1'")}, route_a=_system()),
+        ("report", "psi", "route_a"),
+        lambda: DualityResult(report=CheckReport("demo"), psi={B2: P("1/2*b1'")}, route_a=_system()),
     ),
     "LaurentMatrix": (_laurent, ("coeffs", "floor"), lambda: _laurent(floor=-2)),
 }

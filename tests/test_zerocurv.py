@@ -1,5 +1,6 @@
 """Zero-curvature systems, strong flatness, duality of the two routes."""
 
+import itertools
 import sys
 import threading
 
@@ -15,7 +16,7 @@ from laxdual.loopalg import (
     shift,
 )
 from laxdual.fnr import diag_consistency, lax_matrix
-from laxdual import fnr, zerocurv
+from laxdual import cli, fnr, zerocurv
 from laxdual.zerocurv import (
     PdeSystem,
     ResidualNonZero,
@@ -138,6 +139,17 @@ class TestZeroCurvature:
             zero_curvature(build_psi(2, 3), 4)
         with pytest.raises(DepthExhausted, match=r"lambda\^0; the known floor is 1"):
             zero_curvature(build_psi(2, 3), 4)
+
+    @pytest.mark.parametrize("n", [True, 1.0, "1"], ids=["bool", "float", "str"])
+    def test_a_partner_time_that_is_not_an_int_leaves_the_memo(self, fresh_store, capsys, n):
+        # True is an equal key to n = 1's memo entry: a system stored under it
+        # would print as dTrue(b1) in a later `derive --k 1 --n 1`.
+        table = build_psi(1, 3)
+        with pytest.raises(TypeError, match="n must be an int"):
+            zero_curvature(table, n)
+        assert fresh_store[1].memo == {}
+        assert cli.main(["derive", "--k", "1", "--n", "1"]) == 0
+        assert capsys.readouterr().out == "d1(b1) = b1'\nd1(c1) = c1'\n"
 
 
 # SHA-256 of the ResidualNonZero message of zero_curvature(tampered_above_k(k,
@@ -446,6 +458,57 @@ def test_tampered_table_fails_its_elimination_items(attr, extra):
     report = _duality(build_psi(1, 3), table_k).report
     assert [item.label for item in report.failures()] == TAMPERED_FREE_ROWS[attr, extra]
     assert [item.label for item in report.items] == [item.label for item in dual_equivalence(1, 3).report.items]
+
+
+# One entry (a, b or c) of one row 1..k of either table, plus 1, b1*c1 or b1',
+# handed to the two-table core.  Most tamperings make a zero-curvature system
+# raise; the rest give a failing report.  Per (n, k), the digest of the
+# outcomes in order (each report's report_digest, or the error's type and
+# message), recorded before DualityResult owned the duality map.
+TAMPERED_TABLE_DIGESTS = {
+    (1, 2): "df4d87b4dabf0349adc78023cc2db288c1f936fbfb48022b6b285f99d9871629",
+    (1, 3): "6b65c9daeff9b94ed2f897b1badb4a091f4e07298d489304b40a8bb9d09ac664",
+    (2, 3): "4afc2e65373541c9012955313b090240c05c7afe555d700dcab76c50646db15d",
+    (1, 4): "45f1db906dc47ab37ab84f3e4afbbb2790bbc1968f53f7c4ac71a75668d86b30",
+    (2, 4): "138cd70baf10c8d53ad0a4f64d8e84f5c42821984fb57d768df4855a43384bfa",
+    (3, 4): "90c2aefd6d2b1c13a731602d5fb161dff3e5de4e79fac362d4a058be0fe34fa3",
+}
+
+
+@pytest.mark.parametrize("n, k", sorted(TAMPERED_TABLE_DIGESTS))
+def test_tampered_tables_keep_their_reports_and_errors(n, k):
+    outcomes = []
+    cases = itertools.product(("n", "k"), range(1, k + 1), ("a", "bp", "cm"), ("1", "b1*c1", "b1'"))
+    for side, j, attr, extra in cases:
+        tables = {"n": build_psi(n, k), "k": build_psi(k, k)}
+        tables[side] = with_added(tables[side], j, extra, (attr,))
+        try:
+            report = _duality(tables["n"], tables["k"]).report
+        except ResidualNonZero as exc:
+            outcomes.append(f"ResidualNonZero: {exc}")
+        else:
+            assert not report.passed, (side, j, attr, extra)
+            outcomes.append(report_digest(report))
+    assert len(outcomes) == 18 * k
+    assert digest("\n".join(outcomes)) == TAMPERED_TABLE_DIGESTS[n, k]
+
+
+class TestDualityMap:
+    def test_phi_reads_the_current_psi(self):
+        result = dual_equivalence(1, 3)
+        b2 = DiffPoly.var("b", 2)
+        assert result.phi(b2) == result.psi[fv("b", 2)]
+        # A new dict, and then a change to it, are both what phi reads next.
+        result.psi = {fv("b", 2): P("7*c1")}
+        assert result.phi(b2 * b2.derive()) == P("7*c1") * result.route_a.derivative(P("7*c1"))
+        result.psi[fv("b", 2)] = P("b1")
+        assert result.phi(b2 + P("c2")) == P("b1 + c2")
+
+    @pytest.mark.parametrize("n, k", [(1, 2), (1, 3), (2, 3), (2, 5)])
+    def test_route_a_is_the_shared_system(self, n, k):
+        assert dual_equivalence(n, k).route_a is zero_curvature(build_psi(n, k + 3), k)
+        result = _duality(build_psi(n, k + 2), build_psi(k, k + 2))
+        assert result.route_a is zero_curvature(build_psi(n, k), k)
 
 
 # report_digest of dual_table_map_check(n, k, k + 4), recorded before the
